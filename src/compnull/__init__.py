@@ -34,7 +34,7 @@ from .simulate import (DensityTable, EcdfTable, SimResult, SimRow, SimSpec,
                        simulate_power, simulate_pvalue_ecdf, worker_count)
 from .cli import cli_dispatch, main
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "Interval", "folded_interval_prob", "gaussian_interval_prob",

@@ -17,7 +17,8 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .regions import Interval, OutsideRule, RejectionRegion2D, WeightedRect, _cdf_array, _rule_mass
+from .regions import (Interval, OutsideRule, RejectionRegion2D, WeightedRect, _cdf_array,
+                      analytic_power_batch)
 from .statmath import std_normal_quantile
 
 __all__ = [
@@ -157,10 +158,10 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD,
         g_at[float(d)] = _cdf_array(edges[1:] - d) - _cdf_array(edges[:-1] - d)
     g0 = g_at[0.0]
 
-    n_side = 2 * m
+    rule_mass = analytic_power_batch(stub, np.array(null_grid))
     rows = []
-    for dx, dy in null_grid:
-        rhs = alpha - _rule_mass(stub, dx, dy)
+    for (dx, dy), mass in zip(null_grid, rule_mass):
+        rhs = alpha - mass
         if rhs < 0.0:
             raise ValueError(
                 f"infeasible at null point ({dx}, {dy}): the outside rule "

@@ -3,20 +3,20 @@
 A region is a finite union of pairwise-disjoint open rectangles, each
 carrying a rejection probability p in [0, 1], plus an optional "outside
 rule" that rejects jointly-large statistics beyond the box the cells tile.
-Regions serialize to a versioned JSON document so solved regions can be
-shipped and reloaded bit-exactly.
+Each region compiles both onto one tensor grid of bands, which serves every
+lookup and power computation. Regions serialize to a versioned JSON
+document so solved regions can be shipped and reloaded bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statmath import Interval, _cdf_array, gaussian_interval_prob
+from .statmath import Interval, _cdf_array
 
 __all__ = [
     "FORMAT_VERSION",
@@ -67,9 +67,9 @@ class WeightedRect:
 class OutsideRule:
     """Joint-significance rule applied outside the cell box.
 
-    Rejects whenever |zx| >= threshold and |zy| >= threshold and (zx, zy)
-    lies outside ``box`` (given as (xlo, xhi, ylo, yhi); None means the
-    bounding box of the region's cells).
+    Rejects whenever |zx| > threshold and |zy| > threshold and (zx, zy)
+    lies outside the closed ``box`` (given as (xlo, xhi, ylo, yhi); None
+    means the bounding box of the region's cells).
     """
 
     threshold: float
@@ -117,16 +117,17 @@ def _as_xy(z) -> tuple[float, float]:
 class RejectionRegion2D:
     """A rejection region: disjoint weighted open cells plus an outside rule.
 
-    Construction validates the cell list (probabilities in range, pairwise
-    disjoint interiors) and builds the strip index used for point lookups:
-    cells sharing an x-interval form a strip; strips and the y-intervals
-    inside each strip are kept sorted for binary search.
+    Construction validates the cells (pairwise disjoint interiors) and
+    compiles cells and rule into one tensor grid: sorted band edges
+    ``x_edges`` and ``y_edges``, each running from -inf to inf, and a
+    read-only matrix ``probs`` holding the rejection probability on each
+    open grid cell. Every edge of a cell, of the rule box and the rule
+    thresholds +-t is a grid edge, so each grid cell lies wholly inside or
+    outside each of them. A cell with p > 0 takes precedence over the rule.
     """
 
-    __slots__ = (
-        "alpha", "kind", "cells", "outside_rule",
-        "_strips", "_strip_los", "_strip_his", "_strips_disjoint", "_bbox", "_arrays",
-    )
+    __slots__ = ("alpha", "kind", "cells", "outside_rule",
+                 "x_edges", "y_edges", "probs", "_x_hi", "_y_hi", "_padded")
 
     def __init__(self, alpha, kind, cells, outside_rule=None):
         alpha = float(alpha)
@@ -140,8 +141,7 @@ class RejectionRegion2D:
         self.kind = kind
         self.cells = tuple(cells)
         self.outside_rule = outside_rule
-        self._arrays = None
-        self._build_index()
+        self._compile()
 
     def __eq__(self, other):
         if not isinstance(other, RejectionRegion2D):
@@ -156,207 +156,102 @@ class RejectionRegion2D:
         return (f"RejectionRegion2D(alpha={self.alpha!r}, kind={self.kind!r}, "
                 f"cells=<{len(self.cells)}>, outside_rule={self.outside_rule!r})")
 
-    # -- index construction ------------------------------------------------
-
-    def _build_index(self) -> None:
-        strips: dict[tuple[float, float], list[WeightedRect]] = {}
+    def _compile(self) -> None:
         for cell in self.cells:
             if not isinstance(cell, WeightedRect):
                 raise TypeError(f"cells must be WeightedRect, got {type(cell).__name__}")
-            strips.setdefault((cell.x.lo, cell.x.hi), []).append(cell)
+        xlo, xhi, ylo, yhi, p = np.array(
+            [(c.x.lo, c.x.hi, c.y.lo, c.y.hi, c.p) for c in self.cells]).reshape(-1, 5).T
+        rule = self.outside_rule
+        x_extra = y_extra = (-math.inf, math.inf)
+        if rule is not None:
+            t = rule.threshold
+            box = rule.box
+            if box is None and self.cells:
+                box = (xlo.min(), xhi.max(), ylo.min(), yhi.max())
+            x_extra += (-t, t) + (box[:2] if box is not None else ())
+            y_extra += (-t, t) + (box[2:] if box is not None else ())
+        x_edges = np.unique(np.concatenate((xlo, xhi, x_extra)))
+        y_edges = np.unique(np.concatenate((ylo, yhi, y_extra)))
+        nx, ny = len(x_edges) - 1, len(y_edges) - 1
 
-        keyed = sorted(strips.items(), key=lambda kv: kv[0])
-        self._strips = []
-        for (xlo, xhi), members in keyed:
-            members.sort(key=lambda c: c.y.lo)
-            ylos = [c.y.lo for c in members]
-            yhis = [c.y.hi for c in members]
-            ps = [c.p for c in members]
-            for k in range(1, len(members)):
-                if ylos[k] < yhis[k - 1] and xlo < xhi:
-                    raise RegionValidationError(
-                        f"overlapping cells in x-strip ({xlo!r}, {xhi!r}): "
-                        f"y-intervals ({ylos[k - 1]!r}, {yhis[k - 1]!r}) and ({ylos[k]!r}, {yhis[k]!r})")
-            self._strips.append((xlo, xhi, ylos, yhis, ps))
+        # Cell k covers grid rows i0:i1 and columns j0:j1 exactly, because
+        # its endpoints are grid edges. Paint coverage counts and labels k+1
+        # with 2-D difference arrays; integer cumsums keep both exact.
+        i0, i1 = np.searchsorted(x_edges, xlo), np.searchsorted(x_edges, xhi)
+        j0, j1 = np.searchsorted(y_edges, ylo), np.searchsorted(y_edges, yhi)
+        labels = np.arange(1, len(self.cells) + 1)
+        count = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        label = np.zeros((nx + 1, ny + 1), dtype=np.int64)
+        for rows, cols, sign in ((i0, j0, 1), (i0, j1, -1), (i1, j0, -1), (i1, j1, 1)):
+            np.add.at(count, (rows, cols), sign)
+            np.add.at(label, (rows, cols), sign * labels)
+        count = count.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]
+        if count.max(initial=0) > 1:
+            gi, gj = np.argwhere(count > 1)[0]
+            a, b = np.nonzero((i0 <= gi) & (gi < i1) & (j0 <= gj) & (gj < j1))[0][:2]
+            raise RegionValidationError(
+                f"overlapping cells: cells[{a}] and cells[{b}] share the open rectangle "
+                f"({float(x_edges[gi])!r}, {float(x_edges[gi + 1])!r}) x "
+                f"({float(y_edges[gj])!r}, {float(y_edges[gj + 1])!r})")
+        cell_p = np.concatenate(([0.0], p))[label.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]]
 
-        self._strip_los = [s[0] for s in self._strips]
-        self._strip_his = [s[1] for s in self._strips]
-        self._strips_disjoint = all(
-            self._strips[k + 1][0] >= self._strips[k][1] for k in range(len(self._strips) - 1))
-        if not self._strips_disjoint:
-            self._check_cross_strip_overlap()
+        fires = np.zeros((nx, ny), dtype=bool)
+        if rule is not None:
+            fires = np.outer(_in_tail(x_edges, t), _in_tail(y_edges, t))
+            if box is not None:
+                fires &= ~np.outer(_in_range(x_edges, box[0], box[1]),
+                                   _in_range(y_edges, box[2], box[3]))
 
-        if self.cells:
-            self._bbox = (
-                min(c.x.lo for c in self.cells), max(c.x.hi for c in self.cells),
-                min(c.y.lo for c in self.cells), max(c.y.hi for c in self.cells))
-        else:
-            self._bbox = None
-
-    def _check_cross_strip_overlap(self) -> None:
-        # Only reachable for irregular cell layouts; strip counts stay small there.
-        for i, (xlo_i, xhi_i, ylos_i, yhis_i, _) in enumerate(self._strips):
-            for j in range(i + 1, len(self._strips)):
-                xlo_j, xhi_j, ylos_j, yhis_j, _ = self._strips[j]
-                if xlo_j >= xhi_i:
-                    break
-                if max(xlo_i, xlo_j) >= min(xhi_i, xhi_j):
-                    continue
-                a = b = 0
-                while a < len(ylos_i) and b < len(ylos_j):
-                    if max(ylos_i[a], ylos_j[b]) < min(yhis_i[a], yhis_j[b]):
-                        raise RegionValidationError(
-                            f"overlapping cells: x-strips ({xlo_i!r}, {xhi_i!r}) and "
-                            f"({xlo_j!r}, {xhi_j!r}) share y-interval mass")
-                    if yhis_i[a] <= yhis_j[b]:
-                        a += 1
-                    else:
-                        b += 1
-
-    # -- cached numpy view ---------------------------------------------------
-
-    def _cell_arrays(self):
-        if self._arrays is None:
-            xlo = np.array([c.x.lo for c in self.cells])
-            xhi = np.array([c.x.hi for c in self.cells])
-            ylo = np.array([c.y.lo for c in self.cells])
-            yhi = np.array([c.y.hi for c in self.cells])
-            p = np.array([c.p for c in self.cells])
-            self._arrays = (xlo, xhi, ylo, yhi, p)
-        return self._arrays
-
-    def bounding_box(self):
-        """(xlo, xhi, ylo, yhi) of the cells, or None when there are none."""
-        return self._bbox
-
-    def rule_box(self):
-        """The box outside which the outside rule applies, or None."""
-        if self.outside_rule is None:
-            return None
-        if self.outside_rule.box is not None:
-            return self.outside_rule.box
-        return self._bbox
+        # Lookup support: a zero row and column past the end catch NaN, which
+        # searchsorted places after +inf; in the upper-edge arrays the end
+        # band's +inf is a NaN sentinel, so +inf never tests as on an edge.
+        padded = np.zeros((nx + 1, ny + 1))
+        padded[:nx, :ny] = np.where(cell_p > 0.0, cell_p, fires)
+        padded.flags.writeable = False
+        x_edges.flags.writeable = False
+        y_edges.flags.writeable = False
+        self.x_edges, self.y_edges = x_edges, y_edges
+        self.probs = padded[:nx, :ny]
+        self._padded = padded
+        self._x_hi = np.concatenate((x_edges[1:-1], [math.nan, math.nan]))
+        self._y_hi = np.concatenate((y_edges[1:-1], [math.nan, math.nan]))
 
 
-def _cell_prob_scalar(region: RejectionRegion2D, zx: float, zy: float) -> float:
-    strips = region._strips
-    if not strips:
-        return 0.0
-    if region._strips_disjoint:
-        i = bisect_right(region._strip_los, zx) - 1
-        candidates = (i,) if i >= 0 else ()
-    else:
-        hi = bisect_right(region._strip_los, zx)
-        candidates = range(hi - 1, -1, -1)
-    for i in candidates:
-        xlo, xhi, ylos, yhis, ps = strips[i]
-        if not xlo < zx < xhi:
-            continue
-        j = bisect_right(ylos, zy) - 1
-        if j >= 0 and ylos[j] < zy < yhis[j]:
-            return ps[j]
-        if region._strips_disjoint:
-            return 0.0
-    return 0.0
+def _in_tail(edges: np.ndarray, t: float) -> np.ndarray:
+    """Bands (edges[i], edges[i+1]) lying in |z| >= t."""
+    return (edges[:-1] >= t) | (edges[1:] <= -t)
 
 
-def _rule_fires_scalar(region: RejectionRegion2D, zx: float, zy: float) -> bool:
-    rule = region.outside_rule
-    if rule is None:
-        return False
-    if abs(zx) < rule.threshold or abs(zy) < rule.threshold:
-        return False
-    box = region.rule_box()
-    if box is not None and box[0] <= zx <= box[1] and box[2] <= zy <= box[3]:
-        return False
-    return True
+def _in_range(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Bands (edges[i], edges[i+1]) lying in [lo, hi]."""
+    return (edges[:-1] >= lo) & (edges[1:] <= hi)
 
 
 def rejection_prob_at_point(region: RejectionRegion2D, z) -> float:
     """Rejection probability of the region at a single (zx, zy).
 
-    Cells are open, so points on cell boundaries return 0. The outside rule
-    contributes 1 when it fires (|zx| >= t, |zy| >= t, and the point lies
-    beyond the rule box).
+    Grid cells are open, so points on any inner band edge return 0; a
+    coordinate at +-inf lies in the unbounded end band. NaN raises.
     """
     zx, zy = _as_xy(z)
     if math.isnan(zx) or math.isnan(zy):
         raise ValueError("test statistics must not be NaN")
-    p = _cell_prob_scalar(region, zx, zy)
-    if p > 0.0:
-        return p
-    return 1.0 if _rule_fires_scalar(region, zx, zy) else 0.0
+    return float(rejection_prob_at_points(region, zx, zy))
 
 
 def rejection_prob_at_points(region: RejectionRegion2D, zx, zy) -> np.ndarray:
-    """Vectorized :func:`rejection_prob_at_point` over arrays of statistics."""
+    """Vectorized :func:`rejection_prob_at_point`; NaN coordinates give 0."""
     zx = np.asarray(zx, dtype=float)
     zy = np.asarray(zy, dtype=float)
     if zx.shape != zy.shape:
         raise ValueError("zx and zy must have matching shapes")
-    out = np.zeros(zx.shape, dtype=float)
-
-    if region._strips and region._strips_disjoint:
-        los = np.array(region._strip_los)
-        his = np.array(region._strip_his)
-        idx = np.searchsorted(los, zx, side="right") - 1
-        idx_c = np.clip(idx, 0, len(los) - 1)
-        valid = (idx >= 0) & (zx > los[idx_c]) & (zx < his[idx_c])
-        for s, (_, _, ylos, yhis, ps) in enumerate(region._strips):
-            mask = valid & (idx == s)
-            if not mask.any():
-                continue
-            ylos_a = np.array(ylos)
-            yhis_a = np.array(yhis)
-            ps_a = np.array(ps)
-            ys = zy[mask]
-            j = np.searchsorted(ylos_a, ys, side="right") - 1
-            j_c = np.clip(j, 0, len(ylos_a) - 1)
-            ok = (j >= 0) & (ys > ylos_a[j_c]) & (ys < yhis_a[j_c])
-            vals = np.zeros(ys.shape)
-            vals[ok] = ps_a[j_c[ok]]
-            out[mask] = vals
-    elif region._strips:
-        for xlo, xhi, ylos, yhis, ps in region._strips:
-            in_x = (zx > xlo) & (zx < xhi)
-            if not in_x.any():
-                continue
-            for ylo, yhi, p in zip(ylos, yhis, ps):
-                out[in_x & (zy > ylo) & (zy < yhi)] = p
-
-    rule = region.outside_rule
-    if rule is not None:
-        fires = (np.abs(zx) >= rule.threshold) & (np.abs(zy) >= rule.threshold)
-        box = region.rule_box()
-        if box is not None:
-            inside = (zx >= box[0]) & (zx <= box[1]) & (zy >= box[2]) & (zy <= box[3])
-            fires &= ~inside
-        out = np.where(fires & (out == 0.0), 1.0, out)
-    return out
-
-
-def _abs_tail_in_range(threshold: float, lo: float, hi: float, delta: float) -> float:
-    """P(Z in [lo, hi], |Z| >= threshold) for Z ~ N(delta, 1)."""
-    total = 0.0
-    h1 = min(-threshold, hi)
-    if lo < h1:
-        total += gaussian_interval_prob(Interval(lo, h1), delta)
-    l2 = max(threshold, lo)
-    if l2 < hi:
-        total += gaussian_interval_prob(Interval(l2, hi), delta)
-    return total
-
-
-def _rule_mass(region: RejectionRegion2D, dx: float, dy: float) -> float:
-    rule = region.outside_rule
-    if rule is None:
-        return 0.0
-    t = rule.threshold
-    mass = _abs_tail_in_range(t, -math.inf, math.inf, dx) * _abs_tail_in_range(t, -math.inf, math.inf, dy)
-    box = region.rule_box()
-    if box is not None:
-        mass -= _abs_tail_in_range(t, box[0], box[1], dx) * _abs_tail_in_range(t, box[2], box[3], dy)
-    return max(0.0, mass)
+    # Band i is (edges[i], edges[i+1]); searching the upper edges leaves a
+    # point on an inner edge in the band below, where it equals _x_hi[i].
+    i = np.searchsorted(region.x_edges[1:], zx)
+    j = np.searchsorted(region.y_edges[1:], zy)
+    on_edge = (zx == region._x_hi[i]) | (zy == region._y_hi[j])
+    return np.where(on_edge, 0.0, region._padded[i, j])
 
 
 def analytic_power(region: RejectionRegion2D, delta_star) -> float:
@@ -366,27 +261,17 @@ def analytic_power(region: RejectionRegion2D, delta_star) -> float:
 
 
 def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
-    """Exact rejection probability at each row of an (n, 2) array of shifts."""
+    """Exact rejection probability at each row of an (n, 2) array of shifts.
+
+    With Gx[s, i] the N(dx_s, 1) mass of x-band i (Gy likewise), the power
+    at shift s is the s-th row sum of (Gx @ probs) * Gy.
+    """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 2 or deltas.shape[1] != 2:
         raise ValueError("deltas must be an (n, 2) array")
-    dx = deltas[:, 0]
-    dy = deltas[:, 1]
-    power = np.zeros(len(deltas))
-
-    if region.cells:
-        xlo, xhi, ylo, yhi, p = region._cell_arrays()
-        # Chunk the points so the cells-by-points intermediates stay modest.
-        chunk = max(1, int(4e6) // max(1, len(p)))
-        for start in range(0, len(deltas), chunk):
-            sl = slice(start, start + chunk)
-            gx = _cdf_array(xhi[None, :] - dx[sl, None]) - _cdf_array(xlo[None, :] - dx[sl, None])
-            gy = _cdf_array(yhi[None, :] - dy[sl, None]) - _cdf_array(ylo[None, :] - dy[sl, None])
-            power[sl] = (gx * gy) @ p
-
-    if region.outside_rule is not None:
-        power += np.array([_rule_mass(region, dxi, dyi) for dxi, dyi in zip(dx, dy)])
-    return np.clip(power, 0.0, 1.0)
+    gx = np.diff(_cdf_array(region.x_edges[None, :] - deltas[:, :1]), axis=1)
+    gy = np.diff(_cdf_array(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
+    return np.clip(((gx @ region.probs) * gy).sum(axis=1), 0.0, 1.0)
 
 
 # -- serialization ---------------------------------------------------------

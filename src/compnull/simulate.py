@@ -143,11 +143,6 @@ def _method_evaluators(spec: SimSpec):
             evals[name] = ("js", std_normal_quantile(1.0 - spec.alpha / 2.0), None)
         else:
             evals[name] = ("sobel", std_normal_quantile(1.0 - spec.alpha / 2.0), None)
-    # warm lazy region caches before blocks run concurrently
-    dummy = np.zeros(1)
-    for kind, obj, _ in evals.values():
-        if kind == "region":
-            rejection_prob_at_points(obj, dummy, dummy)
     return evals
 
 

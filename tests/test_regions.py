@@ -1,5 +1,6 @@
 """Region data model: lookup, analytic power, serialization."""
 
+import functools
 import json
 import math
 
@@ -9,8 +10,8 @@ import pytest
 from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidationError,
                       RejectionRegion2D, WeightedRect, analytic_power,
                       analytic_power_batch, build_extended_region, build_js_region,
-                      build_minimax_region, deserialize, rejection_prob_at_point,
-                      rejection_prob_at_points, serialize)
+                      build_minimax_region, deserialize, gaussian_interval_prob, js_test,
+                      rejection_prob_at_point, rejection_prob_at_points, serialize)
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
 Q_5_7 = 0.56594882193286305  # quantile(5/7)
@@ -41,9 +42,15 @@ def test_outside_rule_validation():
 
 
 def test_region_rejects_overlapping_cells():
-    with pytest.raises(RegionValidationError):
-        RejectionRegion2D(0.05, "custom",
-                          [_rect(0, 1, 0, 1), _rect(0.5, 1.5, 0, 1)])
+    for cells, a, b in (([_rect(0, 1, 0, 1), _rect(0.5, 1.5, 0, 1)], 0, 1),
+                        ([_rect(0, 1, 0, 1), _rect(0.5, 1.5, 0.5, 1.5)], 0, 1),
+                        ([_rect(5, 6, 5, 6), _rect(0, 1, 0, 1), _rect(0.5, 1.5, -1, 0.5)], 1, 2)):
+        with pytest.raises(RegionValidationError,
+                           match=rf"overlapping.*cells\[{a}\].*cells\[{b}\]"):
+            RejectionRegion2D(0.05, "custom", cells)
+    # cells that only share an edge, and zero-width cells, have disjoint interiors
+    RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1), _rect(1, 2, 0, 1), _rect(0, 1, 1, 2)])
+    RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1), _rect(0.5, 0.5, 0, 1)])
 
 
 def test_region_rejects_bad_alpha_and_kind():
@@ -74,6 +81,22 @@ def test_cells_are_open_on_boundaries():
     assert 0.3 < b < 1.0
     assert rejection_prob_at_point(region, (b, 0.3)) == 0.0
     assert rejection_prob_at_point(region, (0.3, b)) == 0.0
+
+
+def test_infinite_coordinates_lie_in_end_bands():
+    mm = build_minimax_region(0.05)
+    assert rejection_prob_at_point(mm, (math.inf, math.inf)) == 1.0
+    assert rejection_prob_at_point(build_extended_region(0.07), (math.inf, math.inf)) == 1.0
+    assert rejection_prob_at_point(mm, (math.inf, 0.0)) == 0.0
+    js = build_js_region(0.05)
+    assert rejection_prob_at_point(js, (math.inf, -math.inf)) == 1.0
+    # band edges are open, like js_test's strict inequality
+    t = js_test((5.0, 5.0), 0.05).threshold
+    assert rejection_prob_at_point(js, (t, 5.0)) == 0.0
+    assert not js_test((t, 5.0), 0.05).reject
+    assert rejection_prob_at_points(mm, [math.nan, 1.0], [1.0, math.nan]).tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError, match="NaN"):
+        rejection_prob_at_point(mm, (math.nan, 1.0))
 
 
 def test_analytic_power_js_origin():
@@ -162,6 +185,89 @@ def test_batch_power_matches_scalar():
     batch = analytic_power_batch(region, deltas)
     for row, d in zip(batch, deltas):
         assert row == pytest.approx(analytic_power(region, tuple(d)), abs=1e-14)
+
+
+@functools.cache
+def _band(lo, hi, mu):
+    return gaussian_interval_prob(Interval(lo, hi), mu)
+
+
+@functools.cache
+def _abs_tail(t, lo, hi, mu):
+    """P(Z in (lo, hi), |Z| >= t) for Z ~ N(mu, 1)."""
+    total = 0.0
+    if lo < min(-t, hi):
+        total += _band(lo, min(-t, hi), mu)
+    if max(t, lo) < hi:
+        total += _band(max(t, lo), hi, mu)
+    return total
+
+
+def _rule_box(region):
+    rule = region.outside_rule
+    if rule.box is not None or not region.cells:
+        return rule.box
+    return (min(c.x.lo for c in region.cells), max(c.x.hi for c in region.cells),
+            min(c.y.lo for c in region.cells), max(c.y.hi for c in region.cells))
+
+
+def _rule_mass_in(region, x, y, dx, dy):
+    """Outside-rule mass inside the rectangle x times y at shift (dx, dy)."""
+    t = region.outside_rule.threshold
+    box = _rule_box(region)
+    mass = _abs_tail(t, x[0], x[1], dx) * _abs_tail(t, y[0], y[1], dy)
+    if box is not None:
+        mass -= (_abs_tail(t, max(x[0], box[0]), min(x[1], box[1]), dx)
+                 * _abs_tail(t, max(y[0], box[2]), min(y[1], box[3]), dy))
+    return mass
+
+
+def _oracle_power(region, dx, dy):
+    """Per-cell sum of interval-probability products plus the outside-rule
+    mass, less the rule mass under cells with p > 0 (cells take precedence)."""
+    total = 0.0
+    plane = (-math.inf, math.inf)
+    if region.outside_rule is not None:
+        total += _rule_mass_in(region, plane, plane, dx, dy)
+    for c in region.cells:
+        total += c.p * _band(c.x.lo, c.x.hi, dx) * _band(c.y.lo, c.y.hi, dy)
+        if region.outside_rule is not None and c.p > 0.0:
+            total -= _rule_mass_in(region, (c.x.lo, c.x.hi), (c.y.lo, c.y.hi), dx, dy)
+    return total
+
+
+def _oracle_lookup(region, zx, zy):
+    """Per-cell open-rectangle membership, then the rule outside its closed box."""
+    out = np.zeros(zx.shape)
+    for c in region.cells:
+        out[(zx > c.x.lo) & (zx < c.x.hi) & (zy > c.y.lo) & (zy < c.y.hi)] = c.p
+    rule = region.outside_rule
+    if rule is not None:
+        fires = (np.abs(zx) > rule.threshold) & (np.abs(zy) > rule.threshold)
+        box = _rule_box(region)
+        if box is not None:
+            fires &= ~((zx >= box[0]) & (zx <= box[1]) & (zy >= box[2]) & (zy <= box[3]))
+        out[fires & (out == 0.0)] = 1.0
+    return out
+
+
+def test_grid_matches_per_cell_oracles(shipped_bayes_region):
+    # the second cell lies beyond the rule box where the rule fires, so its
+    # p=0.5 must replace the rule there; the p=0 cell leaves the rule in force
+    boxed = RejectionRegion2D(
+        0.05, "custom",
+        [_rect(-1, 1, -1, 1, 0.8), _rect(3.5, 4.5, 3.5, 4.5, 0.5), _rect(-4.5, -3.5, 3.5, 4.5, 0.0)],
+        OutsideRule(2.0, (-3, 3, -3, 3)))
+    rng = np.random.default_rng(17)
+    shifts = rng.uniform(-5.0, 5.0, size=(200, 2))
+    pts = rng.uniform(-6.0, 6.0, size=(20_000, 2))
+    default_box = RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.25)], OutsideRule(1.5))
+    for region in (shipped_bayes_region, build_js_region(0.05), boxed, default_box,
+                   build_minimax_region(0.1), build_extended_region(0.07)):
+        want = [_oracle_power(region, dx, dy) for dx, dy in shifts]
+        np.testing.assert_allclose(analytic_power_batch(region, shifts), want, rtol=0, atol=1e-14)
+        got = rejection_prob_at_points(region, pts[:, 0], pts[:, 1])
+        assert np.array_equal(got, _oracle_lookup(region, pts[:, 0], pts[:, 1]))
 
 
 def test_outside_rule_membership_and_mass():
