@@ -180,31 +180,57 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD,
 _STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible"}
 
 
-def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve by sparse dual simplex; deterministic for identical input.
+def _cell_orbits(m: int) -> np.ndarray:
+    """D4 orbit number, 0 .. m(m+1)/2 - 1, of each of the 4m^2 cells.
 
-    Each row is pre-scaled so its largest coefficient is 1 (an exact
+    Negation maps band i to band 2m-1-i, so min(i, 2m-1-i) names the band
+    up to sign; the x<->y swap makes the cell's pair of folded bands
+    unordered. Orbits are numbered row by row over the upper triangle.
+    """
+    band = np.arange(2 * m)
+    fold = np.minimum(band, 2 * m - 1 - band)
+    lo = np.minimum.outer(fold, fold)
+    hi = np.maximum.outer(fold, fold)
+    return (lo * (2 * m + 1 - lo) // 2 + hi - lo).ravel()
+
+
+def solve_lp(problem: LpProblem) -> LpSolution:
+    """Solve by sparse dual simplex on the D4 cell orbits; deterministic.
+
+    The prior, the null grid and the type-1 rows of a :func:`build_lp`
+    problem are invariant under sign flips and the x<->y swap, so the orbit
+    average of any optimum is again feasible and optimal. The solve
+    therefore runs over m(m+1)/2 orbit variables and the 2m+1 rows at the
+    null points (d, 0) with d >= 0, one per null-point orbit; each kept
+    row's coefficients and the objective are summed over every orbit, and
+    the orbit values are broadcast back to all 4m^2 cells.
+
+    Each folded row is pre-scaled so its largest coefficient is 1 (an exact
     reformulation) because the raw rows are uniformly tiny and the solver's
     own equilibration then leaves ~1e-7 feasibility slop in original units.
-    Infeasibility and iteration limits are reported in the status, never
-    masked.
+    HiGHS also drops matrix entries below 1e-9; on the unfolded rows that
+    loses their tails and breaks the full rows by ~1e-10, while the folded
+    solution holds every full row to ~1e-15 at m=65. Infeasibility and
+    iteration limits are reported in the status, never masked.
     """
+    m = problem.m
     n = len(problem.cells)
-    indptr = np.zeros(len(problem.constraints) + 1, dtype=np.int64)
-    for i, row in enumerate(problem.constraints):
-        indptr[i + 1] = indptr[i] + len(row.indices)
-    indices = np.concatenate([row.indices for row in problem.constraints])
-    scales = np.array([row.values.max() if len(row.values) else 1.0
-                       for row in problem.constraints])
-    data = np.concatenate([row.values / s
-                           for row, s in zip(problem.constraints, scales)])
-    a_ub = scipy.sparse.csr_matrix((data, indices, indptr),
-                                   shape=(len(problem.constraints), n))
-    b_ub = np.array([row.rhs for row in problem.constraints]) / scales
+    if n != 4 * m * m or len(problem.constraints) != 8 * m + 1:
+        raise ValueError("problem does not have the cell grid and null grid of build_lp")
+    orbit = _cell_orbits(m)
+    n_orbits = m * (m + 1) // 2
+    kept = [row for row, (dx, dy) in zip(problem.constraints, problem.null_grid)
+            if dy == 0.0 and dx >= 0.0]
+    folded = np.array([np.bincount(orbit[row.indices], row.values, n_orbits)
+                       for row in kept])
+    scales = folded.max(axis=1)
+    scales[scales == 0.0] = 1.0
+    a_ub = scipy.sparse.csr_matrix(folded / scales[:, None])
+    b_ub = np.array([row.rhs for row in kept]) / scales
 
     res = scipy.optimize.linprog(
-        problem.objective, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0),
-        method="highs-ds",
+        np.bincount(orbit, problem.objective, n_orbits), A_ub=a_ub, b_ub=b_ub,
+        bounds=(0.0, 1.0), method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
     status = _STATUS.get(res.status)
@@ -212,9 +238,8 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise RuntimeError(f"solver failed: {res.message}")
     if status != "optimal":
         return LpSolution(np.zeros(n), math.nan, status)
-    total = float(np.sum(problem.cell_weights))
-    objective_value = total + float(problem.objective @ res.x)
-    return LpSolution(np.asarray(res.x), objective_value, "optimal")
+    m_r = np.asarray(res.x)[orbit]
+    return LpSolution(m_r, candidate_objective(problem, m_r), "optimal")
 
 
 def js_restricted_candidate(problem: LpProblem) -> np.ndarray:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .bayes_lp import (DEFAULT_GRID_POINTS, DEFAULT_PRIOR_SD, assemble_bayes_region,
@@ -47,7 +48,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
+    return json.dumps(payload, sort_keys=True, allow_nan=False)
+
+
+def _echo(value: float) -> float | str:
+    """An input value for standard JSON: +-inf become "inf"/"-inf"."""
+    return value if math.isfinite(value) else repr(value)
 
 
 def _parse_pair(text: str, flag: str) -> tuple[float, float]:
@@ -91,7 +97,8 @@ def _cmd_test(args) -> int:
         region = _build_region(args.method, args.alpha)
         method = args.method
     z = (args.zx, args.zy)
-    payload = {"alpha": region.alpha, "method": method, "zx": args.zx, "zy": args.zy}
+    payload = {"alpha": region.alpha, "method": method,
+               "zx": _echo(args.zx), "zy": _echo(args.zy)}
     if method == "js":
         res = js_test(z, region.alpha)
         payload["reject"] = res.reject
@@ -119,7 +126,7 @@ def _cmd_test3(args) -> int:
         with open(args.square) as fh:
             square = square_from_json(fh.read())
     region = build_latin_region(square, args.alpha)
-    payload = {"alpha": args.alpha, "z": list(z),
+    payload = {"alpha": args.alpha, "z": [_echo(v) for v in z],
                "reject": rejects3(region, z), "order": square.k}
     _emit(_json(payload), args.out)
     return 0

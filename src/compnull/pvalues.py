@@ -11,6 +11,7 @@ non-membership transfers term by term.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -31,7 +32,7 @@ __all__ = [
 
 DEFAULT_RESOLUTION = 10_000
 
-_PVALUE_METHODS = frozenset({"extended_minimax", "js", "sobel"})
+_PVALUE_METHODS = frozenset({"extended_minimax"})
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,9 @@ class PvalueResult:
 @lru_cache(maxsize=None)
 def _ladder(alpha: float) -> tuple[float, ...]:
     # Shared read-only memo; tuples keep the bisect path allocation-free.
-    return tuple(extended_breakpoints(alpha))
+    # The trailing inf is dropped, so the end band (ladder[-1], inf] holds
+    # an infinite coordinate.
+    return tuple(extended_breakpoints(alpha)[:-1])
 
 
 def _rejects(ladder: tuple[float, ...], u: float, v: float) -> bool:
@@ -76,10 +79,13 @@ def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
 
     p = (1/resolution) * #{j : z not in R_{j/resolution}}. Always 1 on the
     axes (every region in the family excludes them) and at most the
-    joint-significance p-value everywhere.
+    joint-significance p-value everywhere. A coordinate at +-inf lies in
+    the end band of every region; NaN raises ``ValueError``.
     """
     resolution = _check_resolution(resolution)
     zx, zy = _as_xy(z)
+    if math.isnan(zx) or math.isnan(zy):
+        raise ValueError("test statistics must not be NaN")
     u, v = abs(zx), abs(zy)
     misses = 0
     for j in range(1, resolution + 1):
@@ -89,7 +95,10 @@ def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
 
 
 def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Vectorized twin of minimax_pvalue over paired statistic arrays."""
+    """Vectorized twin of minimax_pvalue over paired statistic arrays.
+
+    A pair holding NaN is never rejected, so its p-value is 1.
+    """
     resolution = _check_resolution(resolution)
     u = np.abs(np.asarray(zx, dtype=float))
     v = np.abs(np.asarray(zy, dtype=float))

@@ -1,9 +1,12 @@
 """LP assembly, solving, and region extraction for the Bayes-risk test."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
 
 from compnull.bayes_lp import (
     LpSolution,
@@ -20,12 +23,42 @@ from compnull.statmath import std_normal_cdf, std_normal_quantile
 # mpmath, 50 digits
 B_AT_005 = 3.9199279690801085          # twice the 0.975 quantile
 PRIOR_W_HALF_15 = 0.1603641596988097   # band (0.5, 1.5) mixed over sd-2 prior
+# _unfolded_objective(build_lp(0.05, 65)); the unfolded solve takes ~18 s
+UNFOLDED_OPTIMUM_M65 = 0.7312595167020794
 
 
 @pytest.fixture(scope="module")
 def solved12():
     problem = build_lp(0.05, 12)
     return problem, solve_lp(problem)
+
+
+def _unfolded_objective(problem):
+    """Reference solve over all 4m^2 cells and all 8m+1 rows.
+
+    Each row is scaled so its smallest coefficient is 1e-8. HiGHS drops
+    matrix entries below 1e-9; scaled by its largest coefficient instead,
+    a row loses its tail and the solver returns the optimum of a perturbed
+    LP that breaks the true rows by ~1e-10.
+    """
+    rows = problem.constraints
+    scales = np.array([row.values.min() / 1e-8 for row in rows])
+    indptr = np.cumsum([0] + [len(row.indices) for row in rows])
+    a_ub = scipy.sparse.csr_matrix(
+        (np.concatenate([row.values / s for row, s in zip(rows, scales)]),
+         np.concatenate([row.indices for row in rows]), indptr),
+        shape=(len(rows), len(problem.cells)))
+    b_ub = np.array([row.rhs for row in rows]) / scales
+    res = scipy.optimize.linprog(
+        problem.objective, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return candidate_objective(problem, res.x)
+
+
+def _worst_row_excess(problem, m_r):
+    return max(float(r.values @ m_r[r.indices] - r.rhs) for r in problem.constraints)
 
 
 def test_build_validation():
@@ -98,6 +131,35 @@ def test_solve_small_problem(solved12):
     assert worst <= 1e-8
     assert sol.objective_value == pytest.approx(
         candidate_objective(problem, sol.m_r), rel=1e-12)
+
+
+@pytest.mark.parametrize("m", [6, 8, 12])
+def test_orbit_solve_matches_unfolded_lp(m):
+    problem = build_lp(0.05, m)
+    sol = solve_lp(problem)
+    assert sol.solver_status == "optimal"
+    assert abs(sol.objective_value - _unfolded_objective(problem)) <= 1e-12
+    assert _worst_row_excess(problem, sol.m_r) <= 1e-12
+
+    # cell (i, j) sits at row i, column j; D4 acts by flipping and transposing
+    grid = sol.m_r.reshape(2 * m, 2 * m)
+    for image in (grid[::-1], grid[:, ::-1], grid.T):
+        assert np.array_equal(image, grid)
+
+
+def test_orbit_solve_at_shipped_order():
+    problem = build_lp(0.05, 65)
+    sol = solve_lp(problem)
+    assert (len(problem.cells), len(problem.constraints)) == (16900, 521)
+    assert abs(sol.objective_value - UNFOLDED_OPTIMUM_M65) <= 1e-9
+    assert _worst_row_excess(problem, sol.m_r) <= 1e-12
+
+
+def test_solve_rejects_foreign_layout(solved12):
+    problem, _ = solved12
+    short = dataclasses.replace(problem, constraints=problem.constraints[:-1])
+    with pytest.raises(ValueError, match="build_lp"):
+        solve_lp(short)
 
 
 def test_js_candidate_bounds_the_optimum(solved12):

@@ -133,6 +133,42 @@ def test_pvalue_command(capsys):
     assert doc["method"] == "extended_minimax"
 
 
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_statistics_exit_one(capsys):
+    for command in (("pvalue",), ("test", "--alpha", "0.05")):
+        code, out, err = _run(capsys, *command, "--zx", "nan", "--zy", "1")
+        assert code == 1
+        assert out == ""
+        assert err == "error: test statistics must not be NaN\n"
+
+
+def test_infinite_inputs_echo_as_standard_json(capsys):
+    code, out, _ = _run(capsys, "test", "--zx", "inf", "--zy=-inf", "--alpha", "0.05")
+    assert code == 0
+    doc = _strict_json(out)
+    assert (doc["zx"], doc["zy"]) == ("inf", "-inf")
+    assert doc["rejection_probability"] == 1.0
+
+    code, out, _ = _run(capsys, "test", "--zx", "inf", "--zy", "inf", "--alpha", "0.05",
+                        "--method", "js")
+    assert code == 0
+    doc = _strict_json(out)
+    assert (doc["zx"], doc["zy"], doc["p_value"]) == ("inf", "inf", 0.0)
+
+    code, out, _ = _run(capsys, "test3", "--z=-inf,0.5,2", "--alpha", "0.5")
+    assert code == 0
+    assert _strict_json(out)["z"] == ["-inf", 0.5, 2.0]
+
+    code, out, _ = _run(capsys, "pvalue", "--zx", "inf", "--zy", "2")
+    assert code == 0
+    assert _strict_json(out)["p"] == 0.0455
+
+
 def test_adjust_golden(tmp_path, capsys):
     pvals = [0.001, 0.008, 0.039, 0.041, 0.042, 0.06, 0.074, 0.205, 0.212, 0.216]
     path = tmp_path / "p.csv"

@@ -28,6 +28,10 @@ def test_result_validation():
         PvalueResult(0.5, 0, "extended_minimax")
     with pytest.raises(ValueError, match="method"):
         PvalueResult(0.5, 100, "wald")
+    # nothing produces a JS or Sobel generalized p-value
+    for method in ("js", "sobel"):
+        with pytest.raises(ValueError, match="method"):
+            PvalueResult(0.5, 100, method)
 
 
 def test_resolution_floor():
@@ -73,6 +77,29 @@ def test_batch_matches_scalar():
     got = minimax_pvalue_batch(zx, zy, resolution=300)
     want = [minimax_pvalue((a, b), resolution=300).p for a, b in zip(zx, zy)]
     assert got.tolist() == want
+
+
+def test_infinite_statistics_lie_in_end_band():
+    # +-inf shares the unbounded end band with any finite coordinate beyond
+    # the last finite breakpoint, so p equals the truncated JS p-value
+    inf = math.inf
+    js_p_2 = 2.0 * std_normal_cdf(-2.0)
+    for z, want in (((inf, 2.0), math.floor(js_p_2 * 1000) / 1000),
+                    ((2.0, -inf), math.floor(js_p_2 * 1000) / 1000),
+                    ((inf, inf), 0.0), ((-inf, inf), 0.0)):
+        p = minimax_pvalue(z, resolution=1000).p
+        assert p == want
+        assert p <= js_test(z, 0.05).p_value
+        assert minimax_pvalue_batch([z[0]], [z[1]], resolution=1000).tolist() == [want]
+
+
+def test_nan_contract():
+    for z in ((math.nan, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="NaN"):
+            minimax_pvalue(z, resolution=100)
+    got = minimax_pvalue_batch([math.nan, 1.0, math.nan], [1.0, math.nan, math.nan],
+                               resolution=100)
+    assert got.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_batch_shape_validation():
