@@ -177,12 +177,15 @@ def js_test(z, alpha: float) -> JsTestResult:
     """Joint significance (intersection-union) test.
 
     Rejects iff both |zx| and |zy| strictly exceed the two-sided cutoff;
-    the p-value is the larger of the two two-sided normal p-values.
+    the p-value is the larger of the two two-sided normal p-values. NaN
+    raises ``ValueError``.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     zx, zy = _as_xy(z)
+    if math.isnan(zx) or math.isnan(zy):
+        raise ValueError("test statistics must not be NaN")
     threshold = std_normal_quantile(1.0 - alpha / 2.0)
     reject = abs(zx) > threshold and abs(zy) > threshold
     p = max(2.0 * std_normal_cdf(-abs(zx)), 2.0 * std_normal_cdf(-abs(zy)))

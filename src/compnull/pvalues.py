@@ -1,25 +1,26 @@
 """Generalized p-values for the banded product-null test, plus standard
 multiple-testing adjustments.
 
-The generalized p-value integrates non-membership of the observed statistic
-pair over the level grid alpha_j = j/resolution. A right-endpoint grid makes
-the discretized value dominated by the joint-significance p-value exactly,
-not just up to grid error: the outermost band of the extended region at
-level alpha is the joint-significance region at the same level, so
-non-membership transfers term by term.
+The generalized p-value is the share of grid levels alpha_j = j/resolution
+whose extended region misses the observed statistic pair. On the two-sided
+p-value scale the region at level alpha is a set of bands floor(p/alpha),
+and it holds a pair iff both p-values share a band. With a <= b the pair's
+p-values and R the resolution, level j misses iff
+floor(b*R/j) > floor(a*R/j). The count adds up about 2*sqrt(R) vectorized
+groups: small j one by one, large j grouped by the value of floor(b*R/j).
+A right-endpoint grid makes the value dominated by the joint-significance
+p-value b exactly, not just up to grid error: only levels j <= b*R miss.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .closed_form import extended_breakpoints
 from .regions import _as_xy
+from .statmath import _cdf_array
 
 __all__ = [
     "PvalueResult",
@@ -50,23 +51,6 @@ class PvalueResult:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-@lru_cache(maxsize=None)
-def _ladder(alpha: float) -> tuple[float, ...]:
-    # Shared read-only memo; tuples keep the bisect path allocation-free.
-    # The trailing inf is dropped, so the end band (ladder[-1], inf] holds
-    # an infinite coordinate.
-    return tuple(extended_breakpoints(alpha)[:-1])
-
-
-def _rejects(ladder: tuple[float, ...], u: float, v: float) -> bool:
-    # u, v >= 0; reject iff both land strictly inside the same band.
-    iu = bisect_right(ladder, u) - 1
-    if u <= ladder[iu]:
-        return False
-    iv = bisect_right(ladder, v) - 1
-    return iv == iu and v > ladder[iv]
-
-
 def _check_resolution(resolution: int) -> int:
     resolution = int(resolution)
     if resolution < 100:
@@ -86,32 +70,39 @@ def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
     zx, zy = _as_xy(z)
     if math.isnan(zx) or math.isnan(zy):
         raise ValueError("test statistics must not be NaN")
-    u, v = abs(zx), abs(zy)
-    misses = 0
-    for j in range(1, resolution + 1):
-        if not _rejects(_ladder(j / resolution), u, v):
-            misses += 1
-    return PvalueResult(misses / resolution, resolution, "extended_minimax")
+    p = float(minimax_pvalue_batch([zx], [zy], resolution)[0])
+    return PvalueResult(p, resolution, "extended_minimax")
 
 
 def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
-    """Vectorized twin of minimax_pvalue over paired statistic arrays.
+    """:func:`minimax_pvalue` over paired statistic arrays.
 
     A pair holding NaN is never rejected, so its p-value is 1.
     """
-    resolution = _check_resolution(resolution)
+    r = _check_resolution(resolution)
     u = np.abs(np.asarray(zx, dtype=float))
     v = np.abs(np.asarray(zy, dtype=float))
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("zx and zy must be 1-d arrays of equal length")
+    valid = (u > 0.0) & (v > 0.0)
+    # Two-sided p-values times r. A nonzero |z| whose p rounds to 1 sits on
+    # the top band's open end; every value in [r-1, r) shares that band.
+    pr = np.minimum(2.0 * _cdf_array(-np.stack([u, v], axis=1)) * r, r - 0.5)
+    pr[~valid] = 0.0
+    a = pr.min(axis=1)
+    b = pr.max(axis=1)
+    # Level j misses iff floor(b/j) > floor(a/j). Step k counts level j = k
+    # and the levels j > s with floor(b/j) = k, i.e. b/(k+1) < j <= b/k,
+    # of which those with j > a/k miss: isqrt(r) steps in O(n) memory.
+    s = math.isqrt(r)
     misses = np.zeros(u.shape, dtype=np.int64)
-    for j in range(1, resolution + 1):
-        bs = np.asarray(_ladder(j / resolution))
-        iu = np.searchsorted(bs, u, side="right") - 1
-        iv = np.searchsorted(bs, v, side="right") - 1
-        rej = (iu == iv) & (u > bs[iu]) & (v > bs[iv])
-        misses += ~rej
-    return misses / resolution
+    for k in range(1, s + 1):
+        fa = np.floor(a / k)
+        fb = np.floor(b / k)
+        misses += fb > fa
+        lo = np.maximum(np.maximum(fa, np.floor(b / (k + 1))), s)
+        misses += np.maximum(fb - lo, 0.0).astype(np.int64)
+    return np.where(valid, misses / r, 1.0)
 
 
 def _validated_pvals(pvals) -> np.ndarray:

@@ -140,7 +140,8 @@ def _strict_json(text):
 
 
 def test_nan_statistics_exit_one(capsys):
-    for command in (("pvalue",), ("test", "--alpha", "0.05")):
+    for command in (("pvalue",), ("test", "--alpha", "0.05"),
+                    ("test", "--alpha", "0.05", "--method", "js")):
         code, out, err = _run(capsys, *command, "--zx", "nan", "--zy", "1")
         assert code == 1
         assert out == ""

@@ -248,6 +248,12 @@ def test_js_test_examples():
     assert (r1.reject, r1.p_value) == (r2.reject, r2.p_value)
 
 
+def test_js_test_rejects_nan():
+    for z in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(ValueError, match="test statistics must not be NaN"):
+            js_test(z, 0.05)
+
+
 def test_sobel_test_examples():
     # zero numerator but a live denominator: not degenerate
     res = sobel_test(0.0, 0.3, 1.0, 1.0, 100)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from compnull.closed_form import js_test, std_normal_cdf
+from compnull.closed_form import extended_breakpoints, js_test
 from compnull.pvalues import (
     DEFAULT_RESOLUTION,
     PvalueResult,
@@ -14,6 +14,7 @@ from compnull.pvalues import (
     minimax_pvalue,
     minimax_pvalue_batch,
 )
+from compnull.statmath import std_normal_cdf, std_normal_quantile
 
 # mpmath, 50 digits: 2*Phi(-1), the joint-significance p at (2.5, 1.0)
 JS_P_25_10 = 0.3173105078629141
@@ -56,6 +57,10 @@ def test_diagonal_points_score_zero():
     tiny = minimax_pvalue((0.03, 0.03), resolution=500).p
     assert tiny < 1.0
     assert tiny == 0.0
+    # even on a band edge: t is the outer breakpoint at level 0.05
+    t = std_normal_quantile(0.975)
+    assert minimax_pvalue((t, t)).p == 0.0
+    assert minimax_pvalue((t, -t)).p == 0.0
 
 
 def test_worked_example_matches_truncated_js():
@@ -65,6 +70,41 @@ def test_worked_example_matches_truncated_js():
     assert r.p == math.floor(JS_P_25_10 * 10_000) / 10_000
     assert r.p == 0.3173
     assert r.p <= js_test((2.5, 1.0), 0.05).p_value
+
+
+def _level_loop_pvalues(zx, zy, resolution):
+    # Reference: test every level j/resolution against the breakpoint
+    # ladder; a pair misses unless both coordinates lie strictly inside
+    # one band. The ladder's trailing inf is dropped so +-inf lies in the
+    # end band.
+    u = np.abs(np.asarray(zx, dtype=float))
+    v = np.abs(np.asarray(zy, dtype=float))
+    misses = np.zeros(u.shape, dtype=np.int64)
+    for j in range(1, resolution + 1):
+        bs = np.asarray(extended_breakpoints(j / resolution)[:-1])
+        iu = np.searchsorted(bs, u, side="right") - 1
+        iv = np.searchsorted(bs, v, side="right") - 1
+        misses += ~((iu == iv) & (u > bs[iu]) & (v > bs[iv]))
+    return misses / resolution
+
+
+def test_count_matches_level_loop():
+    rng = np.random.Generator(np.random.Philox(4242))
+    parts = [rng.standard_normal((200, 2)) * scale
+             for scale in (0.01, 0.3, 1.0, 3.0, 10.0)]
+    x = 2.0 * rng.standard_normal(300)
+    for sign in (1.0, -1.0):
+        parts.append(np.c_[x, sign * x * (1.0 + 1e-5 * rng.standard_normal(300))])
+    special = (math.inf, -math.inf, 0.0, 1e-17, -1e-17, 40.0, 0.001, 0.3, 2.0)
+    parts.append(np.array([(a, b) for a in special for b in special]))
+    # 1e-17 rounds to two-sided p = 1; it still lies in the innermost band
+    tiny = np.c_[np.full(200, 1e-17), rng.standard_normal(200)]
+    parts += [tiny, tiny[:, ::-1]]
+    z = np.vstack(parts)
+    for resolution in (100, 300, 1000, 10_000):
+        got = minimax_pvalue_batch(z[:, 0], z[:, 1], resolution=resolution)
+        want = _level_loop_pvalues(z[:, 0], z[:, 1], resolution)
+        assert got.tolist() == want.tolist()
 
 
 def test_batch_matches_scalar():
