@@ -119,6 +119,8 @@ def _cmd_test3(args) -> int:
         z = tuple(float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--z expects numbers, got {args.z!r}") from None
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
     if args.square == "cyclic":
         k = round(1.0 / args.alpha)
         square = normalize_corner(cyclic_latin(k)).square

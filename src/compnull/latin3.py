@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
-from .statmath import Interval, folded_interval_prob, std_normal_quantile
+import numpy as np
+
+from .statmath import Interval, _cdf_array, std_normal_quantile
 
 __all__ = [
     "LatinSquare",
@@ -133,9 +137,18 @@ def normalize_corner(a: LatinSquare) -> CornerNormalization:
 
 
 class RejectionRegion3D:
-    """Union of pairwise-disjoint open boxes in the nonnegative |z| octant."""
+    """Union of pairwise-disjoint open boxes in the nonnegative |z| octant.
 
-    __slots__ = ("alpha", "boxes")
+    Construction validates the boxes and compiles them onto one band
+    tensor: per-axis sorted band edges, each running from 0 to inf and
+    including every box endpoint, and a read-only tensor holding, for each
+    open grid cell, 1 + the index of the box containing it (0 for none),
+    with its 0/1 membership as floats. Every box is a slab of whole grid
+    cells, so lookup is one bisection per axis plus one tensor read and
+    exact power is a contraction of per-axis band masses with the tensor.
+    """
+
+    __slots__ = ("alpha", "boxes", "_edges", "_inner", "_label", "_member")
 
     def __init__(self, alpha: float, boxes):
         alpha = float(alpha)
@@ -150,11 +163,45 @@ class RejectionRegion3D:
                 if iv.lo < 0.0:
                     raise ValueError("boxes must lie in the nonnegative octant")
             norm.append((x, y, z))
-        for b1, b2 in itertools.combinations(norm, 2):
-            if all(min(i1.hi, i2.hi) > max(i1.lo, i2.lo) for i1, i2 in zip(b1, b2)):
-                raise ValueError(f"boxes overlap: {b1} and {b2}")
         self.alpha = alpha
         self.boxes = tuple(norm)
+        self._compile()
+
+    def _compile(self) -> None:
+        lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in self.boxes]
+                          ).reshape(-1, 3, 2).transpose(2, 1, 0)
+        edges = tuple(np.unique(np.concatenate(([0.0, math.inf], lo[a], hi[a])))
+                      for a in range(3))
+        nx, ny, nz = (len(e) - 1 for e in edges)
+
+        # Box k covers the grid slab i0[:, k]:i1[:, k] exactly, because its
+        # endpoints are grid edges. Paint coverage counts and labels k+1 with
+        # a 3-D difference array (+-1 at the slab's eight corners, then a
+        # cumsum along each axis); integer sums keep both exact.
+        i0 = np.array([np.searchsorted(e, v) for e, v in zip(edges, lo)])
+        i1 = np.array([np.searchsorted(e, v) for e, v in zip(edges, hi)])
+        labels = np.arange(1, len(self.boxes) + 1)
+        count = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int64)
+        label = np.zeros_like(count)
+        for corner in itertools.product((0, 1), repeat=3):
+            index = tuple(i1[a] if c else i0[a] for a, c in enumerate(corner))
+            sign = (-1) ** sum(corner)
+            np.add.at(count, index, sign)
+            np.add.at(label, index, sign * labels)
+        count = count.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2)[:nx, :ny, :nz]
+        if count.max(initial=0) > 1:
+            cell = np.argwhere(count > 1)[0][:, None]
+            a, b = np.nonzero(np.all((i0 <= cell) & (cell < i1), axis=0))[0][:2]
+            raise ValueError(f"boxes overlap: {self.boxes[a]} and {self.boxes[b]}")
+        label = label.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2)[:nx, :ny, :nz]
+        member = (label > 0).astype(float)
+
+        for arr in (*edges, label, member):
+            arr.flags.writeable = False
+        self._edges = edges
+        self._inner = tuple(tuple(e[1:-1].tolist()) for e in edges)
+        self._label = label
+        self._member = member
 
     def __eq__(self, other):
         if not isinstance(other, RejectionRegion3D):
@@ -195,32 +242,44 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
 
 def _as_xyz(z) -> tuple[float, float, float]:
     z1, z2, z3 = (float(v) for v in z)
-    for v in (z1, z2, z3):
-        if v != v:
-            raise ValueError("statistics must not be NaN")
     return z1, z2, z3
 
 
 def rejects3(region: RejectionRegion3D, z) -> bool:
-    """Open-box membership of (|z1|, |z2|, |z3|)."""
-    z1, z2, z3 = _as_xyz(z)
-    u = (abs(z1), abs(z2), abs(z3))
-    return any(all(iv.contains(t) for iv, t in zip(box, u)) for box in region.boxes)
+    """Open-box membership of (|z1|, |z2|, |z3|).
+
+    A coordinate on a box's edge, including |z| = 0, lies outside that box;
+    +-inf lies in the unbounded end band. NaN raises.
+    """
+    u = tuple(abs(v) for v in _as_xyz(z))
+    if any(math.isnan(t) for t in u):
+        raise ValueError("test statistics must not be NaN")
+    # Band i is (edges[i], edges[i+1]). A coordinate on the inner edge
+    # edges[i+1] touches bands i and i+1, and lies inside a box only if one
+    # box covers every grid cell the point touches.
+    span = []
+    for t, inner in zip(u, region._inner):
+        if t == 0.0:
+            return False
+        i = bisect_left(inner, t)
+        span.append(slice(i, i + 2 if i < len(inner) and inner[i] == t else i + 1))
+    touched = region._label[tuple(span)]
+    first = touched.flat[0]
+    return bool(first > 0 and (touched == first).all())
 
 
 def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
-    """Exact rejection probability at a mean triple: sum over boxes of the
-    product of per-axis folded normal masses."""
+    """Exact rejection probability at a mean triple.
+
+    With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is
+    the contraction of the membership tensor with g_x, g_y and g_z.
+    """
     d = _as_xyz(delta_star)
-    total = 0.0
-    for box in region.boxes:
-        term = 1.0
-        for iv, mu in zip(box, d):
-            term *= folded_interval_prob(iv, mu)
-            if term == 0.0:
-                break
-        total += term
-    return min(1.0, total)
+    if not all(math.isfinite(mu) for mu in d):
+        raise ValueError(f"mean must be finite, got {d!r}")
+    gx, gy, gz = (np.diff(_cdf_array(e - mu)) - np.diff(_cdf_array(-e - mu))
+                  for e, mu in zip(region._edges, d))
+    return min(1.0, max(0.0, float(region._member @ gz @ gy @ gx)))
 
 
 def square_to_json(a: LatinSquare) -> str:

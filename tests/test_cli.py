@@ -121,6 +121,11 @@ def test_three_factor_usage_errors(capsys):
     # alpha not matching the square order is a value problem
     code, _, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.4")
     assert code == 1
+    for alpha, shown in (("0", "0.0"), ("nan", "nan"), ("inf", "inf"), ("1.5", "1.5")):
+        code, out, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", alpha)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: alpha must lie in (0, 1), got {shown}\n"
 
 
 def test_pvalue_command(capsys):
@@ -146,6 +151,10 @@ def test_nan_statistics_exit_one(capsys):
         assert code == 1
         assert out == ""
         assert err == "error: test statistics must not be NaN\n"
+    code, out, err = _run(capsys, "test3", "--z", "1,nan,2", "--alpha", "0.5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: test statistics must not be NaN\n"
 
 
 def test_infinite_inputs_echo_as_standard_json(capsys):
@@ -164,6 +173,12 @@ def test_infinite_inputs_echo_as_standard_json(capsys):
     code, out, _ = _run(capsys, "test3", "--z=-inf,0.5,2", "--alpha", "0.5")
     assert code == 0
     assert _strict_json(out)["z"] == ["-inf", 0.5, 2.0]
+
+    code, out, _ = _run(capsys, "test3", "--z", "inf,inf,inf", "--alpha", "0.05")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["z"] == ["inf", "inf", "inf"]
+    assert doc["reject"] is True
 
     code, out, _ = _run(capsys, "pvalue", "--zx", "inf", "--zy", "2")
     assert code == 0

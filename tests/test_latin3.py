@@ -19,7 +19,7 @@ from compnull.latin3 import (
     square_from_json,
     square_to_json,
 )
-from compnull.statmath import Interval, std_normal_quantile
+from compnull.statmath import Interval, folded_interval_prob, std_normal_quantile
 
 # mpmath, 50 digits: band edges for alpha = 1/3
 C1_THIRD = 0.43072729929545749
@@ -205,3 +205,179 @@ def test_square_json_round_trip():
         square_from_json('{"order": 2}')
     with pytest.raises(ValueError, match="invalid square document"):
         square_from_json('{"order": 2, "grid": [[1, 2], [1, 2]]}')
+
+
+# -- the box scans the band tensor replaced, kept as oracles ----------------
+
+def _scan_rejects3(region, z):
+    u = tuple(abs(float(v)) for v in z)
+    return any(all(iv.contains(t) for iv, t in zip(box, u)) for box in region.boxes)
+
+
+def _box_power(region, d):
+    total = 0.0
+    for box in region.boxes:
+        term = 1.0
+        for iv, mu in zip(box, d):
+            term *= folded_interval_prob(iv, mu)
+            if term == 0.0:
+                break
+        total += term
+    return min(1.0, total)
+
+
+def _scan_overlaps(boxes):
+    return any(all(min(i1.hi, i2.hi) > max(i1.lo, i2.lo) for i1, i2 in zip(b1, b2))
+               for b1, b2 in itertools.combinations(boxes, 2))
+
+
+def _axis_edges(region):
+    return [sorted({b[a].lo for b in region.boxes} | {b[a].hi for b in region.boxes}
+                   | {0.0}) for a in range(3)]
+
+
+def _check_points(region, seed):
+    """Seeded normals, every band edge on each axis against interior and edge
+    partners, random all-edge triples and the origin; edges include inf, so
+    finite edges are checked against the scan and inf against a far point
+    in the same end band."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    finite = [[e for e in edges if np.isfinite(e)] for edges in _axis_edges(region)]
+    top = max(max(f) for f in finite) + 1.0
+    pts = [tuple(p) for p in rng.normal(scale=top / 2.0, size=(300, 3))]
+    pts.append((0.0, 0.0, 0.0))
+    for axis in range(3):
+        for e in finite[axis] + [np.inf]:
+            for _ in range(4):
+                p = list(rng.uniform(-top, top, size=3))
+                p[axis] = e * rng.choice((-1.0, 1.0))
+                pts.append(tuple(p))
+    for _ in range(150):
+        pts.append(tuple(rng.choice(f + [np.inf]) * rng.choice((-1.0, 1.0)) for f in finite))
+    return pts
+
+
+def _far(z):
+    return tuple(np.copysign(1e300, v) if np.isinf(v) else v for v in z)
+
+
+def _assert_lookup_matches_scan(region, seed):
+    for z in _check_points(region, seed):
+        if all(np.isfinite(z)):
+            assert rejects3(region, z) == _scan_rejects3(region, z), z
+        else:
+            assert rejects3(region, z) == _scan_rejects3(region, _far(z)), z
+
+
+def _assert_power_matches_boxes(region, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    shifts = rng.normal(scale=2.0, size=(100, 3))
+    shifts[:10] = 0.0
+    shifts[:10, :2] = rng.uniform(0.0, 4.0, size=(10, 2))
+    for d in shifts:
+        assert abs(analytic_power3(region, d) - _box_power(region, d)) <= 1e-15, d
+
+
+def _gapped_region():
+    # gaps between boxes, different edges on each axis, two boxes touching
+    # along y = 1.0 and a zero-width box
+    iv = Interval
+    return RejectionRegion3D(0.1, [
+        (iv(0.2, 0.9), iv(0.0, 1.5), iv(1.0, np.inf)),
+        (iv(1.3, 2.0), iv(0.5, 1.0), iv(0.0, 0.4)),
+        (iv(1.3, 2.0), iv(1.0, 3.0), iv(0.0, 0.4)),
+        (iv(2.5, np.inf), iv(2.2, 2.7), iv(0.7, 1.9)),
+        (iv(0.6, 0.6), iv(0.1, 0.3), iv(0.0, 5.0)),
+    ])
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 20])
+def test_band_tensor_matches_box_scan(k):
+    for seed, sq in enumerate((cyclic_latin(k), normalize_corner(cyclic_latin(k)).square)):
+        region = build_latin_region(sq, 1.0 / k)
+        _assert_lookup_matches_scan(region, 40 * k + seed)
+        _assert_power_matches_boxes(region, 50 * k + seed)
+
+
+def test_band_tensor_matches_box_scan_on_gapped_region():
+    region = _gapped_region()
+    _assert_lookup_matches_scan(region, 61)
+    _assert_power_matches_boxes(region, 62)
+    assert rejects3(region, (0.5, 1.4, 3.0))
+    assert not rejects3(region, (0.5, 1.5, 3.0))
+    assert not rejects3(region, (1.5, 1.0, 0.2))
+    assert rejects3(region, (np.inf, 2.5, 1.0))
+
+
+def test_infinite_statistics_lie_in_end_band():
+    fixed = build_latin_region(normalize_corner(cyclic_latin(3)).square, 1.0 / 3.0)
+    assert rejects3(fixed, (np.inf, np.inf, np.inf))
+    assert rejects3(fixed, (-np.inf, np.inf, -np.inf))
+    big = build_latin_region(normalize_corner(cyclic_latin(20)).square, 0.05)
+    assert rejects3(big, (np.inf, np.inf, np.inf))
+    # the raw cyclic square maps the all-large band pair to band 2 of 3
+    raw = build_latin_region(cyclic_latin(3), 1.0 / 3.0)
+    assert not rejects3(raw, (np.inf, np.inf, np.inf))
+    assert rejects3(raw, (np.inf, np.inf, 0.7))
+
+
+def test_non_finite_contract():
+    region = build_latin_region(normalize_corner(cyclic_latin(3)).square, 1.0 / 3.0)
+    for axis in range(3):
+        z = [0.5, 0.5, 0.5]
+        z[axis] = float("nan")
+        with pytest.raises(ValueError, match="^test statistics must not be NaN$"):
+            rejects3(region, z)
+        for bad in (float("nan"), np.inf, -np.inf):
+            d = [1.0, 1.0, 1.0]
+            d[axis] = bad
+            with pytest.raises(ValueError, match="mean must be finite"):
+                analytic_power3(region, d)
+
+
+def test_overlap_names_both_boxes():
+    iv = Interval
+    first = (iv(3.0, 4.0), iv(0.0, 1.0), iv(0.0, 1.0))
+    a = (iv(0.0, 1.0), iv(0.2, 1.2), iv(0.0, 2.0))
+    b = (iv(0.5, 1.5), iv(0.1, 0.7), iv(0.3, 0.9))
+    with pytest.raises(ValueError, match="boxes overlap") as info:
+        RejectionRegion3D(0.5, [first, a, b])
+    assert str(info.value) == f"boxes overlap: {a} and {b}"
+
+    touching = [(iv(0.0, 1.0), iv(0.0, 1.0), iv(0.0, 1.0)),
+                (iv(1.0, 2.0), iv(0.0, 1.0), iv(0.0, 1.0)),
+                (iv(0.0, 1.0), iv(1.0, np.inf), iv(0.0, 1.0)),
+                (iv(0.5, 0.5), iv(0.0, 1.0), iv(0.0, 1.0))]
+    assert len(RejectionRegion3D(0.5, touching).boxes) == 4
+
+
+def test_overlap_check_matches_pair_scan():
+    rng = np.random.Generator(np.random.Philox(71))
+    grid = [0.0, 0.5, 1.0, 1.5, 2.0, np.inf]
+    raised = 0
+    for _ in range(300):
+        boxes = []
+        for _ in range(int(rng.integers(2, 5))):
+            box = []
+            for _ in range(3):
+                lo, hi = sorted(rng.choice(len(grid), size=2))
+                box.append(Interval(grid[lo], grid[hi]))
+            boxes.append(tuple(box))
+        if _scan_overlaps(boxes):
+            raised += 1
+            with pytest.raises(ValueError, match="boxes overlap"):
+                RejectionRegion3D(0.5, boxes)
+        else:
+            RejectionRegion3D(0.5, boxes)
+    assert 0 < raised < 300
+
+
+def test_large_order_is_similar():
+    # 10^4 boxes: the band tensor builds in O(K^2) slice writes, where a
+    # pairwise overlap scan would make ~5e7 box-pair tests
+    k = 100
+    region = build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
+    assert len(region.boxes) == k * k
+    for point in ((0.0, 1.3, 2.9), (0.4, 0.0, 3.5), (2.2, 0.01, 0.0)):
+        assert abs(analytic_power3(region, point) - 1.0 / k) <= 1e-12
+    assert rejects3(region, (np.inf, np.inf, np.inf))
