@@ -1,15 +1,17 @@
 """Weighted rectangular rejection regions on the (zx, zy) plane.
 
-A region is a finite union of pairwise-disjoint open rectangles, each
-carrying a rejection probability p in [0, 1], plus an optional "outside
-rule" that rejects jointly-large statistics beyond the box the cells tile.
-Each region compiles both onto one tensor grid of bands, which serves every
-lookup and power computation. Regions serialize to a versioned JSON
-document so solved regions can be shipped and reloaded bit-exactly.
+A region is one tensor grid of open bands, each grid cell carrying a
+rejection probability p in [0, 1]. It is built either from pairwise-disjoint
+weighted open rectangles plus an optional "outside rule" that rejects
+jointly-large statistics beyond the box the cells tile, or directly from a
+grid. The grid serves every lookup and power computation, and it is what a
+region-v2 JSON document stores, so solved regions can be shipped and
+reloaded bit-exactly. Older region-v1 documents (cells plus rule) still load.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -36,7 +38,8 @@ __all__ = [
     "deserialize",
 ]
 
-FORMAT_VERSION = "region-v1"
+FORMAT_VERSION = "region-v2"
+_V1 = "region-v1"
 REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", "custom"})
 
 
@@ -115,59 +118,124 @@ def _as_xy(z) -> tuple[float, float]:
 
 
 class RejectionRegion2D:
-    """A rejection region: disjoint weighted open cells plus an outside rule.
+    """A rejection region: one tensor grid of weighted open bands.
 
-    Construction validates the cells (pairwise disjoint interiors) and
-    compiles cells and rule into one tensor grid: sorted band edges
-    ``x_edges`` and ``y_edges``, each running from -inf to inf, and a
-    read-only matrix ``probs`` holding the rejection probability on each
-    open grid cell. Every edge of a cell, of the rule box and the rule
-    thresholds +-t is a grid edge, so each grid cell lies wholly inside or
-    outside each of them. A cell with p > 0 takes precedence over the rule.
+    The grid is sorted band edges ``x_edges`` and ``y_edges``, each running
+    from -inf to inf, and a read-only matrix ``probs`` holding the rejection
+    probability on each open grid cell. There are two ways in:
+
+    - ``RejectionRegion2D(alpha, kind, cells, outside_rule)`` validates the
+      cells (pairwise disjoint interiors) and compiles cells and rule onto
+      the grid. Every edge of a cell, of the rule box and the rule
+      thresholds +-t is a grid edge, so each grid cell lies wholly inside or
+      outside each of them. A cell with p > 0 takes precedence over the rule.
+    - :meth:`from_grid` takes the grid itself, as a region document stores
+      it. Its ``cells`` are derived on first access, one ``WeightedRect``
+      per nonzero grid cell, and its ``outside_rule`` is None.
+
+    Equality and hashing compare ``(alpha, kind, x_edges, y_edges, probs)``,
+    so two cell lists that compile to the same grid are equal.
     """
 
-    __slots__ = ("alpha", "kind", "cells", "outside_rule",
+    __slots__ = ("alpha", "kind", "outside_rule", "_cells",
                  "x_edges", "y_edges", "probs", "_x_hi", "_y_hi", "_padded")
 
     def __init__(self, alpha, kind, cells, outside_rule=None):
+        self._set_header(alpha, kind)
+        if outside_rule is not None and not isinstance(outside_rule, OutsideRule):
+            raise TypeError("outside_rule must be an OutsideRule or None")
+        self._cells = tuple(cells)
+        self.outside_rule = outside_rule
+        self._set_grid(*self._compile())
+
+    @classmethod
+    def from_grid(cls, alpha, kind, x_edges, y_edges, probs) -> RejectionRegion2D:
+        """A region from its compiled grid, validated in O(grid) and not repainted."""
+        self = cls.__new__(cls)
+        self._set_header(alpha, kind)
+        self._cells = None
+        self.outside_rule = None
+        x_edges = _checked_edges(x_edges, "x_edges")
+        y_edges = _checked_edges(y_edges, "y_edges")
+        # + 0.0 copies and turns -0.0 into 0.0
+        probs = np.asarray(probs, dtype=float) + 0.0
+        shape = (len(x_edges) - 1, len(y_edges) - 1)
+        if probs.shape != shape:
+            raise ValueError(f"probs: expected shape {shape}, got {probs.shape}")
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("probs: every grid value must lie in [0, 1] (NaN is not allowed)")
+        self._set_grid(x_edges, y_edges, probs)
+        return self
+
+    @property
+    def cells(self) -> tuple[WeightedRect, ...]:
+        """The cells as given, or for a region built from its grid, one cell
+        per nonzero grid cell in row-major order (derived once, then cached)."""
+        if self._cells is None:
+            xs = [Interval(lo, hi) for lo, hi in zip(self.x_edges[:-1].tolist(),
+                                                    self.x_edges[1:].tolist())]
+            ys = [Interval(lo, hi) for lo, hi in zip(self.y_edges[:-1].tolist(),
+                                                    self.y_edges[1:].tolist())]
+            i, j = np.nonzero(self.probs)
+            self._cells = tuple(WeightedRect(xs[a], ys[b], p) for a, b, p in
+                                zip(i.tolist(), j.tolist(), self.probs[i, j].tolist()))
+        return self._cells
+
+    def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.x_edges, self.y_edges, self.probs
+
+    def __eq__(self, other):
+        if not isinstance(other, RejectionRegion2D):
+            return NotImplemented
+        return ((self.alpha, self.kind) == (other.alpha, other.kind)
+                and all(np.array_equal(a, b) for a, b in zip(self._grid(), other._grid())))
+
+    def __hash__(self):
+        # + 0.0 maps -0.0 to 0.0, which compare equal
+        return hash((self.alpha, self.kind) + tuple((a + 0.0).tobytes() for a in self._grid()))
+
+    def __repr__(self):
+        nx, ny = self.probs.shape
+        return (f"RejectionRegion2D(alpha={self.alpha!r}, kind={self.kind!r}, "
+                f"grid=<{nx}x{ny}>, outside_rule={self.outside_rule!r})")
+
+    def _set_header(self, alpha, kind) -> None:
         alpha = float(alpha)
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         if kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {kind!r}; expected one of {sorted(REGION_KINDS)}")
-        if outside_rule is not None and not isinstance(outside_rule, OutsideRule):
-            raise TypeError("outside_rule must be an OutsideRule or None")
         self.alpha = alpha
         self.kind = kind
-        self.cells = tuple(cells)
-        self.outside_rule = outside_rule
-        self._compile()
 
-    def __eq__(self, other):
-        if not isinstance(other, RejectionRegion2D):
-            return NotImplemented
-        return (self.alpha, self.kind, self.cells, self.outside_rule) == (
-            other.alpha, other.kind, other.cells, other.outside_rule)
+    def _set_grid(self, x_edges: np.ndarray, y_edges: np.ndarray, probs: np.ndarray) -> None:
+        # Lookup support: a zero row and column past the end catch NaN, which
+        # searchsorted places after +inf; in the upper-edge arrays the end
+        # band's +inf is a NaN sentinel, so +inf never tests as on an edge.
+        nx, ny = probs.shape
+        padded = np.zeros((nx + 1, ny + 1))
+        padded[:nx, :ny] = probs
+        padded.flags.writeable = False
+        x_edges.flags.writeable = False
+        y_edges.flags.writeable = False
+        self.x_edges, self.y_edges = x_edges, y_edges
+        self.probs = padded[:nx, :ny]
+        self._padded = padded
+        self._x_hi = np.concatenate((x_edges[1:-1], [math.nan, math.nan]))
+        self._y_hi = np.concatenate((y_edges[1:-1], [math.nan, math.nan]))
 
-    def __hash__(self):
-        return hash((self.alpha, self.kind, self.cells, self.outside_rule))
-
-    def __repr__(self):
-        return (f"RejectionRegion2D(alpha={self.alpha!r}, kind={self.kind!r}, "
-                f"cells=<{len(self.cells)}>, outside_rule={self.outside_rule!r})")
-
-    def _compile(self) -> None:
-        for cell in self.cells:
+    def _compile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        for cell in self._cells:
             if not isinstance(cell, WeightedRect):
                 raise TypeError(f"cells must be WeightedRect, got {type(cell).__name__}")
         xlo, xhi, ylo, yhi, p = np.array(
-            [(c.x.lo, c.x.hi, c.y.lo, c.y.hi, c.p) for c in self.cells]).reshape(-1, 5).T
+            [(c.x.lo, c.x.hi, c.y.lo, c.y.hi, c.p) for c in self._cells]).reshape(-1, 5).T
         rule = self.outside_rule
         x_extra = y_extra = (-math.inf, math.inf)
         if rule is not None:
             t = rule.threshold
             box = rule.box
-            if box is None and self.cells:
+            if box is None and self._cells:
                 box = (xlo.min(), xhi.max(), ylo.min(), yhi.max())
             x_extra += (-t, t) + (box[:2] if box is not None else ())
             y_extra += (-t, t) + (box[2:] if box is not None else ())
@@ -180,7 +248,7 @@ class RejectionRegion2D:
         # with 2-D difference arrays; integer cumsums keep both exact.
         i0, i1 = np.searchsorted(x_edges, xlo), np.searchsorted(x_edges, xhi)
         j0, j1 = np.searchsorted(y_edges, ylo), np.searchsorted(y_edges, yhi)
-        labels = np.arange(1, len(self.cells) + 1)
+        labels = np.arange(1, len(self._cells) + 1)
         count = np.zeros((nx + 1, ny + 1), dtype=np.int64)
         label = np.zeros((nx + 1, ny + 1), dtype=np.int64)
         for rows, cols, sign in ((i0, j0, 1), (i0, j1, -1), (i1, j0, -1), (i1, j1, 1)):
@@ -202,20 +270,24 @@ class RejectionRegion2D:
             if box is not None:
                 fires &= ~np.outer(_in_range(x_edges, box[0], box[1]),
                                    _in_range(y_edges, box[2], box[3]))
+        return x_edges, y_edges, np.where(cell_p > 0.0, cell_p, fires)
 
-        # Lookup support: a zero row and column past the end catch NaN, which
-        # searchsorted places after +inf; in the upper-edge arrays the end
-        # band's +inf is a NaN sentinel, so +inf never tests as on an edge.
-        padded = np.zeros((nx + 1, ny + 1))
-        padded[:nx, :ny] = np.where(cell_p > 0.0, cell_p, fires)
-        padded.flags.writeable = False
-        x_edges.flags.writeable = False
-        y_edges.flags.writeable = False
-        self.x_edges, self.y_edges = x_edges, y_edges
-        self.probs = padded[:nx, :ny]
-        self._padded = padded
-        self._x_hi = np.concatenate((x_edges[1:-1], [math.nan, math.nan]))
-        self._y_hi = np.concatenate((y_edges[1:-1], [math.nan, math.nan]))
+
+def _checked_edges(edges, name: str) -> np.ndarray:
+    """A copy of ``edges`` as floats, strictly increasing from -inf to inf."""
+    edges = np.array(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2:
+        raise ValueError(f"{name}: expected at least two band edges")
+    if np.isnan(edges).any():
+        raise ValueError(f"{name}: NaN is not allowed")
+    if not np.all(edges[1:] > edges[:-1]):
+        k = int(np.argmin(edges[1:] > edges[:-1]))
+        raise ValueError(f"{name}: edges must be strictly increasing, but {name}[{k + 1}] = "
+                         f"{float(edges[k + 1])!r} follows {float(edges[k])!r}")
+    if edges[0] != -math.inf or edges[-1] != math.inf:
+        raise ValueError(f"{name}: edges must run from -inf to inf, got "
+                         f"{float(edges[0])!r} to {float(edges[-1])!r}")
+    return edges
 
 
 def _in_tail(edges: np.ndarray, t: float) -> np.ndarray:
@@ -283,29 +355,27 @@ def _enc_float(v: float):
 
 
 def serialize(region: RejectionRegion2D) -> str:
-    """Render a region as a region-v1 JSON document (infinities as strings)."""
-    if region.outside_rule is None:
-        rule_doc = {"type": "none"}
-    else:
-        rule_doc = {
-            "type": "joint_significance",
-            "threshold": _enc_float(region.outside_rule.threshold),
-            "box": None if region.outside_rule.box is None
-            else [_enc_float(v) for v in region.outside_rule.box],
-        }
+    """Render a region as a region-v2 JSON document.
+
+    The document holds the band edges (infinities as strings), the table of
+    distinct grid values and row-major ``[value index, run length]`` pairs
+    over ``probs``. Floats are written with ``repr``, so the grid reloads
+    bit-exactly.
+    """
+    values, index = np.unique(region.probs, return_inverse=True)
+    index = index.ravel()
+    starts = np.flatnonzero(np.diff(index, prepend=-1))
+    lengths = np.diff(np.append(starts, index.size))
     doc = {
         "version": FORMAT_VERSION,
         "alpha": float(region.alpha),
         "kind": region.kind,
-        "cells": [
-            {"x": [_enc_float(c.x.lo), _enc_float(c.x.hi)],
-             "y": [_enc_float(c.y.lo), _enc_float(c.y.hi)],
-             "p": float(c.p)}
-            for c in region.cells
-        ],
-        "outside_rule": rule_doc,
+        "x_edges": [_enc_float(v) for v in region.x_edges.tolist()],
+        "y_edges": [_enc_float(v) for v in region.y_edges.tolist()],
+        "values": values.tolist(),
+        "runs": np.column_stack((index[starts], lengths)).tolist(),
     }
-    return json.dumps(doc, indent=1)
+    return "{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 
 
 def _dec_float(v, where: str) -> float:
@@ -328,8 +398,31 @@ def _dec_pair(v, where: str) -> tuple[float, float]:
     return _dec_float(v[0], f"{where}[0]"), _dec_float(v[1], f"{where}[1]")
 
 
+def _dec_floats(v, where: str) -> list[float]:
+    if not isinstance(v, list):
+        raise RegionFormatError(f"{where}: expected a list")
+    # x == x is False only for NaN, which _dec_float rejects by name
+    return [x if type(x) is float and x == x else _dec_float(x, f"{where}[{k}]")
+            for k, x in enumerate(v)]
+
+
+def _dec_kind(kind) -> str:
+    if not isinstance(kind, str) or kind not in REGION_KINDS:
+        raise RegionFormatError(f"kind: expected one of {sorted(REGION_KINDS)}, got {kind!r}")
+    return kind
+
+
+def _require(doc: dict, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        if key not in doc:
+            raise RegionFormatError(f"{key}: missing required field")
+
+
 def deserialize(text: str) -> RejectionRegion2D:
-    """Parse a region-v1 JSON document, validating structure and disjointness."""
+    """Parse a region-v2 (or older region-v1) JSON document, naming any bad field.
+
+    Unknown top-level keys are ignored.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -337,15 +430,65 @@ def deserialize(text: str) -> RejectionRegion2D:
     if not isinstance(doc, dict):
         raise RegionFormatError("document: expected a JSON object")
     version = doc.get("version")
-    if version != FORMAT_VERSION:
-        raise RegionFormatError(f"version: expected {FORMAT_VERSION!r}, got {version!r}")
-    for key in ("alpha", "kind", "cells", "outside_rule"):
-        if key not in doc:
-            raise RegionFormatError(f"{key}: missing required field")
+    if version == FORMAT_VERSION:
+        return _read_v2(doc)
+    if version == _V1:
+        return _read_v1(doc)
+    raise RegionFormatError(f"version: expected {FORMAT_VERSION!r} or {_V1!r}, got {version!r}")
+
+
+def _read_v2(doc: dict) -> RejectionRegion2D:
+    _require(doc, ("alpha", "kind", "x_edges", "y_edges", "values", "runs"))
     alpha = _dec_float(doc["alpha"], "alpha")
-    kind = doc["kind"]
-    if kind not in REGION_KINDS:
-        raise RegionFormatError(f"kind: expected one of {sorted(REGION_KINDS)}, got {kind!r}")
+    kind = _dec_kind(doc["kind"])
+    x_edges = _dec_floats(doc["x_edges"], "x_edges")
+    y_edges = _dec_floats(doc["y_edges"], "y_edges")
+    values = _dec_floats(doc["values"], "values")
+    for k, v in enumerate(values):
+        if not 0.0 <= v <= 1.0:
+            raise RegionValidationError(f"values[{k}]: grid value must lie in [0, 1], got {v!r}")
+    shape = (max(len(x_edges) - 1, 0), max(len(y_edges) - 1, 0))
+    index = _dec_runs(doc["runs"], len(values), shape[0] * shape[1])
+    probs = np.array(values)[index].reshape(shape)
+    try:
+        return RejectionRegion2D.from_grid(alpha, kind, x_edges, y_edges, probs)
+    except ValueError as exc:
+        raise RegionValidationError(str(exc)) from exc
+
+
+def _dec_runs(runs, n_values: int, n_cells: int) -> np.ndarray:
+    """Expand ``[value index, run length]`` pairs to one value index per grid cell."""
+    if not isinstance(runs, list):
+        raise RegionFormatError("runs: expected a list of [value index, run length] pairs")
+    for k, run in enumerate(runs):
+        if not (type(run) is list and len(run) == 2
+                and type(run[0]) is int and type(run[1]) is int):
+            raise RegionFormatError(f"runs[{k}]: expected a [value index, run length] integer pair")
+    try:
+        flat = itertools.chain.from_iterable(runs)
+        index, lengths = np.fromiter(flat, dtype=np.int64, count=2 * len(runs)).reshape(-1, 2).T
+    except OverflowError:
+        raise RegionValidationError("runs: integer out of range") from None
+    bad = np.flatnonzero((index < 0) | (index >= n_values))
+    if bad.size:
+        k = int(bad[0])
+        raise RegionValidationError(
+            f"runs[{k}]: value index {int(index[k])} out of range for {n_values} values")
+    bad = np.flatnonzero(lengths <= 0)
+    if bad.size:
+        k = int(bad[0])
+        raise RegionValidationError(f"runs[{k}]: run length must be positive, got {int(lengths[k])}")
+    total = sum(lengths.tolist())
+    if total != n_cells:
+        raise RegionValidationError(
+            f"runs: run lengths sum to {total}, expected {n_cells} grid cells (nx*ny)")
+    return np.repeat(index, lengths)
+
+
+def _read_v1(doc: dict) -> RejectionRegion2D:
+    _require(doc, ("alpha", "kind", "cells", "outside_rule"))
+    alpha = _dec_float(doc["alpha"], "alpha")
+    kind = _dec_kind(doc["kind"])
     if not isinstance(doc["cells"], list):
         raise RegionFormatError("cells: expected a list")
 

@@ -342,3 +342,19 @@ def test_bayes_solve_usage_error(capsys):
 def test_main_alias(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_shipped_region_document_answers_like_its_v1_original(capsys, shipped_bayes_paths,
+                                                              shipped_bayes_region):
+    v2_path, v1_path = (str(p) for p in shipped_bayes_paths)
+    edges = shipped_bayes_region.x_edges
+    rng = np.random.default_rng(97)
+    points = [(float(x), float(y)) for x, y in rng.normal(scale=2.5, size=(12, 2))]
+    points += [(float(edges[k]), float(edges[k + 5])) for k in (1, 30, 48, 60)]
+    points += [(float(edges[40]), 0.7), (float("inf"), float("inf")), (float("-inf"), 2.5),
+               (3.0, float("inf")), (0.0, 0.0)]
+    for zx, zy in points:
+        args = ("test", f"--zx={zx!r}", f"--zy={zy!r}", "--region")
+        new, old = _run(capsys, *args, v2_path), _run(capsys, *args, v1_path)
+        assert new[0] == old[0] == 0
+        assert new[1] == old[1]

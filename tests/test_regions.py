@@ -251,7 +251,7 @@ def _oracle_lookup(region, zx, zy):
     return out
 
 
-def test_grid_matches_per_cell_oracles(shipped_bayes_region):
+def test_grid_matches_per_cell_oracles(shipped_bayes_region_v1):
     # the second cell lies beyond the rule box where the rule fires, so its
     # p=0.5 must replace the rule there; the p=0 cell leaves the rule in force
     boxed = RejectionRegion2D(
@@ -262,7 +262,9 @@ def test_grid_matches_per_cell_oracles(shipped_bayes_region):
     shifts = rng.uniform(-5.0, 5.0, size=(200, 2))
     pts = rng.uniform(-6.0, 6.0, size=(20_000, 2))
     default_box = RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.25)], OutsideRule(1.5))
-    for region in (shipped_bayes_region, build_js_region(0.05), boxed, default_box,
+    # the v1 document's cells and outside rule keep this oracle independent
+    # of the grid that the shipped region-v2 document stores
+    for region in (shipped_bayes_region_v1, build_js_region(0.05), boxed, default_box,
                    build_minimax_region(0.1), build_extended_region(0.07)):
         want = [_oracle_power(region, dx, dy) for dx, dy in shifts]
         np.testing.assert_allclose(analytic_power_batch(region, shifts), want, rtol=0, atol=1e-14)
@@ -302,9 +304,10 @@ def test_serialize_round_trip_identity():
 def test_serialize_encodes_infinities_as_strings():
     text = serialize(build_minimax_region(0.5))
     doc = json.loads(text)
-    endpoints = [v for c in doc["cells"] for v in c["x"] + c["y"]]
-    assert "inf" in endpoints and "-inf" in endpoints
-    assert not any(isinstance(v, float) and math.isinf(v) for v in endpoints)
+    for key in ("x_edges", "y_edges"):
+        edges = doc[key]
+        assert edges[0] == "-inf" and edges[-1] == "inf"
+        assert not any(isinstance(v, float) and math.isinf(v) for v in edges)
 
 
 def _doc(cells, alpha=0.05, version="region-v1", kind="custom", rule=None):
@@ -335,3 +338,191 @@ def test_deserialize_names_offending_field():
                                 "cells": [], "outside_rule": {"type": "none"}}))
     with pytest.raises(RegionFormatError, match="not valid JSON"):
         deserialize("{")
+
+
+# -- region-v2: the grid as the document ---------------------------------------
+
+def _grid_bytes(region):
+    return tuple(a.tobytes() for a in (region.x_edges, region.y_edges, region.probs))
+
+
+def test_shipped_fixture_is_lossless_v2(shipped_bayes_paths, shipped_bayes_region,
+                                        shipped_bayes_region_v1):
+    v2_path, v1_path = shipped_bayes_paths
+    text = v2_path.read_text()
+    assert json.loads(text)["version"] == "region-v2"
+    assert len(text.encode()) <= 10_000
+    v1, v2 = shipped_bayes_region_v1, shipped_bayes_region
+    # the shipped document is exactly serialize(deserialize(v1 document))
+    assert serialize(v1) == text
+    assert v1 == v2 and hash(v1) == hash(v2)
+    assert _grid_bytes(v1) == _grid_bytes(v2)
+    assert v2.probs.shape == (97, 97)
+
+    rng = np.random.default_rng(65)
+    pts = np.concatenate([rng.normal(scale=2.5, size=(900_000, 2)),
+                          rng.uniform(-5.0, 5.0, size=(100_000, 2))])
+    edges = np.concatenate([v1.x_edges, v1.y_edges])
+    ex, ey = np.meshgrid(edges, edges)
+    partners = rng.uniform(-5.0, 5.0, size=len(edges))
+    specials = np.array([[math.inf, math.inf], [math.inf, -math.inf], [-math.inf, 3.0],
+                         [3.0, math.inf], [-math.inf, 0.0], [0.0, 0.0]])
+    pts = np.concatenate([pts, np.column_stack([ex.ravel(), ey.ravel()]),
+                          np.column_stack([edges, partners]), np.column_stack([partners, edges]),
+                          specials])
+    got1 = rejection_prob_at_points(v1, pts[:, 0], pts[:, 1])
+    got2 = rejection_prob_at_points(v2, pts[:, 0], pts[:, 1])
+    assert got1.tobytes() == got2.tobytes()
+    assert rejection_prob_at_point(v2, (math.inf, math.inf)) == 1.0
+
+    shifts = rng.uniform(-5.0, 5.0, size=(200, 2))
+    assert np.array_equal(analytic_power_batch(v1, shifts), analytic_power_batch(v2, shifts))
+
+
+def test_region_equality_is_on_the_grid():
+    a = RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.5), _rect(1, 2, 0, 1)])
+    b = RejectionRegion2D(0.05, "custom", [_rect(1, 2, 0, 1), _rect(0, 1, 0, 1, 0.5)])
+    assert a.cells != b.cells
+    assert a == b and hash(a) == hash(b)
+    # a rule and the cells it paints compile to one grid
+    js = build_js_region(0.05)
+    painted = RejectionRegion2D(0.05, "joint_significance", deserialize(serialize(js)).cells)
+    assert js.outside_rule is not None and painted.outside_rule is None
+    assert js == painted and hash(js) == hash(painted)
+    # -0.0 and 0.0 compare equal, so they must hash alike
+    neg = RejectionRegion2D(0.05, "custom", [_rect(-0.0, 1, 0, 1)])
+    pos = RejectionRegion2D(0.05, "custom", [_rect(0.0, 1, 0, 1)])
+    assert math.copysign(1.0, neg.x_edges[1]) == -1.0
+    assert neg == pos and hash(neg) == hash(pos)
+    grid = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, 0.0, math.inf],
+                                       [-math.inf, math.inf], [[-0.0], [1.0]])
+    signed = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, -0.0, math.inf],
+                                         [-math.inf, math.inf], [[0.0], [1.0]])
+    assert grid == signed and hash(grid) == hash(signed)
+    # anything that changes the grid, alpha or kind breaks equality
+    assert a != RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.25), _rect(1, 2, 0, 1)])
+    assert a != RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.5), _rect(1, 3, 0, 1)])
+    assert a != RejectionRegion2D(0.1, "custom", a.cells)
+    assert a != RejectionRegion2D(0.05, "bayes", a.cells)
+    assert a != "region"
+
+
+def test_grid_region_derives_cells_once(shipped_bayes_paths):
+    region = deserialize(shipped_bayes_paths[0].read_text())
+    assert region.outside_rule is None
+    assert "97x97" in repr(region)
+    assert region._cells is None  # neither loading nor repr builds the cell view
+    cells = region.cells
+    assert region.cells is cells
+    assert len(cells) == np.count_nonzero(region.probs) == 4951
+    assert all(c.p > 0.0 for c in cells)
+    assert RejectionRegion2D(region.alpha, region.kind, cells) == region
+
+
+def test_rebuilding_from_derived_cells_gives_an_equal_region():
+    boxed = RejectionRegion2D(
+        0.05, "custom",
+        [_rect(-1, 1, -1, 1, 0.8), _rect(3.5, 4.5, 3.5, 4.5, 0.5)],
+        OutsideRule(2.0, (-3, 3, -3, 3)))
+    for region in (build_minimax_region(0.05), build_extended_region(0.07),
+                   build_js_region(0.1), boxed):
+        grid = RejectionRegion2D.from_grid(region.alpha, region.kind, region.x_edges,
+                                           region.y_edges, region.probs)
+        assert grid == region
+        rebuilt = RejectionRegion2D(grid.alpha, grid.kind, grid.cells)
+        assert rebuilt == region and hash(rebuilt) == hash(region)
+
+
+def test_from_grid_validates_and_copies():
+    inf = math.inf
+    x, y, probs = [-inf, 0.0, inf], [-inf, 1.0, inf], np.array([[0.0, 0.5], [1.0, 0.0]])
+    region = RejectionRegion2D.from_grid(0.05, "custom", x, y, probs)
+    probs[0, 1] = 0.25
+    assert region.probs[0, 1] == 0.5
+    assert not region.probs.flags.writeable and not region.x_edges.flags.writeable
+    assert rejection_prob_at_point(region, (-1.0, 2.0)) == 0.5
+    assert rejection_prob_at_point(region, (0.0, 2.0)) == 0.0  # inner edges are open
+    probs[0, 1] = 0.5
+    for args, match in (
+            ((0.0, "custom", x, y, probs), "alpha"),
+            ((0.05, "nonsense", x, y, probs), "kind"),
+            ((0.05, "custom", [-inf, inf], y, probs), "probs: expected shape"),
+            ((0.05, "custom", [-1.0, 0.0, inf], y, probs), "x_edges: .*-inf to inf"),
+            ((0.05, "custom", x, [-inf, 1.0, 5.0], probs), "y_edges: .*-inf to inf"),
+            ((0.05, "custom", [-inf, inf, 0.0], y, probs), "x_edges: .*strictly increasing"),
+            ((0.05, "custom", x, [-inf, inf, inf], probs), "y_edges: .*strictly increasing"),
+            ((0.05, "custom", [-inf, math.nan, inf], y, probs), "x_edges: NaN"),
+            ((0.05, "custom", [inf], y, probs), "x_edges: expected at least two"),
+            ((0.05, "custom", x, y, [[0.0, 0.5], [1.5, 0.0]]), r"probs: .*\[0, 1\]"),
+            ((0.05, "custom", x, y, [[0.0, 0.5], [math.nan, 0.0]]), r"probs: .*\[0, 1\]")):
+        with pytest.raises(ValueError, match=match):
+            RejectionRegion2D.from_grid(*args)
+
+
+def _v2_doc():
+    region = RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.25), _rect(1, 2, -1, 0)])
+    return json.loads(serialize(region))
+
+
+def test_v2_document_fields():
+    doc = _v2_doc()
+    assert doc == {
+        "version": "region-v2", "alpha": 0.05, "kind": "custom",
+        "x_edges": ["-inf", 0.0, 1.0, 2.0, "inf"], "y_edges": ["-inf", -1.0, 0.0, 1.0, "inf"],
+        "values": [0.0, 0.25, 1.0],
+        "runs": [[0, 6], [1, 1], [0, 2], [2, 1], [0, 6]]}
+    # unknown top-level keys are ignored, so documents can carry metadata
+    doc["meta"] = {"builder": "hand"}
+    assert deserialize(json.dumps(doc)) == deserialize(json.dumps(_v2_doc()))
+
+
+_DELETE = object()
+
+
+def _edit(path, value):
+    """A document edit: set the item at ``path`` to ``value``, or delete it."""
+    def apply(doc):
+        *keys, last = path
+        target = doc
+        for key in keys:
+            target = target[key]
+        if value is _DELETE:
+            del target[last]
+        else:
+            target[last] = value
+        return doc
+    return apply
+
+
+@pytest.mark.parametrize("edit, error, match", [
+    *[(_edit((key,), _DELETE), RegionFormatError, f"{key}: missing")
+      for key in ("alpha", "kind", "x_edges", "y_edges", "values", "runs")],
+    (_edit(("x_edges", 2), -5.0), RegionValidationError, "x_edges: .*strictly increasing"),
+    (_edit(("y_edges", 2), -1.0), RegionValidationError, "y_edges: .*strictly increasing"),
+    (_edit(("x_edges", 0), -9.0), RegionValidationError, "x_edges: .*-inf to inf"),
+    (_edit(("y_edges", 4), 9.0), RegionValidationError, "y_edges: .*-inf to inf"),
+    (_edit(("x_edges", 1), math.nan), RegionFormatError, r"x_edges\[1\]: NaN"),
+    (_edit(("values", 1), math.nan), RegionFormatError, r"values\[1\]: NaN"),
+    (_edit(("alpha",), math.nan), RegionFormatError, "alpha: NaN"),
+    (_edit(("values", 2), 1.5), RegionValidationError, r"values\[2\]: .*\[0, 1\]"),
+    (_edit(("values", 0), -0.5), RegionValidationError, r"values\[0\]: .*\[0, 1\]"),
+    (_edit(("runs", 1, 0), 3), RegionValidationError, r"runs\[1\]: value index 3 out of range"),
+    (_edit(("runs", 1, 0), -1), RegionValidationError, r"runs\[1\]: value index -1 out of range"),
+    (_edit(("runs", 1, 1), 0), RegionValidationError, r"runs\[1\]: run length must be positive"),
+    (_edit(("runs", 1, 1), -1), RegionValidationError, r"runs\[1\]: run length must be positive"),
+    (_edit(("runs", 0, 1), 7), RegionValidationError, "runs: run lengths sum to 17, expected 16"),
+    (_edit(("runs", 4, 1), 4), RegionValidationError, "runs: run lengths sum to 14, expected 16"),
+    (_edit(("runs", 0, 1), 2 ** 70), RegionValidationError, "runs: integer out of range"),
+    (_edit(("runs", 0, 1), 6.0), RegionFormatError, r"runs\[0\]: expected .* integer pair"),
+    (_edit(("runs", 0, 1), True), RegionFormatError, r"runs\[0\]: expected .* integer pair"),
+    (_edit(("runs", 0), [0, 6, 1]), RegionFormatError, r"runs\[0\]: expected .* integer pair"),
+    (_edit(("runs",), {"0": 16}), RegionFormatError, "runs: expected a list"),
+    (_edit(("x_edges", 1), "zero"), RegionFormatError, r"x_edges\[1\]: expected a number"),
+    (_edit(("values",), 1.0), RegionFormatError, "values: expected a list"),
+    (_edit(("kind",), "nonsense"), RegionFormatError, "kind"),
+    (_edit(("version",), "region-v3"), RegionFormatError, "version"),
+])
+def test_deserialize_rejects_malformed_v2(edit, error, match):
+    text = json.dumps(edit(_v2_doc()))
+    with pytest.raises(error, match=match):
+        deserialize(text)
