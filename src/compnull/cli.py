@@ -36,6 +36,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.prog}: {message}")
 
+    def _parse_optional(self, arg_string):
+        # A dash-led string that starts no option of this parser is a value,
+        # such as -1e-3, -inf or -0.5,1,2, so an option expecting one takes
+        # it instead of failing with "expected one argument".
+        name = arg_string.split("=", 1)[0]
+        if name[:1] == "-" and not any(o.startswith(name) for o in self._option_string_actions):
+            return None
+        return super()._parse_optional(arg_string)
+
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:

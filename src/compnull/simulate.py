@@ -1,6 +1,9 @@
 """Monte Carlo harness: power curves, p-value ECDFs, and product-statistic
 density samples, all reproducible and CSV-oriented.
 
+Replicates are drawn in O(1) from the sufficient statistics of normal data:
+sqrt(n)*mean ~ N(sqrt(n)*delta, 1), independent of s**2 ~ chi2(n-1)/(n-1).
+
 Reproducibility scheme: replicates are split into fixed-size blocks; block
 (point_index, block_index) draws from a counter-based generator seeded by
 SeedSequence(seed, spawn_key=(point_index, block_index)). Blocks are merged
@@ -18,7 +21,7 @@ from io import StringIO
 
 import numpy as np
 
-from .closed_form import build_extended_region, build_js_region, build_minimax_region
+from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
 from .regions import RejectionRegion2D, rejection_prob_at_points, _cdf_array
 from .statmath import std_normal_quantile
@@ -56,13 +59,31 @@ def worker_count() -> int:
     return min(os.cpu_count() or 1, 8)
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
+def _finite(name: str, values) -> tuple[float, ...]:
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite, got {out!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Power-simulation request.
 
-    Each replicate draws ``n`` i.i.d. bivariate standard-normal pairs
-    shifted by delta and standardizes the means with the known unit
-    variance. All methods are applied to the same draws.
+    A replicate stands for ``n`` i.i.d. normal pairs with mean delta and
+    identity covariance. The methods read only ``sqrt(n)*mean``, which is drawn
+    from its exact law ``N(sqrt(n)*delta, I)``, and all share the same draws.
+    Shifts must be finite, ``n`` and ``reps`` positive integers and ``seed``
+    an integer in [0, 2**64).
     """
 
     methods: tuple[str, ...]
@@ -82,15 +103,14 @@ class SimSpec:
         for m in methods:
             if m not in _METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {_METHODS}")
-        grid = tuple((float(dx), float(dy)) for dx, dy in self.delta_grid)
+        grid = tuple(_finite(f"delta_grid[{i}]", (dx, dy))
+                     for i, (dx, dy) in enumerate(self.delta_grid))
         if not grid:
             raise ValueError("delta_grid must be non-empty")
         object.__setattr__(self, "delta_grid", grid)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n!r}")
-        if self.reps < 1:
-            raise ValueError(f"reps must be >= 1, got {self.reps!r}")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        object.__setattr__(self, "n", _count("n", self.n, 1))
+        object.__setattr__(self, "reps", _count("reps", self.reps, 1))
+        if _count("seed", self.seed, 0) >= 2 ** 64:
             raise ValueError("seed must fit in 64 unsigned bits")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
@@ -146,18 +166,20 @@ def _method_evaluators(spec: SimSpec):
     return evals
 
 
+def _sobel(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """Product-ratio statistic zx*zy/hypot(zx, zy) of z- or t-statistics; 0 at (0, 0)."""
+    denom = np.hypot(zx, zy)
+    return np.divide(zx * zy, denom, out=np.zeros_like(denom), where=denom > 0.0)
+
+
 def _power_block(spec: SimSpec, evals, point_index: int, block_index: int,
                  size: int) -> dict[str, int]:
-    delta = spec.delta_grid[point_index]
+    dx, dy = spec.delta_grid[point_index]
     ss = np.random.SeedSequence(spec.seed, spawn_key=(point_index, block_index))
     gen = np.random.Generator(np.random.Philox(ss))
-    draws = gen.standard_normal((size, spec.n, 2))
-    means = draws.mean(axis=1)
-    means[:, 0] += delta[0]
-    means[:, 1] += delta[1]
     root_n = math.sqrt(spec.n)
-    zx = root_n * means[:, 0]
-    zy = root_n * means[:, 1]
+    z = gen.standard_normal((2, size))
+    zx, zy = z[0] + root_n * dx, z[1] + root_n * dy
     aux = None
     counts = {}
     for name, (kind, obj, randomized) in evals.items():
@@ -172,12 +194,7 @@ def _power_block(spec: SimSpec, evals, point_index: int, block_index: int,
         elif kind == "js":
             rej = (np.abs(zx) > obj) & (np.abs(zy) > obj)
         else:
-            # known unit variance per the identity-covariance design
-            denom = np.hypot(means[:, 1], means[:, 0])
-            stat = np.zeros(size)
-            ok = denom > 0.0
-            stat[ok] = root_n * means[ok, 0] * means[ok, 1] / denom[ok]
-            rej = np.abs(stat) > obj
+            rej = np.abs(_sobel(zx, zy)) > obj
         counts[name] = int(rej.sum())
     return counts
 
@@ -244,9 +261,8 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0),
     (the statistic's own law), then scored by the generalized p-value and
     the joint-significance p-value.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
-    dx, dy = (float(v) for v in delta_star)
+    reps = _count("reps", reps, 1)
+    dx, dy = _finite("delta_star", delta_star)
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     z = gen.standard_normal((reps, 2))
     zx = z[:, 0] + dx
@@ -278,38 +294,27 @@ class DensityTable:
         raise KeyError(delta_x)
 
 
-def _estimate_block(delta_x: float, n: int, reps: int, gen) -> tuple:
-    draws = gen.standard_normal((reps, n, 2))
-    draws[:, :, 0] += delta_x
-    dxh = draws[:, :, 0].mean(axis=1)
-    dyh = draws[:, :, 1].mean(axis=1)
-    sx = draws[:, :, 0].std(axis=1, ddof=1)
-    sy = draws[:, :, 1].std(axis=1, ddof=1)
-    return dxh, dyh, sx, sy
+def _t_statistics(delta_x: float, n: int, reps: int, seed: int, point: int) -> tuple:
+    """t-statistics sqrt(n)*mean/sd of both coordinates for reps samples of
+    n pairs with means (delta_x, 0), drawn from the sufficient statistics."""
+    ss = np.random.SeedSequence(seed, spawn_key=(point,))
+    gen = np.random.Generator(np.random.Philox(ss))
+    z = gen.standard_normal((2, reps))
+    z[0] += math.sqrt(n) * delta_x
+    z /= np.sqrt(gen.chisquare(n - 1, size=(2, reps)) / (n - 1))
+    return z[0], z[1]
 
 
 def sample_sobel_density(delta_x_list, n: int, reps: int, seed: int = 0) -> DensityTable:
     """Replicated product-ratio statistics under a zero second coordinate.
 
-    For each delta_x: reps replicates of n pairs with means (delta_x, 0),
-    estimates and SEs taken from the sample, and the standardized product
-    statistic computed from them.
+    For each delta_x: reps samples of n pairs with means (delta_x, 0), and
+    the standardized product statistic of their sample means and SDs.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2 to estimate SEs, got {n!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
-    entries = []
-    for pi, delta_x in enumerate(float(v) for v in delta_x_list):
-        ss = np.random.SeedSequence(seed, spawn_key=(pi,))
-        gen = np.random.Generator(np.random.Philox(ss))
-        dxh, dyh, sx, sy = _estimate_block(delta_x, n, reps, gen)
-        denom = np.hypot(dyh * sx, dxh * sy)
-        stat = np.zeros(reps)
-        ok = denom > 0.0
-        stat[ok] = math.sqrt(n) * dxh[ok] * dyh[ok] / denom[ok]
-        entries.append((delta_x, stat))
-    return DensityTable(tuple(entries))
+    n, reps = _count("n", n, 2), _count("reps", reps, 1)
+    return DensityTable(tuple(
+        (dx, _sobel(*_t_statistics(dx, n, reps, seed, pi)))
+        for pi, dx in enumerate(_finite("delta_x_list", delta_x_list))))
 
 
 def sample_product_statistic(delta_x: float, n: int, reps: int, seed: int = 0,
@@ -317,11 +322,6 @@ def sample_product_statistic(delta_x: float, n: int, reps: int, seed: int = 0,
     """Rescaled product estimates n*dx_hat*dy_hat/(s_x*s_y), same design as
     sample_sobel_density; near the double null this approaches the law of a
     product of two independent standard normals."""
-    if n < 2:
-        raise ValueError(f"n must be >= 2 to estimate SEs, got {n!r}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
-    ss = np.random.SeedSequence(seed, spawn_key=(0,))
-    gen = np.random.Generator(np.random.Philox(ss))
-    dxh, dyh, sx, sy = _estimate_block(float(delta_x), n, reps, gen)
-    return n * dxh * dyh / (sx * sy)
+    n, reps = _count("n", n, 2), _count("reps", reps, 1)
+    tx, ty = _t_statistics(_finite("delta_x", (delta_x,))[0], n, reps, seed, 0)
+    return tx * ty

@@ -185,6 +185,54 @@ def test_infinite_inputs_echo_as_standard_json(capsys):
     assert _strict_json(out)["p"] == 0.0455
 
 
+@pytest.mark.parametrize("argv, key, want", [
+    (("test", "--zx", "-1e-3", "--zy", "1", "--alpha", "0.05"), "zx", -1e-3),
+    (("test", "--zx", "-inf", "--zy", "1", "--alpha", "0.05"), "zx", "-inf"),
+    (("test3", "--z", "-0.5,1,2", "--alpha", "0.05"), "z", [-0.5, 1.0, 2.0]),
+    (("pvalue", "--zx", "-2e-1", "--zy", "1"), "p", 0.8414),
+])
+def test_dash_led_values_are_values(capsys, argv, key, want):
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert _strict_json(out)[key] == want
+
+
+def test_dash_led_simulation_inputs_are_values(capsys):
+    code, out, err = _run(capsys, "simulate", "power", "--deltas", "-0.1,0.2",
+                          "--reps", "100", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert [ln.split(",")[:3] for ln in out.strip().split("\n")[1:]] == [
+        ["-0.1", "0.2", "minimax"], ["-0.1", "0.2", "js"]]
+
+    code, out, err = _run(capsys, "simulate", "sobel-density", "--delta-x", "-0.1,0.2",
+                          "--reps", "2", "--seed", "1")
+    assert (code, err) == (0, "")
+    assert [ln.split(",")[0] for ln in out.strip().split("\n")[1:]] == [
+        "-0.1", "-0.1", "0.2", "0.2"]
+
+
+def test_option_names_still_end_a_missing_value(capsys):
+    code, _, err = _run(capsys, "test", "--zx", "--zy", "1", "--alpha", "0.05")
+    assert code == 1
+    assert "argument --zx: expected one argument" in err
+    code, _, err = _run(capsys, "test", "--zx", "1", "--zy", "-h")
+    assert code == 1
+    assert "argument --zy: expected one argument" in err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("power", "--deltas", "nan,0", "--reps", "10", "--seed", "1"), "delta_grid[0]"),
+    (("power", "--deltas", "0,0;0,inf", "--reps", "10", "--seed", "1"), "delta_grid[1]"),
+    (("sobel-density", "--delta-x", "0,-inf", "--reps", "10"), "delta_x_list"),
+    (("ecdf", "--delta", "nan,0", "--reps", "10"), "delta_star"),
+])
+def test_simulate_refuses_non_finite_shifts(capsys, argv, field):
+    code, out, err = _run(capsys, "simulate", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be finite")
+
+
 def test_adjust_golden(tmp_path, capsys):
     pvals = [0.001, 0.008, 0.039, 0.041, 0.042, 0.06, 0.074, 0.205, 0.212, 0.216]
     path = tmp_path / "p.csv"

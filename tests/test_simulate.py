@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from compnull.closed_form import build_minimax_region
-from compnull.regions import analytic_power
+from compnull import simulate
+from compnull.closed_form import build_extended_region, build_js_region, build_minimax_region
+from compnull.regions import analytic_power, rejection_prob_at_points
 from compnull.simulate import (
     DensityTable,
     EcdfTable,
@@ -17,6 +19,133 @@ from compnull.simulate import (
     simulate_pvalue_ecdf,
     worker_count,
 )
+
+
+# -- per-observation oracles ---------------------------------------------------
+# The samplers the library used before it drew sufficient statistics: every
+# replicate draws its n observation pairs and averages them.
+
+def _per_observation_power_block(spec, evals, point_index, block_index, size):
+    delta = spec.delta_grid[point_index]
+    ss = np.random.SeedSequence(spec.seed, spawn_key=(point_index, block_index))
+    gen = np.random.Generator(np.random.Philox(ss))
+    draws = gen.standard_normal((size, spec.n, 2))
+    means = draws.mean(axis=1)
+    means[:, 0] += delta[0]
+    means[:, 1] += delta[1]
+    root_n = math.sqrt(spec.n)
+    zx = root_n * means[:, 0]
+    zy = root_n * means[:, 1]
+    aux = None
+    counts = {}
+    for name, (kind, obj, randomized) in evals.items():
+        if kind == "region":
+            probs = rejection_prob_at_points(obj, zx, zy)
+            if randomized:
+                if aux is None:
+                    aux = gen.uniform(size=size)
+                rej = aux < probs
+            else:
+                rej = probs >= simulate._DEGENERATE
+        elif kind == "js":
+            rej = (np.abs(zx) > obj) & (np.abs(zy) > obj)
+        else:
+            rej = np.abs(_mean_form_sobel(root_n, means[:, 0], means[:, 1])) > obj
+        counts[name] = int(rej.sum())
+    return counts
+
+
+def _mean_form_sobel(root_n, mx, my):
+    denom = np.hypot(my, mx)
+    stat = np.zeros(len(mx))
+    ok = denom > 0.0
+    stat[ok] = root_n * mx[ok] * my[ok] / denom[ok]
+    return stat
+
+
+def _per_observation_rates(spec):
+    """Rejection rates per (point, method) from the per-observation oracle."""
+    evals = simulate._method_evaluators(spec)
+    rates = {}
+    for pi in range(len(spec.delta_grid)):
+        totals = dict.fromkeys(spec.methods, 0)
+        for bi, start in enumerate(range(0, spec.reps, simulate._BLOCK)):
+            size = min(simulate._BLOCK, spec.reps - start)
+            counts = _per_observation_power_block(spec, evals, pi, bi, size)
+            for name, c in counts.items():
+                totals[name] += c
+        for name, c in totals.items():
+            rates[pi, name] = c / spec.reps
+    return rates
+
+
+def _per_observation_estimates(delta_x, n, reps, gen):
+    draws = gen.standard_normal((reps, n, 2))
+    draws[:, :, 0] += delta_x
+    dxh = draws[:, :, 0].mean(axis=1)
+    dyh = draws[:, :, 1].mean(axis=1)
+    sx = draws[:, :, 0].std(axis=1, ddof=1)
+    sy = draws[:, :, 1].std(axis=1, ddof=1)
+    return dxh, dyh, sx, sy
+
+
+def _oracle_sobel_and_product(delta_x, n, reps, seed):
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    dxh, dyh, sx, sy = _per_observation_estimates(delta_x, n, reps, gen)
+    sobel = math.sqrt(n) * dxh * dyh / np.hypot(dyh * sx, dxh * sy)
+    return sobel, n * dxh * dyh / (sx * sy)
+
+
+# z-scale shifts: the double null, each null axis, one alternative
+_Z_SHIFTS = ((0.0, 0.0), (2.0, 0.0), (0.0, -1.5), (1.5, 2.0))
+
+
+@pytest.mark.parametrize("n", [2, 50])
+def test_rates_match_per_observation_oracle(n, shipped_bayes_region):
+    grid = tuple((zx / math.sqrt(n), zy / math.sqrt(n)) for zx, zy in _Z_SHIFTS)
+    methods = ("minimax", "extended", "bayes", "js", "sobel")
+    reps = 20_000
+    new = simulate_power(SimSpec(methods, grid, n, reps, 7100 + n,
+                                 bayes_region=shipped_bayes_region))
+    old = _per_observation_rates(SimSpec(methods, grid, n, reps, 7200 + n,
+                                         bayes_region=shipped_bayes_region))
+    regions = {"minimax": build_minimax_region(0.05), "extended": build_extended_region(0.05),
+               "bayes": shipped_bayes_region, "js": build_js_region(0.05)}
+    for i, row in enumerate(new.rows):
+        pi = i // len(methods)
+        r_old = old[pi, row.method]
+        se_old = math.sqrt(r_old * (1.0 - r_old) / reps)
+        assert abs(row.reject_rate - r_old) <= 4.0 * math.hypot(row.mc_se, se_old), row
+        if row.method in regions:
+            want = analytic_power(regions[row.method], _Z_SHIFTS[pi])
+            assert abs(row.reject_rate - want) <= 4.0 * math.sqrt(want * (1.0 - want) / reps), row
+
+
+def test_sobel_formula_matches_mean_form():
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(7300)))
+    means = gen.standard_normal((2, 10_000)) * np.logspace(-6, 1, 10_000)
+    means[:, :3] = [[0.0, 0.0, 1e-3], [0.0, -2.0, 0.0]]
+    for n in (2, 50):
+        root_n = math.sqrt(n)
+        old = _mean_form_sobel(root_n, means[0], means[1])
+        new = simulate._sobel(root_n * means[0], root_n * means[1])
+        np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+    # the same formula of t-statistics is the sample-SD form of the density harness
+    dxh, dyh, sx, sy = _per_observation_estimates(0.3, 20, 5000, gen)
+    old = math.sqrt(20) * dxh * dyh / np.hypot(dyh * sx, dxh * sy)
+    new = simulate._sobel(math.sqrt(20) * dxh / sx, math.sqrt(20) * dyh / sy)
+    np.testing.assert_allclose(new, old, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 100])
+def test_density_samplers_match_per_observation_oracle(n):
+    reps = 4000
+    table = sample_sobel_density([0.0, 0.3], n, reps, seed=7400 + n)
+    for dx in (0.0, 0.3):
+        oracle_sobel, oracle_product = _oracle_sobel_and_product(dx, n, reps, 7500 + n)
+        assert stats.ks_2samp(table.samples(dx), oracle_sobel).pvalue > 0.01
+        product = sample_product_statistic(dx, n, reps, seed=7600 + n)
+        assert stats.ks_2samp(product, oracle_product).pvalue > 0.01
 
 
 def test_worker_count_env(monkeypatch):
@@ -49,11 +178,24 @@ def test_spec_validation(shipped_bayes_region):
         SimSpec(**{**good, "seed": -1})
     with pytest.raises(ValueError, match="seed"):
         SimSpec(**{**good, "seed": 2 ** 64})
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SimSpec(**{**good, "seed": bad})
     with pytest.raises(ValueError, match="alpha"):
         SimSpec(**{**good, "alpha": 1.0})
     with pytest.raises(ValueError, match="bayes_region"):
         SimSpec(**{**good, "methods": ("bayes",)})
     SimSpec(**{**good, "methods": ("bayes",), "bayes_region": shipped_bayes_region})
+    for grid, field in ((((math.nan, 0.0),), r"delta_grid\[0\]"),
+                        (((0.0, 0.0), (0.0, -math.inf)), r"delta_grid\[1\]")):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SimSpec(**{**good, "delta_grid": grid})
+    for field in ("n", "reps"):
+        for bad in (2.5, 10.0, True, "10"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                SimSpec(**{**good, field: bad})
+    spec = SimSpec(**{**good, "n": np.int64(10), "reps": np.int32(10)})
+    assert type(spec.n) is int and type(spec.reps) is int
 
 
 def test_power_runs_are_reproducible():
@@ -146,6 +288,10 @@ def test_pvalue_ecdf_table():
         table.pvalues("sobel")
     with pytest.raises(ValueError, match="reps"):
         simulate_pvalue_ecdf(0)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        simulate_pvalue_ecdf(5.0)
+    with pytest.raises(ValueError, match="delta_star must be finite"):
+        simulate_pvalue_ecdf(5, (math.nan, 0.0))
 
 
 def test_pvalue_ecdf_under_strong_alternative():
@@ -177,6 +323,12 @@ def test_sobel_density_table():
         table.samples(0.7)
     with pytest.raises(ValueError, match="n must be"):
         sample_sobel_density([0.0], 1, 10)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_sobel_density([0.0], 2.5, 10)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        sample_sobel_density([0.0], 10, True)
+    with pytest.raises(ValueError, match="delta_x_list must be finite"):
+        sample_sobel_density([0.0, math.inf], 10, 10)
 
 
 def test_sobel_density_csv_shape():
@@ -199,3 +351,9 @@ def test_sample_product_statistic():
         sample_product_statistic(0.0, 1, 10)
     with pytest.raises(ValueError, match="reps"):
         sample_product_statistic(0.0, 10, 0)
+    with pytest.raises(ValueError, match="n must be an integer"):
+        sample_product_statistic(0.0, 2.5, 10)
+    with pytest.raises(ValueError, match="reps must be an integer"):
+        sample_product_statistic(0.0, 10, True)
+    with pytest.raises(ValueError, match="delta_x must be finite"):
+        sample_product_statistic(math.nan, 10, 10)
