@@ -7,6 +7,7 @@ malformed files, degenerate datasets, failed solves).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -235,6 +236,7 @@ def _cmd_sim_sobel(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="compnull",
                      description="Optimal tests of a product-of-coefficients null.")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgeqrf as _dgeqrf, dtrtrs as _dtrtrs
 
 from .regions import EstimateProvenance, TestStatisticPair
 
@@ -28,6 +28,8 @@ __all__ = [
     "standardize_pair",
     "load_csv",
 ]
+
+_EPS = np.finfo(float).eps
 
 
 class DataError(ValueError):
@@ -83,12 +85,33 @@ class OlsFit:
     n: int
 
 
+def _r_factor(xy: np.ndarray, names, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """R (upper triangle only) of one in-place Householder QR of ``xy = [X | y]``,
+    and R[:p, :p]^-T rhs, whose column for rhs = e_j is row j of R^-1.
+
+    Every leading block is a regression: column j on columns :j has
+    coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
+    |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named.
+    """
+    if not np.isfinite(xy).all():
+        raise DataError("design and response must be finite")
+    n, q = xy.shape
+    p = q - 1
+    norms = np.sqrt(np.einsum("ij,ij->j", xy, xy)[:p])
+    r = _dgeqrf(xy, overwrite_a=True)[0][:q]
+    dependent = np.abs(r.diagonal()[:p]) <= max(n, p) * _EPS * norms
+    if dependent.any():
+        raise DataError("design is rank deficient; collinear columns: "
+                        + ", ".join(names[j] for j in np.flatnonzero(dependent)))
+    return r, _dtrtrs(r[:p, :p], rhs, trans=1)[0]
+
+
 def fit_ols(design, response, column_names=None) -> OlsFit:
-    """Least squares via column-pivoted QR; no normal-equations inversion.
+    """Least squares from one QR of [X | y]; no normal-equations inversion.
 
     Returns coefficients and their covariance sigma2*(X'X)^-1 with
-    sigma2 = RSS/(n-p). Rank deficiency raises DataError naming the
-    dependent columns.
+    sigma2 = RSS/(n-p). Non-finite input and rank deficiency raise
+    DataError, the latter naming the dependent columns.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -102,27 +125,11 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     if len(names) != p:
         raise DataError("column_names length must match design width")
 
-    q, r, piv = scipy.linalg.qr(x, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag[0] * max(n, p) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    if rank < p:
-        dropped = sorted(names[j] for j in piv[rank:])
-        raise DataError(
-            "design is rank deficient; collinear columns: " + ", ".join(dropped))
-
-    qty = q.T @ y
-    beta_p = scipy.linalg.solve_triangular(r, qty)
-    beta = np.empty(p)
-    beta[piv] = beta_p
-    resid = y - x @ beta
-    rss = float(resid @ resid)
-    sigma2 = rss / (n - p)
-    rinv = scipy.linalg.solve_triangular(r, np.eye(p))
-    cov_p = rinv @ rinv.T
-    cov = np.empty((p, p))
-    cov[np.ix_(piv, piv)] = cov_p
-    return OlsFit(beta, sigma2 * cov, sigma2, n)
+    xy = np.empty((n, p + 1), order="F")
+    xy[:, :p], xy[:, p] = x, y
+    r, rinv_t = _r_factor(xy, names, np.eye(p))
+    sigma2 = float(r[p, p] ** 2) / (n - p)
+    return OlsFit(r[:p, p] @ rinv_t, sigma2 * (rinv_t.T @ rinv_t), sigma2, n)
 
 
 @dataclass(frozen=True)
@@ -150,12 +157,10 @@ class FitResult:
                 raise DataError(f"{name} must be positive and finite, got {v!r}")
 
 
-def _pair_from_fit(fit: FitResult) -> TestStatisticPair:
-    root_n = math.sqrt(fit.n)
-    prov = EstimateProvenance(fit.delta_x_hat, fit.delta_y_hat,
-                              fit.se_x, fit.se_y, fit.n)
-    return TestStatisticPair(root_n * fit.delta_x_hat / fit.se_x,
-                             root_n * fit.delta_y_hat / fit.se_y, prov)
+def _pair(dx: float, dy: float, se_x: float, se_y: float, n: int) -> TestStatisticPair:
+    root_n = math.sqrt(n)
+    return TestStatisticPair(root_n * dx / se_x, root_n * dy / se_y,
+                             EstimateProvenance(dx, dy, se_x, se_y, n))
 
 
 def product_method_stats(data: MediationDataset, model: str = "main_effects",
@@ -173,50 +178,38 @@ def product_method_stats(data: MediationDataset, model: str = "main_effects",
     """
     if model not in ("main_effects", "interaction"):
         raise ValueError(f"model must be main_effects or interaction, got {model!r}")
-    n = data.n
-    ones = np.ones(n)
-    cov_names = list(data.covariate_names)
-
-    med_design = np.column_stack([ones, data.a, data.c]) if data.c.size \
-        else np.column_stack([ones, data.a])
-    med_fit = fit_ols(med_design, data.m, ["intercept", "a", *cov_names])
-    beta_a = float(med_fit.beta[1])
-    se_beta_a = math.sqrt(n * med_fit.cov[1, 1])
-
-    if model == "main_effects":
-        cols = [ones, data.a, data.m]
-        names = ["intercept", "a", "m"]
-        if data.c.size:
-            cols.append(data.c)
-            names.extend(cov_names)
-        out_fit = fit_ols(np.column_stack(cols), data.y, names)
-        dx = float(out_fit.beta[2])
-        se_x = math.sqrt(n * out_fit.cov[2, 2])
-        result = FitResult(dx, beta_a, se_x, se_beta_a, n, "main_effects")
-        return result, _pair_from_fit(result)
-
-    a_prime = float(a_prime)
-    a_dblprime = float(a_dblprime)
-    if a_prime == a_dblprime:
+    interaction = model == "interaction"
+    a_prime, a_dblprime = float(a_prime), float(a_dblprime)
+    if interaction and a_prime == a_dblprime:
         raise ValueError(
             "interaction model needs distinct exposure levels a_prime != a_dblprime")
-    cols = [ones, data.a, data.m, data.a * data.m]
-    names = ["intercept", "a", "m", "a:m"]
-    if data.c.size:
-        cols.append(data.c)
-        names.extend(cov_names)
-    out_fit = fit_ols(np.column_stack(cols), data.y, names)
-    dx = float(out_fit.beta[2] + out_fit.beta[3] * a_prime)
-    var_fin = float(out_fit.cov[2, 2] + a_prime * a_prime * out_fit.cov[3, 3]
-                    + 2.0 * a_prime * out_fit.cov[2, 3])
-    if var_fin <= 0.0:
-        raise DataError("degenerate variance for the combined mediator effect")
-    se_x = math.sqrt(n * var_fin)
-    scale = a_prime - a_dblprime
-    dy = beta_a * scale
-    se_y = abs(scale) * se_beta_a
-    result = FitResult(dx, dy, se_x, se_y, n, "interaction", a_prime, a_dblprime)
-    return result, _pair_from_fit(result)
+    # [1, a, c, m, (a*m), y]: the leading k columns are the mediator design
+    # and column k its response, so one R holds both regressions.
+    n = data.n
+    k = 2 + data.c.shape[1]
+    p = k + 1 + interaction
+    xy = np.empty((n, p + 1), order="F")
+    xy[:, 0], xy[:, 1], xy[:, 2:k] = 1.0, data.a, data.c
+    xy[:, k], xy[:, p] = data.m, data.y
+    if interaction:
+        xy[:, k + 1] = data.a * data.m
+    names = ["intercept", "a", *data.covariate_names, "m", "a:m"]
+    # Row 1 of R[:k, :k]^-1 gives the mediator model's beta_a and its
+    # variance (sigma2 times the row's squared norm); w = e_m (+ a_prime *
+    # e_am) applied to R^-1 gives the outcome model's delta_x likewise.
+    rows = np.eye(p)[:, [1, k]]
+    if interaction:
+        rows[k + 1, 1] = a_prime
+    r, sol = _r_factor(xy, names, rows)
+    u, w = sol[:k, 0], sol[:, 1]
+    beta_a = float(u @ r[:k, k])
+    se_beta_a = abs(float(r[k, k])) * math.sqrt(n * float(u @ u) / (n - k))
+    dx = float(w @ r[:p, p])
+    se_x = abs(float(r[p, p])) * math.sqrt(n * float(w @ w) / (n - p))
+    scale = a_prime - a_dblprime if interaction else 1.0
+    levels = (a_prime, a_dblprime) if interaction else ()
+    result = FitResult(dx, beta_a * scale, se_x, abs(scale) * se_beta_a, n, model, *levels)
+    return result, _pair(dx, result.delta_y_hat, se_x, result.se_y, n)
 
 
 def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,
@@ -236,12 +229,7 @@ def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,
         raise ValueError("sigma diagonal entries must be positive")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n!r}")
-    se_x = math.sqrt(s[0, 0])
-    se_y = math.sqrt(s[1, 1])
-    root_n = math.sqrt(n)
-    prov = EstimateProvenance(delta_x_hat, delta_y_hat, se_x, se_y, n)
-    return TestStatisticPair(root_n * delta_x_hat / se_x,
-                             root_n * delta_y_hat / se_y, prov)
+    return _pair(delta_x_hat, delta_y_hat, math.sqrt(s[0, 0]), math.sqrt(s[1, 1]), n)
 
 
 def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:

@@ -68,6 +68,13 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """``value`` as SeedSequence entropy: an integer in [0, 2**64)."""
+    if _count("seed", value, 0) >= 2 ** 64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {value!r}")
+    return int(value)
+
+
 def _finite(name: str, values) -> tuple[float, ...]:
     out = tuple(float(v) for v in values)
     if not all(map(math.isfinite, out)):
@@ -110,8 +117,7 @@ class SimSpec:
         object.__setattr__(self, "delta_grid", grid)
         object.__setattr__(self, "n", _count("n", self.n, 1))
         object.__setattr__(self, "reps", _count("reps", self.reps, 1))
-        if _count("seed", self.seed, 0) >= 2 ** 64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        object.__setattr__(self, "seed", _seed(self.seed))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if "bayes" in methods and self.bayes_region is None:
@@ -263,7 +269,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0),
     """
     reps = _count("reps", reps, 1)
     dx, dy = _finite("delta_star", delta_star)
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
     z = gen.standard_normal((reps, 2))
     zx = z[:, 0] + dx
     zy = z[:, 1] + dy
@@ -311,7 +317,7 @@ def sample_sobel_density(delta_x_list, n: int, reps: int, seed: int = 0) -> Dens
     For each delta_x: reps samples of n pairs with means (delta_x, 0), and
     the standardized product statistic of their sample means and SDs.
     """
-    n, reps = _count("n", n, 2), _count("reps", reps, 1)
+    n, reps, seed = _count("n", n, 2), _count("reps", reps, 1), _seed(seed)
     return DensityTable(tuple(
         (dx, _sobel(*_t_statistics(dx, n, reps, seed, pi)))
         for pi, dx in enumerate(_finite("delta_x_list", delta_x_list))))
@@ -322,6 +328,6 @@ def sample_product_statistic(delta_x: float, n: int, reps: int, seed: int = 0,
     """Rescaled product estimates n*dx_hat*dy_hat/(s_x*s_y), same design as
     sample_sobel_density; near the double null this approaches the law of a
     product of two independent standard normals."""
-    n, reps = _count("n", n, 2), _count("reps", reps, 1)
+    n, reps, seed = _count("n", n, 2), _count("reps", reps, 1), _seed(seed)
     tx, ty = _t_statistics(_finite("delta_x", (delta_x,))[0], n, reps, seed, 0)
     return tx * ty

@@ -23,6 +23,25 @@ def test_help_exits_zero(capsys):
     assert "compnull" in capsys.readouterr().out
 
 
+def test_dispatch_calls_share_no_state(tmp_path, capsys):
+    # one process, one parser: no call may see another call's arguments
+    doc = str(tmp_path / "js.json")
+    assert cli_dispatch(["region", "build", "--method", "js", "--alpha", "0.05",
+                         "--out", doc]) == 0
+    code, out, _ = _run(capsys, "test", "--zx", "2.5", "--zy", "2.5", "--region", doc)
+    assert code == 0 and json.loads(out)["method"] == "joint_significance"
+    code, out, _ = _run(capsys, "test", "--zx", "2.5", "--zy", "2.5",
+                        "--method", "extended", "--alpha", "0.07")
+    assert code == 0 and json.loads(out)["method"] == "extended"
+    code, _, err = _run(capsys, "test", "--zx", "2.5", "--zy", "2.5")
+    assert code == 1 and "--alpha is required" in err
+    assert _run(capsys, "test", "--zx", "2.5")[0] == 1
+    code, out, _ = _run(capsys, "test", "--zx", "2.5", "--zy", "2.5", "--alpha", "0.05")
+    assert code == 0 and json.loads(out)["method"] == "minimax"
+    assert cli_dispatch(["--help"]) == 0
+    assert "compnull" in capsys.readouterr().out
+
+
 def test_unknown_command(capsys):
     code, _, err = _run(capsys, "frobnicate")
     assert code == 1
@@ -318,6 +337,17 @@ def test_fit_errors(tmp_path, capsys):
                         "--y", "y", "--a", "a", "--m", "m")
     assert code == 2
     assert "row 1" in err
+
+
+def test_fit_names_collinear_columns(tmp_path, capsys):
+    data = _write_fit_csv(tmp_path / "d.csv")
+    rows = zip(data.y, data.a, data.m)
+    (tmp_path / "dup.csv").write_text("y,a,m,dose\n" + "".join(
+        f"{yv},{av},{mv},{mv}\n" for yv, av, mv in rows))
+    code, out, err = _run(capsys, "fit", "--data", str(tmp_path / "dup.csv"),
+                          "--y", "y", "--a", "a", "--m", "m", "--covars", "dose")
+    assert (code, out) == (2, "")
+    assert "collinear columns: m" in err
 
 
 def test_simulate_power_outputs_are_stable(tmp_path, capsys):

@@ -20,6 +20,9 @@ from compnull.simulate import (
     worker_count,
 )
 
+# refused by every seeded entry point: bool, non-integer, negative, >= 2**64
+BAD_SEEDS = (True, 1.5, "3", -1, 2 ** 64)
+
 
 # -- per-observation oracles ---------------------------------------------------
 # The samplers the library used before it drew sufficient statistics: every
@@ -292,6 +295,9 @@ def test_pvalue_ecdf_table():
         simulate_pvalue_ecdf(5.0)
     with pytest.raises(ValueError, match="delta_star must be finite"):
         simulate_pvalue_ecdf(5, (math.nan, 0.0))
+    for bad in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed must"):
+            simulate_pvalue_ecdf(5, seed=bad)
 
 
 def test_pvalue_ecdf_under_strong_alternative():
@@ -329,6 +335,9 @@ def test_sobel_density_table():
         sample_sobel_density([0.0], 10, True)
     with pytest.raises(ValueError, match="delta_x_list must be finite"):
         sample_sobel_density([0.0, math.inf], 10, 10)
+    for bad in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed must"):
+            sample_sobel_density([0.0], 10, 10, seed=bad)
 
 
 def test_sobel_density_csv_shape():
@@ -357,3 +366,6 @@ def test_sample_product_statistic():
         sample_product_statistic(0.0, 10, True)
     with pytest.raises(ValueError, match="delta_x must be finite"):
         sample_product_statistic(math.nan, 10, 10)
+    for bad in BAD_SEEDS:
+        with pytest.raises(ValueError, match="seed must"):
+            sample_product_statistic(0.0, 10, 10, seed=bad)
