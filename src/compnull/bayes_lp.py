@@ -1,32 +1,33 @@
 """Discretized constrained-Bayes-risk linear program.
 
 The box B = [-b, b]^2 with b twice the two-sided critical value is tiled
-into 4m^2 congruent open cells. Each cell gets an unknown rejection
-probability m_r; the LP maximizes the prior-weighted rejection mass subject
-to one type-1 constraint per null-axis grid point, with the region outside
-B fixed to the joint-significance rule. Solving once and persisting the
-region document is the intended workflow.
+into 4m^2 congruent open cells, 2m bands per axis. Each cell gets an unknown
+rejection probability m_r; the LP maximizes the prior-weighted rejection
+mass subject to one type-1 constraint per null-axis grid point, with the
+region outside B fixed to the joint-significance rule. Every objective
+coefficient and row is a product of per-band vectors, stored as such.
+Solving once and persisting the region document is the intended workflow.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
 import scipy.sparse
 
 from .regions import (Interval, OutsideRule, RejectionRegion2D, WeightedRect, _cdf_array,
-                      analytic_power_batch)
-from .statmath import std_normal_quantile
+                      _in_tail, analytic_power_batch)
+from .statmath import _count, std_normal_quantile
 
 __all__ = [
     "LpProblem",
     "LpSolution",
     "ConstraintRow",
     "DEFAULT_PRIOR_SD",
-    "DEFAULT_GRID_POINTS",
     "build_lp",
     "solve_lp",
     "js_restricted_candidate",
@@ -35,7 +36,6 @@ __all__ = [
 ]
 
 DEFAULT_PRIOR_SD = 2.0
-DEFAULT_GRID_POINTS = 64
 
 # constraint coefficients below this are numerically zero and dropped
 _COEFF_DROP = 1e-17
@@ -55,27 +55,58 @@ class ConstraintRow:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Minimization data: minimize objective @ m_r subject to the rows.
+    """The LP as per-band factors: minimize objective @ m_r subject to the rows.
 
-    ``objective`` holds the rewritten coefficients: the Bayes risk is
-    sum_r (1 - m_r)*c_r + const, so the solver minimizes -c_r per cell.
-    ``cells`` are geometry shells; their p field is a placeholder until a
-    solution is assembled. Variable bounds 0 <= m_r <= 1 are implicit.
+    Cell i*2m + j is x-band i times y-band j, band i being (edges[i],
+    edges[i+1]), with prior mass band_weights[i]*band_weights[j]. Row s of
+    ``band_masses`` is the N(d_s, 1) mass of each band at the axis shift
+    d_s = (s - 2m)*b/m, s = 0..4m, so the type-1 row at null point (d_s, 0)
+    has coefficient band_masses[s, i]*band_masses[2m, j] on cell (i, j), and
+    the row at (0, d_s) the transpose. ``rhs`` is alpha minus the fixed
+    outside-rule mass, in ``null_grid`` order. Bounds 0 <= m_r <= 1 are
+    implicit. ``objective``, ``cell_weights``, ``cells`` and ``constraints``
+    are the unfolded per-cell views, derived on first access, then cached.
     """
 
-    objective: np.ndarray
-    constraints: tuple[ConstraintRow, ...]
-    cells: tuple[WeightedRect, ...]
+    edges: np.ndarray
+    band_weights: np.ndarray
+    band_masses: np.ndarray
+    rhs: np.ndarray
     null_grid: tuple[tuple[float, float], ...]
     alpha: float
     m: int
     b: float
     prior_sd: float
 
-    @property
+    @cached_property
     def cell_weights(self) -> np.ndarray:
         """Prior probability that the statistic pair lands in each cell."""
-        return -self.objective
+        return np.outer(self.band_weights, self.band_weights).ravel()
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        """Per-cell minimization coefficients -c_r: the Bayes risk is
+        sum_r (1 - m_r)*c_r + const."""
+        return -self.cell_weights
+
+    @cached_property
+    def cells(self) -> tuple[WeightedRect, ...]:
+        """Cell geometry shells in cell order; their p field is a placeholder."""
+        bands = _bands(self.edges)
+        return tuple(WeightedRect(bx, by) for bx in bands for by in bands)
+
+    @cached_property
+    def constraints(self) -> tuple[ConstraintRow, ...]:
+        """One row per null point, coefficients below 1e-17 dropped."""
+        m, g = self.m, self.band_masses
+        shifts = [(s, 2 * m) for s in range(4 * m + 1)]
+        shifts += [(2 * m, s) for s in range(4 * m + 1) if s != 2 * m]
+        rows = []
+        for (sx, sy), rhs in zip(shifts, self.rhs.tolist()):
+            vals = np.outer(g[sx], g[sy]).ravel()
+            keep = np.nonzero(vals > _COEFF_DROP)[0]
+            rows.append(ConstraintRow(keep, vals[keep], rhs))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -89,22 +120,8 @@ class LpSolution:
             raise ValueError(f"unknown solver status {self.solver_status!r}")
 
 
-def _prior_interval_weights(edges: np.ndarray, prior_sd: float,
-                            grid_points: int) -> np.ndarray:
-    """Per-band prior-mixed probabilities: integral over the prior of the
-    chance that a unit-variance coordinate lands in each band.
-
-    Gauss-Legendre tensor factor on [-8 sd, 8 sd]; the discarded prior tail
-    is below 1e-15.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(grid_points)
-    half = 8.0 * prior_sd
-    t = nodes * half
-    w = weights * half * np.exp(-0.5 * (t / prior_sd) ** 2) / (
-        prior_sd * math.sqrt(2.0 * math.pi))
-    # band x node matrix of P{N(t,1) in band}
-    g = _cdf_array(edges[1:, None] - t[None, :]) - _cdf_array(edges[:-1, None] - t[None, :])
-    return g @ w
+def _bands(edges: np.ndarray) -> list[Interval]:
+    return [Interval(lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
 
 
 def _outside_stub(alpha: float, threshold: float, b: float) -> RejectionRegion2D:
@@ -112,10 +129,11 @@ def _outside_stub(alpha: float, threshold: float, b: float) -> RejectionRegion2D
                              OutsideRule(threshold, (-b, b, -b, b)))
 
 
-def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD,
-             grid_points: int = DEFAULT_GRID_POINTS) -> LpProblem:
-    """Assemble the cell grid, prior objective, and type-1 rows.
+def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProblem:
+    """Band edges, prior band weights, null-shift band masses and row bounds.
 
+    The prior mix of a unit-variance coordinate over N(0, prior_sd^2) is
+    N(0, 1 + prior_sd^2), so band weights are exact normal-cdf differences.
     The null grid holds the axis points (i*b/m, 0) and (0, i*b/m) for
     i = -2m..2m (origin listed once): 8m+1 rows reaching twice the box
     half-width. Each row demands the in-box rejection mass at that point
@@ -125,55 +143,30 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD,
     alpha = float(alpha)
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = int(m)
-    if m < 4:
-        raise ValueError(f"m must be >= 4, got {m}")
+    m = _count("m", m, 4)
     prior_sd = float(prior_sd)
-    if prior_sd <= 0.0:
-        raise ValueError(f"prior_sd must be positive, got {prior_sd!r}")
-    grid_points = int(grid_points)
-    if grid_points < 2:
-        raise ValueError(f"grid_points must be >= 2, got {grid_points}")
+    if not (math.isfinite(prior_sd) and prior_sd > 0.0):
+        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd!r}")
 
     threshold = std_normal_quantile(1.0 - alpha / 2.0)
     b = 2.0 * threshold
     h = b / m
     # band edges (i - m)*h, i = 0..2m: exactly negation-symmetric
     edges = (np.arange(2 * m + 1, dtype=float) - m) * h
-    bands = [Interval(edges[i], edges[i + 1]) for i in range(2 * m)]
-    cells = tuple(WeightedRect(bx, by) for bx in bands for by in bands)
-
-    w_band = _prior_interval_weights(edges, prior_sd, grid_points)
-    weights = np.outer(w_band, w_band).ravel()
-    objective = -weights
-
-    stub = _outside_stub(alpha, threshold, b)
+    band_weights = np.diff(_cdf_array(edges / math.hypot(1.0, prior_sd)))
     offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * h
+    band_masses = np.diff(_cdf_array(edges[None, :] - offsets[:, None]), axis=1)
+
     null_grid = [(float(d), 0.0) for d in offsets]
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
+    rhs = alpha - analytic_power_batch(_outside_stub(alpha, threshold, b), np.array(null_grid))
+    k = int(np.argmin(rhs))
+    if rhs[k] < 0.0:
+        raise ValueError(
+            f"infeasible at null point {null_grid[k]}: the outside rule "
+            f"already spends {alpha - rhs[k]:.6g} > alpha={alpha}")
 
-    # per-axis-shift band probabilities, one row per unique shift
-    g_at = {}
-    for d in offsets:
-        g_at[float(d)] = _cdf_array(edges[1:] - d) - _cdf_array(edges[:-1] - d)
-    g0 = g_at[0.0]
-
-    rule_mass = analytic_power_batch(stub, np.array(null_grid))
-    rows = []
-    for (dx, dy), mass in zip(null_grid, rule_mass):
-        rhs = alpha - mass
-        if rhs < 0.0:
-            raise ValueError(
-                f"infeasible at null point ({dx}, {dy}): the outside rule "
-                f"already spends {alpha - rhs:.6g} > alpha={alpha}")
-        gx = g_at[dx] if dy == 0.0 else g0
-        gy = g_at[dy] if dx == 0.0 else g0
-        vals = np.outer(gx, gy).ravel()
-        keep = np.nonzero(vals > _COEFF_DROP)[0]
-        rows.append(ConstraintRow(keep, vals[keep], float(rhs)))
-    assert len(rows) == 8 * m + 1 and len(cells) == 4 * m * m
-
-    return LpProblem(objective, tuple(rows), cells, tuple(null_grid),
+    return LpProblem(edges, band_weights, band_masses, rhs, tuple(null_grid),
                      alpha, m, b, prior_sd)
 
 
@@ -194,6 +187,20 @@ def _cell_orbits(m: int) -> np.ndarray:
     return (lo * (2 * m + 1 - lo) // 2 + hi - lo).ravel()
 
 
+def _orbit_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sum of the cell coefficients u[i]*v[j] over each D4 orbit.
+
+    ``u`` and ``v`` hold 2m band values on their last axis. Folding band i
+    onto band 2m-1-i gives U and V; orbit (lo, hi), numbered as in
+    :func:`_cell_orbits`, sums U[lo]*V[hi] + U[hi]*V[lo], once if lo == hi.
+    """
+    m = u.shape[-1] // 2
+    fu = u[..., :m] + u[..., :m - 1:-1]
+    fv = v[..., :m] + v[..., :m - 1:-1]
+    lo, hi = np.triu_indices(m)
+    return fu[..., lo] * fv[..., hi] + np.where(lo == hi, 0.0, fu[..., hi] * fv[..., lo])
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
     """Solve by sparse dual simplex on the D4 cell orbits; deterministic.
 
@@ -202,8 +209,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     average of any optimum is again feasible and optimal. The solve
     therefore runs over m(m+1)/2 orbit variables and the 2m+1 rows at the
     null points (d, 0) with d >= 0, one per null-point orbit; each kept
-    row's coefficients and the objective are summed over every orbit, and
-    the orbit values are broadcast back to all 4m^2 cells.
+    row's coefficients and the objective are summed over every orbit
+    straight from the band factors, and the orbit values are broadcast back
+    to all 4m^2 cells.
 
     Each folded row is pre-scaled so its largest coefficient is 1 (an exact
     reformulation) because the raw rows are uniformly tiny and the solver's
@@ -214,22 +222,21 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     iteration limits are reported in the status, never masked.
     """
     m = problem.m
-    n = len(problem.cells)
-    if n != 4 * m * m or len(problem.constraints) != 8 * m + 1:
-        raise ValueError("problem does not have the cell grid and null grid of build_lp")
-    orbit = _cell_orbits(m)
-    n_orbits = m * (m + 1) // 2
-    kept = [row for row, (dx, dy) in zip(problem.constraints, problem.null_grid)
-            if dy == 0.0 and dx >= 0.0]
-    folded = np.array([np.bincount(orbit[row.indices], row.values, n_orbits)
-                       for row in kept])
+    shapes = (problem.edges.shape, problem.band_weights.shape, problem.band_masses.shape,
+              problem.rhs.shape, len(problem.null_grid))
+    if shapes != ((2 * m + 1,), (2 * m,), (4 * m + 1, 2 * m), (8 * m + 1,), 8 * m + 1):
+        raise ValueError("problem does not have the band factors and null grid of build_lp")
+    # null points (d, 0) with d >= 0 are shifts 2m..4m, the first of them d = 0
+    at_zero = problem.band_masses[2 * m:]
+    folded = _orbit_sums(at_zero, at_zero[0])
     scales = folded.max(axis=1)
     scales[scales == 0.0] = 1.0
     a_ub = scipy.sparse.csr_matrix(folded / scales[:, None])
-    b_ub = np.array([row.rhs for row in kept]) / scales
+    del folded  # the dense rows would otherwise sit through the solve's memory peak
+    b_ub = problem.rhs[2 * m:4 * m + 1] / scales
 
     res = scipy.optimize.linprog(
-        np.bincount(orbit, problem.objective, n_orbits), A_ub=a_ub, b_ub=b_ub,
+        -_orbit_sums(problem.band_weights, problem.band_weights), A_ub=a_ub, b_ub=b_ub,
         bounds=(0.0, 1.0), method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
@@ -237,28 +244,21 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     if status is None:
         raise RuntimeError(f"solver failed: {res.message}")
     if status != "optimal":
-        return LpSolution(np.zeros(n), math.nan, status)
-    m_r = np.asarray(res.x)[orbit]
+        return LpSolution(np.zeros(4 * m * m), math.nan, status)
+    m_r = np.asarray(res.x)[_cell_orbits(m)]
     return LpSolution(m_r, candidate_objective(problem, m_r), "optimal")
 
 
 def js_restricted_candidate(problem: LpProblem) -> np.ndarray:
     """m_r = 1 exactly on cells contained in the JS region within the box.
 
+    A cell lies in the JS region when both of its bands lie in |z| >= b/2.
     Feasible by construction (the candidate's in-box mass plus the outside
     mass is at most the full JS rejection probability, which is at most
     alpha on the null axes), so its objective upper-bounds the optimum.
     """
-    threshold = problem.b / 2.0
-    out = np.zeros(len(problem.cells))
-    for i, cell in enumerate(problem.cells):
-        if min(abs(cell.x.lo), abs(cell.x.hi)) >= threshold \
-                and max(abs(cell.x.lo), abs(cell.x.hi)) > threshold \
-                and min(abs(cell.y.lo), abs(cell.y.hi)) >= threshold \
-                and max(abs(cell.y.lo), abs(cell.y.hi)) > threshold \
-                and cell.x.lo * cell.x.hi >= 0.0 and cell.y.lo * cell.y.hi >= 0.0:
-            out[i] = 1.0
-    return out
+    tail = _in_tail(problem.edges, problem.b / 2.0)
+    return np.outer(tail, tail).ravel().astype(float)
 
 
 def candidate_objective(problem: LpProblem, m_r) -> float:
@@ -280,16 +280,15 @@ def assemble_bayes_region(problem: LpProblem, solution: LpSolution,
     """
     if solution.solver_status != "optimal":
         raise ValueError(f"cannot assemble from a {solution.solver_status} solution")
-    if len(solution.m_r) != len(problem.cells):
+    n_bands = 2 * problem.m
+    if len(solution.m_r) != n_bands * n_bands:
         raise ValueError("solution length does not match the cell grid")
-    threshold = problem.b / 2.0
-    kept = []
-    for cell, p in zip(problem.cells, solution.m_r):
-        p = float(min(p, 1.0))
-        if p < _CELL_DROP:
-            continue
-        if derandomize and p < _DEGENERATE:
-            continue
-        kept.append(WeightedRect(cell.x, cell.y, p))
-    rule = OutsideRule(threshold, (-problem.b, problem.b, -problem.b, problem.b))
-    return RejectionRegion2D(problem.alpha, "bayes", kept, rule)
+    p = np.minimum(np.asarray(solution.m_r, dtype=float), 1.0)
+    # NaN is kept, so the cell refuses it
+    keep = np.flatnonzero(~(p < (_DEGENERATE if derandomize else _CELL_DROP)))
+    bands = _bands(problem.edges)
+    i, j = np.divmod(keep, n_bands)
+    cells = [WeightedRect(bands[a], bands[c], q)
+             for a, c, q in zip(i.tolist(), j.tolist(), p[keep].tolist())]
+    rule = OutsideRule(problem.b / 2.0, (-problem.b, problem.b, -problem.b, problem.b))
+    return RejectionRegion2D(problem.alpha, "bayes", cells, rule)

@@ -12,8 +12,7 @@ import json
 import math
 import sys
 
-from .bayes_lp import (DEFAULT_GRID_POINTS, DEFAULT_PRIOR_SD, assemble_bayes_region,
-                       build_lp, solve_lp)
+from .bayes_lp import DEFAULT_PRIOR_SD, assemble_bayes_region, build_lp, solve_lp
 from .closed_form import (build_extended_region, build_js_region, build_minimax_region,
                           js_test)
 from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects3,
@@ -171,7 +170,7 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_bayes_solve(args) -> int:
-    problem = build_lp(args.alpha, args.m, args.prior_sd, args.grid_points)
+    problem = build_lp(args.alpha, args.m, args.prior_sd)
     solution = solve_lp(problem)
     if solution.solver_status != "optimal":
         sys.stderr.write(f"solver finished with status {solution.solver_status}\n")
@@ -290,7 +289,6 @@ def _build_parser() -> _Parser:
     p_bs.add_argument("--alpha", type=float, required=True)
     p_bs.add_argument("--m", type=int, required=True)
     p_bs.add_argument("--prior-sd", type=float, default=DEFAULT_PRIOR_SD)
-    p_bs.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p_bs.add_argument("--derandomize", action="store_true")
     p_bs.add_argument("--out")
     p_bs.set_defaults(func=_cmd_bayes_solve)

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dnrm2 as _dnrm2
 from scipy.linalg.lapack import dgeqrf as _dgeqrf, dtrtrs as _dtrtrs
 
 from .regions import EstimateProvenance, TestStatisticPair
@@ -91,13 +92,14 @@ def _r_factor(xy: np.ndarray, names, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
 
     Every leading block is a regression: column j on columns :j has
     coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
-    |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named.
+    |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named;
+    BLAS norms are scaled, so they do not overflow as squares would past 1e154.
     """
     if not np.isfinite(xy).all():
         raise DataError("design and response must be finite")
     n, q = xy.shape
     p = q - 1
-    norms = np.sqrt(np.einsum("ij,ij->j", xy, xy)[:p])
+    norms = np.array([_dnrm2(xy[:, j]) for j in range(p)])
     r = _dgeqrf(xy, overwrite_a=True)[0][:q]
     dependent = np.abs(r.diagonal()[:p]) <= max(n, p) * _EPS * norms
     if dependent.any():

@@ -24,7 +24,7 @@ import numpy as np
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
 from .regions import RejectionRegion2D, rejection_prob_at_points, _cdf_array
-from .statmath import std_normal_quantile
+from .statmath import _count, std_normal_quantile
 
 __all__ = [
     "SimSpec",
@@ -57,15 +57,6 @@ def worker_count() -> int:
             raise ValueError(f"COMPOSITE_NULL_THREADS must be >= 1, got {v}")
         return v
     return min(os.cpu_count() or 1, 8)
-
-
-def _count(name: str, value, least: int) -> int:
-    """``value`` as an int of at least ``least``; bools and floats are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}, got {value!r}")
-    return int(value)
 
 
 def _seed(value) -> int:

@@ -62,6 +62,15 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int of at least ``least``; bools and floats are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
+
+
 def _cdf_array(x: np.ndarray) -> np.ndarray:
     # Same formula as std_normal_cdf, vectorized for the batch power paths.
     return 0.5 * _special.erfc(-np.asarray(x, dtype=float) / _SQRT2)

@@ -10,7 +10,9 @@ import scipy.sparse
 
 from compnull.bayes_lp import (
     LpSolution,
-    _prior_interval_weights,
+    _cell_orbits,
+    _orbit_sums,
+    _outside_stub,
     assemble_bayes_region,
     build_lp,
     candidate_objective,
@@ -18,7 +20,7 @@ from compnull.bayes_lp import (
     solve_lp,
 )
 from compnull.regions import analytic_power, analytic_power_batch
-from compnull.statmath import std_normal_cdf, std_normal_quantile
+from compnull.statmath import Interval, _cdf_array, std_normal_cdf, std_normal_quantile
 
 # mpmath, 50 digits
 B_AT_005 = 3.9199279690801085          # twice the 0.975 quantile
@@ -57,6 +59,61 @@ def _unfolded_objective(problem):
     return candidate_objective(problem, res.x)
 
 
+def _prior_interval_weights(edges, prior_sd, grid_points):
+    """Per-band prior-mixed probabilities by a Gauss-Legendre tensor factor on
+    [-8 sd, 8 sd] (the discarded prior tail is below 1e-15): the oracle of the
+    closed-form band weights."""
+    nodes, weights = np.polynomial.legendre.leggauss(grid_points)
+    half = 8.0 * prior_sd
+    t = nodes * half
+    w = weights * half * np.exp(-0.5 * (t / prior_sd) ** 2) / (
+        prior_sd * math.sqrt(2.0 * math.pi))
+    # band x node matrix of P{N(t,1) in band}
+    g = _cdf_array(edges[1:, None] - t[None, :]) - _cdf_array(edges[:-1, None] - t[None, :])
+    return g @ w
+
+
+def _per_cell_rows(alpha, m):
+    """The type-1 rows built point by point over the 4m^2 cells: the oracle of
+    the rows derived from the band factors."""
+    threshold = std_normal_quantile(1.0 - alpha / 2.0)
+    b = 2.0 * threshold
+    h = b / m
+    edges = (np.arange(2 * m + 1, dtype=float) - m) * h
+    offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * h
+    null_grid = [(float(d), 0.0) for d in offsets]
+    null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
+    g_at = {}
+    for d in offsets:
+        g_at[float(d)] = _cdf_array(edges[1:] - d) - _cdf_array(edges[:-1] - d)
+    g0 = g_at[0.0]
+    rule_mass = analytic_power_batch(_outside_stub(alpha, threshold, b), np.array(null_grid))
+    rows = []
+    for (dx, dy), mass in zip(null_grid, rule_mass):
+        gx = g_at[dx] if dy == 0.0 else g0
+        gy = g_at[dy] if dx == 0.0 else g0
+        vals = np.outer(gx, gy).ravel()
+        keep = np.nonzero(vals > 1e-17)[0]
+        rows.append((keep, vals[keep], float(alpha - mass)))
+    bands = [Interval(edges[i], edges[i + 1]) for i in range(2 * m)]
+    cells = [(bx, by) for bx in bands for by in bands]
+    return rows, cells, null_grid
+
+
+def _per_cell_js_candidate(problem):
+    """The JS candidate decided cell by cell from its interval endpoints."""
+    threshold = problem.b / 2.0
+    out = np.zeros(len(problem.cells))
+    for i, cell in enumerate(problem.cells):
+        if min(abs(cell.x.lo), abs(cell.x.hi)) >= threshold \
+                and max(abs(cell.x.lo), abs(cell.x.hi)) > threshold \
+                and min(abs(cell.y.lo), abs(cell.y.hi)) >= threshold \
+                and max(abs(cell.y.lo), abs(cell.y.hi)) > threshold \
+                and cell.x.lo * cell.x.hi >= 0.0 and cell.y.lo * cell.y.hi >= 0.0:
+            out[i] = 1.0
+    return out
+
+
 def _worst_row_excess(problem, m_r):
     return max(float(r.values @ m_r[r.indices] - r.rhs) for r in problem.constraints)
 
@@ -66,10 +123,13 @@ def test_build_validation():
         build_lp(0.0, 12)
     with pytest.raises(ValueError, match="m must be"):
         build_lp(0.05, 3)
-    with pytest.raises(ValueError, match="prior_sd"):
-        build_lp(0.05, 12, prior_sd=0.0)
-    with pytest.raises(ValueError, match="grid_points"):
-        build_lp(0.05, 12, grid_points=1)
+    for m in (6.5, 8.0, "8", True):
+        with pytest.raises(ValueError, match="m must be an integer"):
+            build_lp(0.05, m)
+    assert build_lp(0.05, np.int64(6)).m == 6
+    for sd in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="prior_sd"):
+            build_lp(0.05, 12, prior_sd=sd)
     with pytest.raises(ValueError, match="status"):
         LpSolution(np.zeros(1), 0.0, "bogus")
 
@@ -83,7 +143,8 @@ def test_box_half_width():
 
 def test_prior_weights_match_closed_form():
     # the prior mix of a unit-variance coordinate is exactly normal with
-    # scale sqrt(1 + sd^2); quadrature must agree band by band
+    # scale sqrt(1 + sd^2); the problem's band weights are that closed form,
+    # and quadrature agrees with it band by band
     # wide priors stretch the panel past the unit-width band features, so
     # they need more nodes
     for sd, nodes in ((0.7, 64), (2.0, 64), (3.5, 128)):
@@ -93,8 +154,17 @@ def test_prior_weights_match_closed_form():
         want = [std_normal_cdf(hi / sig) - std_normal_cdf(lo / sig)
                 for lo, hi in zip(edges[:-1], edges[1:])]
         assert np.max(np.abs(got - want)) < 1e-10
+
+        problem = build_lp(0.05, 8, sd)
+        want = [std_normal_cdf(hi / sig) - std_normal_cdf(lo / sig)
+                for lo, hi in zip(problem.edges[:-1], problem.edges[1:])]
+        assert np.max(np.abs(problem.band_weights - want)) < 1e-15
+        got = _prior_interval_weights(problem.edges, sd, nodes)
+        assert np.max(np.abs(problem.band_weights - got)) < 1e-10
     single = _prior_interval_weights(np.array([0.5, 1.5]), 2.0, 64)
     assert abs(float(single[0]) - PRIOR_W_HALF_15) < 1e-10
+    sig = math.sqrt(5.0)
+    assert abs(std_normal_cdf(1.5 / sig) - std_normal_cdf(0.5 / sig) - PRIOR_W_HALF_15) < 1e-15
 
 
 def test_build_lp_structure():
@@ -120,6 +190,42 @@ def test_build_lp_structure():
 
     assert np.array_equal(problem.cell_weights, -problem.objective)
     assert 0.0 < float(problem.cell_weights.sum()) < 1.0
+    # the per-cell views are derived once
+    assert problem.constraints is problem.constraints and problem.cells is problem.cells
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 1.0 / 3.0])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11, 12, 65])
+def test_views_match_per_cell_construction(m, alpha):
+    problem = build_lp(alpha, m)
+    rows, cells, null_grid = _per_cell_rows(alpha, m)
+    assert problem.null_grid == tuple(null_grid)
+    assert [(c.x, c.y) for c in problem.cells] == cells
+    assert len(problem.constraints) == len(rows)
+    for row, (indices, values, rhs) in zip(problem.constraints, rows):
+        assert np.array_equal(row.indices, indices)
+        assert np.array_equal(row.values, values)
+        assert row.rhs == rhs
+    assert np.array_equal(js_restricted_candidate(problem), _per_cell_js_candidate(problem))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8, 9, 10, 11, 12, 65])
+def test_orbit_rows_match_bincount_fold(m):
+    # the solve's folded rows (null points (d, 0), d >= 0) and objective,
+    # against the unfolded views summed over each cell's D4 orbit; the views
+    # drop coefficients below 1e-17, up to 8 per orbit, which the far rows
+    # of a coarse grid (largest entry ~3e-5 at m=4) can resolve
+    problem = build_lp(0.05, m)
+    orbit, n_orbits = _cell_orbits(m), m * (m + 1) // 2
+    masses = problem.band_masses
+    for s in range(2 * m, 4 * m + 1):
+        row = problem.constraints[s]
+        want = np.bincount(orbit[row.indices], row.values, n_orbits)
+        got = _orbit_sums(masses[s], masses[2 * m])
+        assert np.max(np.abs(got - want)) <= 1e-13 * want.max() + 8e-17
+    want = np.bincount(orbit, problem.cell_weights, n_orbits)
+    got = _orbit_sums(problem.band_weights, problem.band_weights)
+    assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
 def test_solve_small_problem(solved12):
@@ -157,7 +263,7 @@ def test_orbit_solve_at_shipped_order():
 
 def test_solve_rejects_foreign_layout(solved12):
     problem, _ = solved12
-    short = dataclasses.replace(problem, constraints=problem.constraints[:-1])
+    short = dataclasses.replace(problem, rhs=problem.rhs[:-1])
     with pytest.raises(ValueError, match="build_lp"):
         solve_lp(short)
 

@@ -415,6 +415,14 @@ def test_bayes_solve_usage_error(capsys):
     code, _, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "2")
     assert code == 1
     assert "m must be" in err
+    for sd in ("nan", "inf", "0"):
+        code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "8",
+                              f"--prior-sd={sd}")
+        assert code == 1 and out == ""
+        assert "prior_sd must be positive and finite" in err
+    code, _, _ = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "8",
+                      "--grid-points", "64")
+    assert code == 1
 
 
 def test_main_alias(capsys):

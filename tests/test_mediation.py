@@ -85,6 +85,22 @@ def test_fit_ols_names_collinear_columns():
     assert "left" in str(err.value) or "right" in str(err.value)
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_fit_ols_takes_columns_whose_squares_overflow(scale):
+    # the rank test's column norms must not overflow; a column scaled by s
+    # has its coefficient scaled by 1/s
+    rng = np.random.Generator(np.random.Philox(53))
+    z = rng.standard_normal(40)
+    y = 1.0 + 2.0 * z + rng.standard_normal(40)
+    base = fit_ols(np.column_stack([np.ones(40), z]), y)
+    fit = fit_ols(np.column_stack([np.ones(40), scale * z]), y)
+    assert fit.beta[0] == pytest.approx(base.beta[0], rel=1e-12)
+    assert fit.beta[1] * scale == pytest.approx(base.beta[1], rel=1e-12)
+    with pytest.raises(DataError, match="collinear columns: right$"):
+        fit_ols(np.column_stack([np.ones(40), scale * z, 2.0 * scale * z]), y,
+                ["intercept", "left", "right"])
+
+
 def test_fit_ols_shape_validation():
     with pytest.raises(DataError, match="n > p"):
         fit_ols(np.ones((3, 3)), np.ones(3))
