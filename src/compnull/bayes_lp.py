@@ -21,7 +21,7 @@ import scipy.sparse
 
 from .regions import (Interval, OutsideRule, RejectionRegion2D, WeightedRect, _cdf_array,
                       _in_tail, analytic_power_batch)
-from .statmath import _count, std_normal_quantile
+from .statmath import _alpha, _count, std_normal_quantile
 
 __all__ = [
     "LpProblem",
@@ -43,7 +43,8 @@ _CELL_DROP = 1e-9
 _DEGENERATE = 1.0 - 1e-9
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields have no truth value, so compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class ConstraintRow:
     """One type-1 row: sum over listed cells of value*m_r <= rhs."""
 
@@ -53,7 +54,7 @@ class ConstraintRow:
     sense: str = "<="
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """The LP as per-band factors: minimize objective @ m_r subject to the rows.
 
@@ -109,7 +110,7 @@ class LpProblem:
         return tuple(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     m_r: np.ndarray
     objective_value: float
@@ -140,9 +141,7 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     stay within alpha minus the fixed outside-rule mass; a negative
     remainder is diagnosed here as infeasibility, naming the point.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     m = _count("m", m, 4)
     prior_sd = float(prior_sd)
     if not (math.isfinite(prior_sd) and prior_sd > 0.0):

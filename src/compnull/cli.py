@@ -24,6 +24,7 @@ from .regions import (RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
+from .statmath import _alpha
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -128,8 +129,7 @@ def _cmd_test3(args) -> int:
         z = tuple(float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--z expects numbers, got {args.z!r}") from None
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {args.alpha!r}")
+    _alpha(args.alpha)
     if args.square == "cyclic":
         k = round(1.0 / args.alpha)
         square = normalize_corner(cyclic_latin(k)).square

@@ -11,14 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .regions import OutsideRule, RejectionRegion2D, TestStatisticPair, WeightedRect, _as_xy
-from .statmath import Interval, std_normal_cdf, std_normal_quantile
+import numpy as np
+
+from .regions import RejectionRegion2D, _as_xy
+from .statmath import _alpha, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "AlphaSpec",
     "build_minimax_region",
     "build_extended_region",
     "build_js_region",
+    "extended_breakpoints",
     "origin_type1",
     "js_test",
     "sobel_test",
@@ -42,63 +45,19 @@ class AlphaSpec:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "AlphaSpec":
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-        inv = 1.0 / alpha
-        k = round(inv)
-        if k >= 1 and abs(inv - k) <= _UNIT_FRACTION_TOL:
-            return cls(alpha, k)
-        return cls(alpha, None)
+        alpha = _alpha(alpha)
+        return cls(alpha, _unit_order(alpha))
 
     @property
     def unit_fraction(self) -> bool:
         return self.k is not None
 
 
-def _coerce_alpha(alpha) -> AlphaSpec:
-    if isinstance(alpha, AlphaSpec):
-        return alpha
-    return AlphaSpec.from_alpha(alpha)
-
-
-def _floor_inv(alpha: float) -> int:
-    """floor(1/alpha), snapped to the nearest integer when within tolerance."""
+def _unit_order(alpha: float) -> int | None:
+    """K when 1/alpha lies within 1e-9 of the integer K, else None."""
     inv = 1.0 / alpha
     k = round(inv)
-    if abs(inv - k) <= _UNIT_FRACTION_TOL:
-        return k
-    return math.floor(inv)
-
-
-def build_minimax_region(alpha) -> RejectionRegion2D:
-    """Minimax-optimal rejection region for a unit-fraction level.
-
-    The region is the union over k = 1..2K of the diagonal squares
-    (a_{k-1}, a_k)^2 and the antidiagonal squares (a_{k-1}, a_k) x
-    (-a_k, -a_{k-1}), where a_j is the j/(2K) standard-normal quantile.
-    The two infinite tails are ordinary cells; there is no outside rule.
-    """
-    spec = _coerce_alpha(alpha)
-    if not spec.unit_fraction:
-        raise ValueError(
-            f"alpha={spec.alpha!r} is not a unit fraction 1/K; "
-            "use build_extended_region for arbitrary levels")
-    k2 = 2 * spec.k
-    # Build the upper half of the breakpoint ladder and mirror it exactly,
-    # so the region is bit-for-bit symmetric under sign flips.
-    ladder = [0.0] * (k2 + 1)
-    for j in range(spec.k, k2 + 1):
-        ladder[j] = std_normal_quantile(j / k2)
-    for j in range(spec.k):
-        ladder[j] = -ladder[k2 - j]
-
-    cells = []
-    for k in range(1, k2 + 1):
-        x = Interval(ladder[k - 1], ladder[k])
-        cells.append(WeightedRect(x, x))
-        cells.append(WeightedRect(x, Interval(-ladder[k], -ladder[k - 1])))
-    return RejectionRegion2D(spec.alpha, "minimax", cells)
+    return k if abs(inv - k) <= _UNIT_FRACTION_TOL else None
 
 
 def extended_breakpoints(alpha: float) -> list[float]:
@@ -106,51 +65,67 @@ def extended_breakpoints(alpha: float) -> list[float]:
 
     Consecutive breakpoints carve |z| into floor(1/alpha)+1 bands; the
     innermost band has two-sided mass 1 - floor(1/alpha)*alpha (zero, hence
-    dropped, at unit fractions) and every other band has mass alpha.
+    dropped, at unit fractions) and every other band has mass alpha. At a
+    unit fraction 1/K the k-th breakpoint is the (K+k)/(2K) normal quantile,
+    whose argument is exact, so the minimax region and the Latin-square
+    boxes share this ladder bit for bit.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    m = _floor_inv(alpha)
-    unit = abs(m * alpha - 1.0) <= _UNIT_FRACTION_TOL
-    ladder = [0.0]
-    for k in range(1 if unit else 0, m + 1):
-        ladder.append(std_normal_quantile(1.0 - (m - k) * alpha / 2.0))
-    return ladder
+    k = _unit_order(alpha)
+    if k is not None:
+        return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
+    m = math.floor(1.0 / alpha)
+    return [0.0] + [std_normal_quantile(1.0 - (m - j) * alpha / 2.0) for j in range(m + 1)]
+
+
+def _folded_region(alpha: float, kind: str) -> RejectionRegion2D:
+    """Reject wherever |zx| and |zy| lie in the same band of the folded ladder.
+
+    The grid edges are the ladder mirrored about 0, so of its 2n bands, band
+    i and its mirror 2n-1-i share the folded index |2(i-n)+1|.
+    """
+    ladder = np.array(extended_breakpoints(alpha))
+    n = len(ladder) - 1
+    edges = np.concatenate((-ladder[:0:-1], ladder))
+    fold = np.abs(2 * np.arange(-n, n) + 1)
+    return RejectionRegion2D.from_grid(alpha, kind, edges, edges, np.equal.outer(fold, fold))
+
+
+def build_minimax_region(alpha) -> RejectionRegion2D:
+    """Minimax-optimal rejection region for a unit-fraction level.
+
+    The region is the union over k = 1..2K of the diagonal squares
+    (a_{k-1}, a_k)^2 and the antidiagonal squares (a_{k-1}, a_k) x
+    (-a_k, -a_{k-1}), where a_j is the j/(2K) standard-normal quantile
+    (the mirrored ladder of :func:`extended_breakpoints`).
+    """
+    spec = alpha if isinstance(alpha, AlphaSpec) else AlphaSpec.from_alpha(alpha)
+    if not spec.unit_fraction:
+        raise ValueError(
+            f"alpha={spec.alpha!r} is not a unit fraction 1/K; "
+            "use build_extended_region for arbitrary levels")
+    return _folded_region(spec.alpha, "minimax")
 
 
 def build_extended_region(alpha: float) -> RejectionRegion2D:
     """Level-preserving extension of the minimax region to any alpha in (0, 1).
 
     Four quadrant families of squares between consecutive folded breakpoints;
-    at unit-fraction alpha this equals build_minimax_region(alpha) as a set
-    (the cell decomposition differs: four sign quadrants instead of two
-    diagonal families).
+    at unit-fraction alpha its grid is that of build_minimax_region(alpha).
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    ladder = extended_breakpoints(alpha)
-    cells = []
-    for k in range(1, len(ladder)):
-        lo, hi = ladder[k - 1], ladder[k]
-        if lo == hi:
-            continue
-        pos = Interval(lo, hi)
-        neg = Interval(-hi, -lo)
-        for x in (pos, neg):
-            for y in (pos, neg):
-                cells.append(WeightedRect(x, y))
-    return RejectionRegion2D(alpha, "extended", cells)
+    return _folded_region(_alpha(alpha), "extended")
 
 
 def build_js_region(alpha: float) -> RejectionRegion2D:
     """Joint-significance region: reject iff both |z| exceed the two-sided cutoff."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    threshold = std_normal_quantile(1.0 - alpha / 2.0)
-    return RejectionRegion2D(alpha, "joint_significance", [], OutsideRule(threshold))
+    alpha = _alpha(alpha)
+    t = std_normal_quantile(1.0 - alpha / 2.0)
+    edges = [-math.inf, -t, t, math.inf]
+    tails = np.array([1.0, 0.0, 1.0])
+    return RejectionRegion2D.from_grid(alpha, "joint_significance", edges, edges,
+                                       np.outer(tails, tails))
 
 
 def origin_type1(alpha: float) -> float:
@@ -159,10 +134,8 @@ def origin_type1(alpha: float) -> float:
     Equals floor(1/alpha)*alpha^2 + (1 - floor(1/alpha)*alpha)^2, which is
     <= alpha with equality exactly at unit fractions.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    m = _floor_inv(alpha)
+    alpha = _alpha(alpha)
+    m = _unit_order(alpha) or math.floor(1.0 / alpha)
     return m * alpha * alpha + (1.0 - m * alpha) ** 2
 
 
@@ -180,9 +153,7 @@ def js_test(z, alpha: float) -> JsTestResult:
     the p-value is the larger of the two two-sided normal p-values. NaN
     raises ``ValueError``.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     zx, zy = _as_xy(z)
     if math.isnan(zx) or math.isnan(zy):
         raise ValueError("test statistics must not be NaN")
@@ -209,9 +180,7 @@ def sobel_test(delta_x_hat: float, delta_y_hat: float, se_x: float, se_y: float,
     dx^2 se_y^2). Both estimates zero makes the denominator vanish; that
     degenerate case reports Z=0, p=1 with a flag instead of an error.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    alpha = _alpha(alpha)
     if se_x <= 0.0 or se_y <= 0.0:
         raise ValueError("standard errors must be positive")
     if n < 1:

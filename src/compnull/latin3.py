@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmath import Interval, _cdf_array, std_normal_quantile
+from .closed_form import AlphaSpec, extended_breakpoints
+from .statmath import Interval, _alpha, _cdf_array
 
 __all__ = [
     "LatinSquare",
@@ -33,9 +34,6 @@ __all__ = [
     "square_to_json",
     "square_from_json",
 ]
-
-_UNIT_FRACTION_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class LatinSquare:
@@ -151,9 +149,7 @@ class RejectionRegion3D:
     __slots__ = ("alpha", "boxes", "_edges", "_inner", "_label", "_member")
 
     def __init__(self, alpha: float, boxes):
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+        alpha = _alpha(alpha)
         norm = []
         for b in boxes:
             x, y, z = b
@@ -218,26 +214,24 @@ class RejectionRegion3D:
 def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     """Region of K^2 boxes (c_{i-1},c_i) x (c_{j-1},c_j) x (c_{A_ij-1},c_{A_ij}).
 
-    c_k is the (1+k*alpha)/2 standard-normal quantile, so c_0 = 0 and
+    c_k is the (K+k)/(2K) standard-normal quantile, the folded ladder of
+    :func:`~compnull.closed_form.extended_breakpoints`, so c_0 = 0 and
     c_K = inf. Requires alpha = 1/K for the square's order K. The square is
     used as given; apply normalize_corner first if consistency at large
     diagonal alternatives is wanted.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
-    if abs(1.0 / alpha - a.k) > _UNIT_FRACTION_TOL:
+    spec = AlphaSpec.from_alpha(alpha)
+    if spec.k != a.k:
         raise ValueError(
-            f"alpha={alpha!r} must be the reciprocal of the square's order {a.k}")
+            f"alpha={spec.alpha!r} must be the reciprocal of the square's order {a.k}")
     k = a.k
-    c = [std_normal_quantile((1.0 + i * alpha) / 2.0) for i in range(k + 1)]
-    c[0] = 0.0
+    c = extended_breakpoints(spec.alpha)
     bands = [Interval(c[i], c[i + 1]) for i in range(k)]
     boxes = []
     for i in range(1, k + 1):
         for j in range(1, k + 1):
             boxes.append((bands[i - 1], bands[j - 1], bands[a[i, j] - 1]))
-    return RejectionRegion3D(alpha, boxes)
+    return RejectionRegion3D(spec.alpha, boxes)
 
 
 def _as_xyz(z) -> tuple[float, float, float]:

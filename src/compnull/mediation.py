@@ -37,7 +37,8 @@ class DataError(ValueError):
     """Malformed input data (bad CSV cell, rank deficiency, degenerate fit)."""
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields have no truth value, so compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class MediationDataset:
     """Columns y (outcome), a (exposure), m (mediator), c (n x k covariates)."""
 
@@ -78,7 +79,7 @@ class MediationDataset:
         return len(self.y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OlsFit:
     beta: np.ndarray
     cov: np.ndarray
@@ -112,8 +113,9 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     """Least squares from one QR of [X | y]; no normal-equations inversion.
 
     Returns coefficients and their covariance sigma2*(X'X)^-1 with
-    sigma2 = RSS/(n-p). Non-finite input and rank deficiency raise
-    DataError, the latter naming the dependent columns.
+    sigma2 = RSS/(n-p). Non-finite input, rank deficiency and a coefficient
+    variance past the float range raise DataError, the latter two naming
+    the columns.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -131,7 +133,15 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     xy[:, :p], xy[:, p] = x, y
     r, rinv_t = _r_factor(xy, names, np.eye(p))
     sigma2 = float(r[p, p] ** 2) / (n - p)
-    return OlsFit(r[:p, p] @ rinv_t, sigma2 * (rinv_t.T @ rinv_t), sigma2, n)
+    # a column scaled near the underflow limit has a variance past the
+    # overflow limit; name it instead of returning inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = sigma2 * (rinv_t.T @ rinv_t)
+    overflow = ~np.isfinite(cov.diagonal())
+    if overflow.any():
+        raise DataError("coefficient variance overflows; columns: "
+                        + ", ".join(names[j] for j in np.flatnonzero(overflow)))
+    return OlsFit(r[:p, p] @ rinv_t, cov, sigma2, n)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmath import Interval, _cdf_array
+from .statmath import Interval, _alpha, _cdf_array
 
 __all__ = [
     "FORMAT_VERSION",
@@ -191,8 +191,8 @@ class RejectionRegion2D:
                 and all(np.array_equal(a, b) for a, b in zip(self._grid(), other._grid())))
 
     def __hash__(self):
-        # + 0.0 maps -0.0 to 0.0, which compare equal
-        return hash((self.alpha, self.kind) + tuple((a + 0.0).tobytes() for a in self._grid()))
+        # the grid holds no -0.0 (see _set_grid), so equal grids have equal bytes
+        return hash((self.alpha, self.kind) + tuple(a.tobytes() for a in self._grid()))
 
     def __repr__(self):
         nx, ny = self.probs.shape
@@ -200,18 +200,18 @@ class RejectionRegion2D:
                 f"grid=<{nx}x{ny}>, outside_rule={self.outside_rule!r})")
 
     def _set_header(self, alpha, kind) -> None:
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
         if kind not in REGION_KINDS:
             raise ValueError(f"unknown region kind {kind!r}; expected one of {sorted(REGION_KINDS)}")
-        self.alpha = alpha
+        self.alpha = _alpha(alpha)
         self.kind = kind
 
     def _set_grid(self, x_edges: np.ndarray, y_edges: np.ndarray, probs: np.ndarray) -> None:
         # Lookup support: a zero row and column past the end catch NaN, which
         # searchsorted places after +inf; in the upper-edge arrays the end
         # band's +inf is a NaN sentinel, so +inf never tests as on an edge.
+        # + 0.0 turns a -0.0 edge into 0.0, as from_grid does for probs; the
+        # compiled probs are 0.0, 1.0 or a positive cell value
+        x_edges, y_edges = x_edges + 0.0, y_edges + 0.0
         nx, ny = probs.shape
         padded = np.zeros((nx + 1, ny + 1))
         padded[:nx, :ny] = probs

@@ -24,7 +24,7 @@ import numpy as np
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
 from .regions import RejectionRegion2D, rejection_prob_at_points, _cdf_array
-from .statmath import _count, std_normal_quantile
+from .statmath import _alpha, _count, std_normal_quantile
 
 __all__ = [
     "SimSpec",
@@ -109,8 +109,7 @@ class SimSpec:
         object.__setattr__(self, "n", _count("n", self.n, 1))
         object.__setattr__(self, "reps", _count("reps", self.reps, 1))
         object.__setattr__(self, "seed", _seed(self.seed))
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        object.__setattr__(self, "alpha", _alpha(self.alpha))
         if "bayes" in methods and self.bayes_region is None:
             raise ValueError("the bayes method needs a solved region (bayes_region)")
 
@@ -227,7 +226,8 @@ def simulate_power(spec: SimSpec) -> SimResult:
     return SimResult(tuple(rows))
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields have no truth value, so compare and hash by identity
+@dataclass(frozen=True, eq=False)
 class EcdfTable:
     """Sorted p-values with ECDF levels per method."""
 
@@ -270,7 +270,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0),
     return EcdfTable((("extended_minimax", np.sort(phat)), ("js", np.sort(pjs))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityTable:
     """Long-format samples keyed by the exposure-coordinate mean."""
 

@@ -62,6 +62,14 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
+def _alpha(value) -> float:
+    """``value`` as a float test level in the open interval (0, 1)."""
+    alpha = float(value)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
+
+
 def _count(name: str, value, least: int) -> int:
     """``value`` as an int of at least ``least``; bools and floats are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):

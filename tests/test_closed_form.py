@@ -1,15 +1,17 @@
 """Closed-form region constructors and the two baseline tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from compnull import (AlphaSpec, Interval, analytic_power, build_extended_region,
-                      build_js_region, build_minimax_region, extended_breakpoints,
-                      gaussian_interval_prob, js_test, origin_type1,
-                      rejection_prob_at_points, sobel_test, std_normal_cdf,
-                      std_normal_quantile)
+from compnull import (AlphaSpec, Interval, OutsideRule, RejectionRegion2D, WeightedRect,
+                      analytic_power, build_extended_region, build_js_region,
+                      build_latin_region, build_minimax_region, cyclic_latin,
+                      extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
+                      rejection_prob_at_point, rejection_prob_at_points, serialize,
+                      sobel_test, std_normal_cdf, std_normal_quantile)
 
 Q_08 = 0.84162123357291421
 Q_5_7 = 0.56594882193286305
@@ -222,8 +224,9 @@ def test_origin_type1_values_and_gap():
 def test_js_region_and_test_agree():
     region = build_js_region(0.05)
     assert region.kind == "joint_significance"
-    assert region.cells == ()
-    assert region.outside_rule.threshold == std_normal_quantile(0.975)
+    t = std_normal_quantile(0.975)
+    assert region.x_edges.tolist() == region.y_edges.tolist() == [-math.inf, -t, t, math.inf]
+    assert region.probs.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
     assert analytic_power(region, (0.0, 0.0)) == pytest.approx(0.0025, abs=1e-12)
 
 
@@ -282,3 +285,103 @@ def test_interval_reuse_in_cells():
     assert any(iv.lo == -math.inf for iv in xs)
     assert any(iv.hi == math.inf for iv in xs)
     assert all(isinstance(iv, Interval) for iv in xs)
+
+
+# The cell-list builders the grid builders replaced, kept as oracles: each
+# region is painted from WeightedRect cells (or an OutsideRule) with its own
+# copy of the breakpoint ladder.
+
+def _oracle_minimax(alpha):
+    k = AlphaSpec.from_alpha(alpha).k
+    k2 = 2 * k
+    ladder = [0.0] * (k2 + 1)
+    for j in range(k, k2 + 1):
+        ladder[j] = std_normal_quantile(j / k2)
+    for j in range(k):
+        ladder[j] = -ladder[k2 - j]
+    cells = []
+    for j in range(1, k2 + 1):
+        x = Interval(ladder[j - 1], ladder[j])
+        cells.append(WeightedRect(x, x))
+        cells.append(WeightedRect(x, Interval(-ladder[j], -ladder[j - 1])))
+    return RejectionRegion2D(alpha, "minimax", cells)
+
+
+def _oracle_extended(alpha):
+    inv = 1.0 / alpha
+    m = round(inv) if abs(inv - round(inv)) <= 1e-9 else math.floor(inv)
+    unit = abs(m * alpha - 1.0) <= 1e-9
+    ladder = [0.0] + [std_normal_quantile(1.0 - (m - j) * alpha / 2.0)
+                      for j in range(1 if unit else 0, m + 1)]
+    cells = []
+    for j in range(1, len(ladder)):
+        lo, hi = ladder[j - 1], ladder[j]
+        if lo == hi:
+            continue
+        pos, neg = Interval(lo, hi), Interval(-hi, -lo)
+        cells.extend(WeightedRect(x, y) for x in (pos, neg) for y in (pos, neg))
+    return RejectionRegion2D(alpha, "extended", cells)
+
+
+def _oracle_js(alpha):
+    return RejectionRegion2D(alpha, "joint_significance", [],
+                             OutsideRule(std_normal_quantile(1.0 - alpha / 2.0)))
+
+
+def _same_document(a, b):
+    """serialize(a) == serialize(b). serialize is a function of alpha, kind and
+    the grid, so past 100 bands a side only those are compared, bit for bit."""
+    if a.probs.shape[0] <= 100:
+        return serialize(a) == serialize(b)
+    return ((a.alpha, a.kind) == (b.alpha, b.kind)
+            and all(u.tobytes() == v.tobytes() for u, v in zip(
+                (a.x_edges, a.y_edges, a.probs), (b.x_edges, b.y_edges, b.probs))))
+
+
+def test_grid_builders_match_cell_list_oracles():
+    for k in range(2, 401):
+        assert _same_document(build_minimax_region(1.0 / k), _oracle_minimax(1.0 / k)), k
+    for k in (60, 125, 250, 400):
+        assert serialize(build_minimax_region(1.0 / k)) == serialize(_oracle_minimax(1.0 / k)), k
+    rng = np.random.default_rng(20261018)
+    levels = [a for a in rng.uniform(0.001, 0.999, size=1000)
+              if not AlphaSpec.from_alpha(a).unit_fraction]
+    assert len(levels) == 1000
+    for alpha in levels + [0.07, 0.3, 0.13, 0.04872, 0.75, 41.0 / 840.0]:
+        assert serialize(build_extended_region(alpha)) == serialize(_oracle_extended(alpha)), alpha
+    for alpha in (0.01, 0.05, 0.1):
+        assert serialize(build_js_region(alpha)) == serialize(_oracle_js(alpha))
+
+
+def test_unit_fraction_ladder_is_shared():
+    for k in range(2, 401):
+        mm, ext = build_minimax_region(1.0 / k), build_extended_region(1.0 / k)
+        for a, b in zip((mm.x_edges, mm.y_edges, mm.probs), (ext.x_edges, ext.y_edges, ext.probs)):
+            assert a.tobytes() == b.tobytes(), k
+        ladder = extended_breakpoints(1.0 / k)
+        assert ladder == [std_normal_quantile((k + j) / (2 * k)) if j else 0.0
+                          for j in range(k + 1)]
+        assert mm.x_edges[k:].tolist() == ladder
+        assert (-mm.x_edges[:k + 1][::-1]).tolist() == ladder
+    # Phi^-1(0.65) = 0.38532046640756762... (mpmath) is an edge at alpha = 1/20,
+    # so the open bands leave the point outside both regions
+    edge = 0.3853204664075677
+    assert edge == std_normal_quantile(26 / 40)
+    for region in (build_minimax_region(0.05), build_extended_region(0.05)):
+        assert rejection_prob_at_point(region, (edge, edge)) == 0.0
+        assert rejection_prob_at_point(region, (edge, -edge)) == 0.0
+    for k in (2, 3, 5, 20):
+        region = build_latin_region(cyclic_latin(k), 1.0 / k)
+        assert [e.tolist() for e in region._edges] == [extended_breakpoints(1.0 / k)] * 3
+
+
+def test_region_edges_carry_no_negative_zero():
+    for region in (build_minimax_region(0.05), build_minimax_region(1.0 / 3.0),
+                   build_extended_region(0.05), build_extended_region(0.1),
+                   build_extended_region(0.07), build_extended_region(0.3),
+                   _oracle_minimax(0.05), _oracle_extended(0.07)):
+        edges = np.concatenate((region.x_edges, region.y_edges))
+        assert not np.signbit(edges[edges == 0.0]).any()
+        doc = json.loads(serialize(region))
+        assert not any(v == 0.0 and math.copysign(1.0, v) < 0.0
+                       for v in doc["x_edges"] + doc["y_edges"])

@@ -101,6 +101,18 @@ def test_fit_ols_takes_columns_whose_squares_overflow(scale):
                 ["intercept", "left", "right"])
 
 
+def test_fit_ols_names_a_column_whose_variance_overflows():
+    # a column scaled by 1e-300 has a coefficient near 1e300 and a variance
+    # near 1e600, past the float range: it is named instead of returned as inf
+    rng = np.random.Generator(np.random.Philox(53))
+    z = rng.standard_normal(40)
+    y = 1.0 + 2.0 * z + rng.standard_normal(40)
+    with pytest.raises(DataError, match="variance overflows; columns: tiny$"):
+        fit_ols(np.column_stack([np.ones(40), 1e-300 * z]), y, ["intercept", "tiny"])
+    fit = fit_ols(np.column_stack([np.ones(40), 1e-150 * z]), y)
+    assert np.isfinite(fit.cov).all() and fit.cov[1, 1] > 1e298
+
+
 def test_fit_ols_shape_validation():
     with pytest.raises(DataError, match="n > p"):
         fit_ols(np.ones((3, 3)), np.ones(3))

@@ -5,7 +5,11 @@ import pathlib
 import pkgutil
 import re
 
+import numpy as np
+
 import compnull
+from compnull import (ConstraintRow, DensityTable, EcdfTable, LpSolution, MediationDataset,
+                      OlsFit, build_lp)
 
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -26,3 +30,23 @@ def test_exported_names_resolve():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
+
+
+def test_array_holders_compare_by_identity():
+    # field-wise == on ndarray fields has no truth value, so these compare
+    # and hash by identity
+    cols = {"y": np.arange(10.0), "a": np.ones(10), "m": np.arange(10.0) ** 2,
+            "c": np.zeros((10, 0))}
+    makers = [
+        lambda: ConstraintRow(np.arange(2), np.ones(2), 0.05),
+        lambda: build_lp(0.05, 4),
+        lambda: LpSolution(np.zeros(3), 0.0, "optimal"),
+        lambda: OlsFit(np.zeros(2), np.eye(2), 1.0, 10),
+        lambda: MediationDataset(**cols),
+        lambda: EcdfTable((("js", np.zeros(3)),)),
+        lambda: DensityTable(((0.0, np.zeros(3)),)),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2 and hash(a) == hash(a)

@@ -11,7 +11,8 @@ from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidation
                       RejectionRegion2D, WeightedRect, analytic_power,
                       analytic_power_batch, build_extended_region, build_js_region,
                       build_minimax_region, deserialize, gaussian_interval_prob, js_test,
-                      rejection_prob_at_point, rejection_prob_at_points, serialize)
+                      rejection_prob_at_point, rejection_prob_at_points, serialize,
+                      std_normal_quantile)
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
 Q_5_7 = 0.56594882193286305  # quantile(5/7)
@@ -384,21 +385,25 @@ def test_region_equality_is_on_the_grid():
     b = RejectionRegion2D(0.05, "custom", [_rect(1, 2, 0, 1), _rect(0, 1, 0, 1, 0.5)])
     assert a.cells != b.cells
     assert a == b and hash(a) == hash(b)
-    # a rule and the cells it paints compile to one grid
-    js = build_js_region(0.05)
+    # a rule and the cells it paints compile to one grid, which is the grid
+    # build_js_region writes
+    js = RejectionRegion2D(0.05, "joint_significance", [], OutsideRule(std_normal_quantile(0.975)))
     painted = RejectionRegion2D(0.05, "joint_significance", deserialize(serialize(js)).cells)
     assert js.outside_rule is not None and painted.outside_rule is None
     assert js == painted and hash(js) == hash(painted)
-    # -0.0 and 0.0 compare equal, so they must hash alike
+    assert js == build_js_region(0.05) and hash(js) == hash(build_js_region(0.05))
+    # -0.0 and 0.0 compare equal, so they must hash alike; a -0.0 edge is stored as 0.0
     neg = RejectionRegion2D(0.05, "custom", [_rect(-0.0, 1, 0, 1)])
     pos = RejectionRegion2D(0.05, "custom", [_rect(0.0, 1, 0, 1)])
-    assert math.copysign(1.0, neg.x_edges[1]) == -1.0
+    assert math.copysign(1.0, neg.x_edges[1]) == 1.0
     assert neg == pos and hash(neg) == hash(pos)
     grid = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, 0.0, math.inf],
                                        [-math.inf, math.inf], [[-0.0], [1.0]])
     signed = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, -0.0, math.inf],
                                          [-math.inf, math.inf], [[0.0], [1.0]])
+    assert math.copysign(1.0, signed.x_edges[1]) == 1.0
     assert grid == signed and hash(grid) == hash(signed)
+    assert serialize(grid) == serialize(signed)
     # anything that changes the grid, alpha or kind breaks equality
     assert a != RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.25), _rect(1, 2, 0, 1)])
     assert a != RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1, 0.5), _rect(1, 3, 0, 1)])

@@ -8,8 +8,10 @@ import math
 
 import pytest
 
-from compnull import (Interval, folded_interval_prob, gaussian_interval_prob,
-                      std_normal_cdf, std_normal_quantile)
+from compnull import (AlphaSpec, Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
+                      build_extended_region, build_js_region, build_latin_region, build_lp,
+                      cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
+                      origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
 
 Q_975 = 1.9599639845400542
 Q_995 = 2.5758293035489008
@@ -97,3 +99,26 @@ def test_folded_interval_prob():
     assert folded_interval_prob(Interval(0.0, math.inf), 1.7) == 1.0
     with pytest.raises(ValueError):
         folded_interval_prob(Interval(-0.5, 1.0), 0.0)
+
+
+def test_every_level_check_gives_one_message():
+    checks = [
+        lambda a: RejectionRegion2D(a, "custom", []),
+        AlphaSpec.from_alpha,
+        build_extended_region,
+        build_js_region,
+        origin_type1,
+        lambda a: js_test((1.0, 1.0), a),
+        lambda a: sobel_test(0.1, 0.2, 1.0, 1.0, 10, a),
+        lambda a: RejectionRegion3D(a, []),
+        lambda a: build_latin_region(cyclic_latin(2), a),
+        lambda a: build_lp(a, 4),
+        lambda a: SimSpec(("js",), ((0.0, 0.0),), 10, 10, 0, a),
+    ]
+    for bad, shown in ((0.0, "0.0"), (1, "1.0"), (-0.2, "-0.2"), (1.5, "1.5"),
+                       (math.nan, "nan"), (math.inf, "inf")):
+        for check in checks:
+            with pytest.raises(ValueError) as err:
+                check(bad)
+            assert str(err.value) == f"alpha must lie in (0, 1), got {shown}"
+    assert SimSpec(("js",), ((0.0, 0.0),), 10, 10, 0, 0.25).alpha == 0.25
