@@ -4,9 +4,10 @@ The box B = [-b, b]^2 with b twice the two-sided critical value is tiled
 into 4m^2 congruent open cells, 2m bands per axis. Each cell gets an unknown
 rejection probability m_r; the LP maximizes the prior-weighted rejection
 mass subject to one type-1 constraint per null-axis grid point, with the
-region outside B fixed to the joint-significance rule. Every objective
-coefficient and row is a product of per-band vectors, stored as such.
-Solving once and persisting the region document is the intended workflow.
+region outside B fixed to the joint-significance rule as tail bands on the
+grid. Every objective coefficient and row is a product of per-band vectors,
+stored as such. Solving once and persisting the region document is the
+intended workflow.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .regions import (Interval, OutsideRule, RejectionRegion2D, WeightedRect, _cdf_array,
-                      _in_tail, analytic_power_batch)
+from .regions import (Interval, RejectionRegion2D, WeightedRect, _cdf_array, _js_outside,
+                      analytic_power_batch)
 from .statmath import _alpha, _count, std_normal_quantile
 
 __all__ = [
@@ -56,17 +57,17 @@ class ConstraintRow:
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """The LP as per-band factors: minimize objective @ m_r subject to the rows.
+    """The LP as per-band factors: maximize the in-box prior mass rejected.
 
     Cell i*2m + j is x-band i times y-band j, band i being (edges[i],
     edges[i+1]), with prior mass band_weights[i]*band_weights[j]. Row s of
     ``band_masses`` is the N(d_s, 1) mass of each band at the axis shift
     d_s = (s - 2m)*b/m, s = 0..4m, so the type-1 row at null point (d_s, 0)
     has coefficient band_masses[s, i]*band_masses[2m, j] on cell (i, j), and
-    the row at (0, d_s) the transpose. ``rhs`` is alpha minus the fixed
-    outside-rule mass, in ``null_grid`` order. Bounds 0 <= m_r <= 1 are
-    implicit. ``objective``, ``cell_weights``, ``cells`` and ``constraints``
-    are the unfolded per-cell views, derived on first access, then cached.
+    the row at (0, d_s) the transpose. ``rhs`` is alpha minus the mass of
+    the fixed tail bands, in ``null_grid`` order. Bounds 0 <= m_r <= 1 are
+    implicit. ``cells`` and ``constraints``, the per-cell views kept for
+    counting, are derived on first access, then cached.
     """
 
     edges: np.ndarray
@@ -80,20 +81,10 @@ class LpProblem:
     prior_sd: float
 
     @cached_property
-    def cell_weights(self) -> np.ndarray:
-        """Prior probability that the statistic pair lands in each cell."""
-        return np.outer(self.band_weights, self.band_weights).ravel()
-
-    @cached_property
-    def objective(self) -> np.ndarray:
-        """Per-cell minimization coefficients -c_r: the Bayes risk is
-        sum_r (1 - m_r)*c_r + const."""
-        return -self.cell_weights
-
-    @cached_property
     def cells(self) -> tuple[WeightedRect, ...]:
         """Cell geometry shells in cell order; their p field is a placeholder."""
-        bands = _bands(self.edges)
+        edges = self.edges.tolist()
+        bands = [Interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
         return tuple(WeightedRect(bx, by) for bx in bands for by in bands)
 
     @cached_property
@@ -121,13 +112,31 @@ class LpSolution:
             raise ValueError(f"unknown solver status {self.solver_status!r}")
 
 
-def _bands(edges: np.ndarray) -> list[Interval]:
-    return [Interval(lo, hi) for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist())]
+def _ladder(b: float, m: int) -> np.ndarray:
+    """Band edges (i - m)*(b/m), i = 0..2m: exactly negation-symmetric, with
+    the ends pinned to -b and b, which m*(b/m) can miss by an ulp."""
+    edges = (np.arange(2 * m + 1, dtype=float) - m) * (b / m)
+    edges[0], edges[-1] = -b, b
+    return edges
 
 
-def _outside_stub(alpha: float, threshold: float, b: float) -> RejectionRegion2D:
-    return RejectionRegion2D(alpha, "joint_significance", [],
-                             OutsideRule(threshold, (-b, b, -b, b)))
+def _bayes_region(alpha: float, ladder: np.ndarray, p: np.ndarray, b: float) -> RejectionRegion2D:
+    """p[i, j] on ladder cell (i, j) in the box [-b, b]^2, and outside it the
+    joint-significance rule at b/2 as tail bands. As the cell compiler does,
+    the grid keeps an inner ladder edge only where it bounds a cell with
+    p != 0, and adds +-b, +-b/2 and +-inf."""
+    t = b / 2.0
+    kept = p != 0.0
+    # ladder edge e bounds a kept band when band e-1 or band e is kept
+    x_edges, y_edges = (
+        np.unique(np.concatenate((ladder[np.convolve(k, [1, 1]) > 0],
+                                  [-math.inf, -b, -t, t, b, math.inf])))
+        for k in (kept.any(axis=1), kept.any(axis=0)))
+    # grid band -> ladder band + 1; 0 and 2m + 1 index the zero pad outside the box
+    ix, iy = (np.searchsorted(ladder, e[:-1], side="right") for e in (x_edges, y_edges))
+    probs = np.pad(p, 1)[np.ix_(ix, iy)]
+    probs += _js_outside(x_edges, y_edges, t, (-b, b, -b, b))
+    return RejectionRegion2D.from_grid(alpha, "bayes", x_edges, y_edges, probs)
 
 
 def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProblem:
@@ -138,7 +147,7 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     The null grid holds the axis points (i*b/m, 0) and (0, i*b/m) for
     i = -2m..2m (origin listed once): 8m+1 rows reaching twice the box
     half-width. Each row demands the in-box rejection mass at that point
-    stay within alpha minus the fixed outside-rule mass; a negative
+    stay within alpha minus the mass of the fixed tail bands; a negative
     remainder is diagnosed here as infeasibility, naming the point.
     """
     alpha = _alpha(alpha)
@@ -147,23 +156,22 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     if not (math.isfinite(prior_sd) and prior_sd > 0.0):
         raise ValueError(f"prior_sd must be positive and finite, got {prior_sd!r}")
 
-    threshold = std_normal_quantile(1.0 - alpha / 2.0)
-    b = 2.0 * threshold
-    h = b / m
-    # band edges (i - m)*h, i = 0..2m: exactly negation-symmetric
-    edges = (np.arange(2 * m + 1, dtype=float) - m) * h
+    b = 2.0 * std_normal_quantile(1.0 - alpha / 2.0)
+    edges = _ladder(b, m)
     band_weights = np.diff(_cdf_array(edges / math.hypot(1.0, prior_sd)))
-    offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * h
+    offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * (b / m)
     band_masses = np.diff(_cdf_array(edges[None, :] - offsets[:, None]), axis=1)
 
     null_grid = [(float(d), 0.0) for d in offsets]
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
-    rhs = alpha - analytic_power_batch(_outside_stub(alpha, threshold, b), np.array(null_grid))
+    # the fixed mass is the power of the region with no cell in the box
+    empty = _bayes_region(alpha, edges, np.zeros((2 * m, 2 * m)), b)
+    rhs = alpha - analytic_power_batch(empty, np.array(null_grid))
     k = int(np.argmin(rhs))
     if rhs[k] < 0.0:
         raise ValueError(
-            f"infeasible at null point {null_grid[k]}: the outside rule "
-            f"already spends {alpha - rhs[k]:.6g} > alpha={alpha}")
+            f"infeasible at null point {null_grid[k]}: the tail bands outside the box "
+            f"already spend {alpha - rhs[k]:.6g} > alpha={alpha}")
 
     return LpProblem(edges, band_weights, band_masses, rhs, tuple(null_grid),
                      alpha, m, b, prior_sd)
@@ -256,38 +264,33 @@ def js_restricted_candidate(problem: LpProblem) -> np.ndarray:
     mass is at most the full JS rejection probability, which is at most
     alpha on the null axes), so its objective upper-bounds the optimum.
     """
-    tail = _in_tail(problem.edges, problem.b / 2.0)
-    return np.outer(tail, tail).ravel().astype(float)
+    return _js_outside(problem.edges, problem.edges, problem.b / 2.0, None).ravel().astype(float)
 
 
 def candidate_objective(problem: LpProblem, m_r) -> float:
-    """Bayes objective sum_r (1 - m_r)*c_r of any candidate assignment."""
-    m_r = np.asarray(m_r, dtype=float)
-    total = float(np.sum(problem.cell_weights))
-    return total + float(problem.objective @ m_r)
+    """Bayes objective sum_r (1 - m_r)*c_r of any candidate assignment, c_r
+    the cell's prior mass: the in-box prior mass not rejected."""
+    w = problem.band_weights
+    grid = np.asarray(m_r, dtype=float).reshape(len(w), len(w))
+    return float(w.sum() ** 2 - w @ grid @ w)
 
 
 def assemble_bayes_region(problem: LpProblem, solution: LpSolution,
                           derandomize: bool = False) -> RejectionRegion2D:
-    """Region document for a solved problem.
+    """Region document for a solved problem, written straight onto its grid.
 
-    Cells with negligible probability are dropped; the outside rule pins
-    the joint-significance behaviour beyond the box explicitly so dropped
+    Cells with negligible probability are zeroed; the grid's tail bands pin
+    the joint-significance behaviour beyond the box explicitly, so zeroed
     cells cannot shrink its extent. With ``derandomize`` every fractional
-    cell is removed and near-one cells keep their solved probability, so
-    the derandomized region never rejects more than the randomized one.
+    cell is zeroed and near-one cells keep their solved probability, so the
+    derandomized region never rejects more than the randomized one.
     """
     if solution.solver_status != "optimal":
         raise ValueError(f"cannot assemble from a {solution.solver_status} solution")
     n_bands = 2 * problem.m
     if len(solution.m_r) != n_bands * n_bands:
         raise ValueError("solution length does not match the cell grid")
-    p = np.minimum(np.asarray(solution.m_r, dtype=float), 1.0)
-    # NaN is kept, so the cell refuses it
-    keep = np.flatnonzero(~(p < (_DEGENERATE if derandomize else _CELL_DROP)))
-    bands = _bands(problem.edges)
-    i, j = np.divmod(keep, n_bands)
-    cells = [WeightedRect(bands[a], bands[c], q)
-             for a, c, q in zip(i.tolist(), j.tolist(), p[keep].tolist())]
-    rule = OutsideRule(problem.b / 2.0, (-problem.b, problem.b, -problem.b, problem.b))
-    return RejectionRegion2D(problem.alpha, "bayes", cells, rule)
+    p = np.minimum(np.asarray(solution.m_r, dtype=float), 1.0).reshape(n_bands, n_bands)
+    # NaN is kept, so from_grid refuses it
+    p[p < (_DEGENERATE if derandomize else _CELL_DROP)] = 0.0
+    return _bayes_region(problem.alpha, problem.edges, p, problem.b)

@@ -264,12 +264,7 @@ class RejectionRegion2D:
                 f"({float(y_edges[gj])!r}, {float(y_edges[gj + 1])!r})")
         cell_p = np.concatenate(([0.0], p))[label.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]]
 
-        fires = np.zeros((nx, ny), dtype=bool)
-        if rule is not None:
-            fires = np.outer(_in_tail(x_edges, t), _in_tail(y_edges, t))
-            if box is not None:
-                fires &= ~np.outer(_in_range(x_edges, box[0], box[1]),
-                                   _in_range(y_edges, box[2], box[3]))
+        fires = _js_outside(x_edges, y_edges, t, box) if rule is not None else False
         return x_edges, y_edges, np.where(cell_p > 0.0, cell_p, fires)
 
 
@@ -290,14 +285,14 @@ def _checked_edges(edges, name: str) -> np.ndarray:
     return edges
 
 
-def _in_tail(edges: np.ndarray, t: float) -> np.ndarray:
-    """Bands (edges[i], edges[i+1]) lying in |z| >= t."""
-    return (edges[:-1] >= t) | (edges[1:] <= -t)
-
-
-def _in_range(edges: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Bands (edges[i], edges[i+1]) lying in [lo, hi]."""
-    return (edges[:-1] >= lo) & (edges[1:] <= hi)
+def _js_outside(x: np.ndarray, y: np.ndarray, t: float, box) -> np.ndarray:
+    """Cells of the grid on band edges x, y with both bands in |z| >= t, outside
+    the closed ``box`` (xlo, xhi, ylo, yhi) unless it is None."""
+    fires = np.outer((x[:-1] >= t) | (x[1:] <= -t), (y[:-1] >= t) | (y[1:] <= -t))
+    if box is not None:
+        fires &= ~np.outer((x[:-1] >= box[0]) & (x[1:] <= box[1]),
+                           (y[:-1] >= box[2]) & (y[1:] <= box[3]))
+    return fires
 
 
 def rejection_prob_at_point(region: RejectionRegion2D, z) -> float:
@@ -362,10 +357,11 @@ def serialize(region: RejectionRegion2D) -> str:
     over ``probs``. Floats are written with ``repr``, so the grid reloads
     bit-exactly.
     """
-    values, index = np.unique(region.probs, return_inverse=True)
-    index = index.ravel()
-    starts = np.flatnonzero(np.diff(index, prepend=-1))
-    lengths = np.diff(np.append(starts, index.size))
+    # runs first, so only their heads are sorted
+    flat = region.probs.ravel()
+    starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+    values, index = np.unique(flat[starts], return_inverse=True)
+    lengths = np.diff(np.append(starts, flat.size))
     doc = {
         "version": FORMAT_VERSION,
         "alpha": float(region.alpha),
@@ -373,7 +369,7 @@ def serialize(region: RejectionRegion2D) -> str:
         "x_edges": [_enc_float(v) for v in region.x_edges.tolist()],
         "y_edges": [_enc_float(v) for v in region.y_edges.tolist()],
         "values": values.tolist(),
-        "runs": np.column_stack((index[starts], lengths)).tolist(),
+        "runs": np.column_stack((index, lengths)).tolist(),
     }
     return "{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v)}" for k, v in doc.items()) + "\n}"
 

@@ -11,15 +11,16 @@ import scipy.sparse
 from compnull.bayes_lp import (
     LpSolution,
     _cell_orbits,
+    _ladder,
     _orbit_sums,
-    _outside_stub,
     assemble_bayes_region,
     build_lp,
     candidate_objective,
     js_restricted_candidate,
     solve_lp,
 )
-from compnull.regions import analytic_power, analytic_power_batch
+from compnull.regions import (OutsideRule, RejectionRegion2D, WeightedRect, analytic_power,
+                              analytic_power_batch, serialize)
 from compnull.statmath import Interval, _cdf_array, std_normal_cdf, std_normal_quantile
 
 # mpmath, 50 digits
@@ -51,8 +52,9 @@ def _unfolded_objective(problem):
          np.concatenate([row.indices for row in rows]), indptr),
         shape=(len(rows), len(problem.cells)))
     b_ub = np.array([row.rhs for row in rows]) / scales
+    w = problem.band_weights
     res = scipy.optimize.linprog(
-        problem.objective, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs-ds",
+        -np.outer(w, w).ravel(), A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs-ds",
         options={"primal_feasibility_tolerance": 1e-10,
                  "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
@@ -73,6 +75,27 @@ def _prior_interval_weights(edges, prior_sd, grid_points):
     return g @ w
 
 
+def _outside_stub(alpha, b):
+    """The JS rule outside the box [-b, b]^2, painted by the cell compiler."""
+    return RejectionRegion2D(alpha, "joint_significance", [],
+                             OutsideRule(b / 2.0, (-b, b, -b, b)))
+
+
+def _cell_list_region(problem, solution, derandomize=False):
+    """The Bayes region compiled from kept cells plus the outside rule: the
+    oracle of the grid that assemble_bayes_region writes."""
+    p = np.minimum(np.asarray(solution.m_r, dtype=float), 1.0)
+    keep = np.flatnonzero(~(p < (1.0 - 1e-9 if derandomize else 1e-9)))
+    edges = problem.edges.tolist()
+    bands = [Interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    i, j = np.divmod(keep, 2 * problem.m)
+    cells = [WeightedRect(bands[a], bands[c], q)
+             for a, c, q in zip(i.tolist(), j.tolist(), p[keep].tolist())]
+    b = problem.b
+    return RejectionRegion2D(problem.alpha, "bayes", cells,
+                             OutsideRule(b / 2.0, (-b, b, -b, b)))
+
+
 def _per_cell_rows(alpha, m):
     """The type-1 rows built point by point over the 4m^2 cells: the oracle of
     the rows derived from the band factors."""
@@ -80,6 +103,7 @@ def _per_cell_rows(alpha, m):
     b = 2.0 * threshold
     h = b / m
     edges = (np.arange(2 * m + 1, dtype=float) - m) * h
+    edges[0], edges[-1] = -b, b
     offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * h
     null_grid = [(float(d), 0.0) for d in offsets]
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
@@ -87,7 +111,7 @@ def _per_cell_rows(alpha, m):
     for d in offsets:
         g_at[float(d)] = _cdf_array(edges[1:] - d) - _cdf_array(edges[:-1] - d)
     g0 = g_at[0.0]
-    rule_mass = analytic_power_batch(_outside_stub(alpha, threshold, b), np.array(null_grid))
+    rule_mass = analytic_power_batch(_outside_stub(alpha, b), np.array(null_grid))
     rows = []
     for (dx, dy), mass in zip(null_grid, rule_mass):
         gx = g_at[dx] if dy == 0.0 else g0
@@ -188,8 +212,7 @@ def test_build_lp_structure():
         assert np.all((row.indices >= 0) & (row.indices < n))
         assert len(np.unique(row.indices)) == len(row.indices)
 
-    assert np.array_equal(problem.cell_weights, -problem.objective)
-    assert 0.0 < float(problem.cell_weights.sum()) < 1.0
+    assert 0.0 < float(np.outer(problem.band_weights, problem.band_weights).sum()) < 1.0
     # the per-cell views are derived once
     assert problem.constraints is problem.constraints and problem.cells is problem.cells
 
@@ -223,7 +246,8 @@ def test_orbit_rows_match_bincount_fold(m):
         want = np.bincount(orbit[row.indices], row.values, n_orbits)
         got = _orbit_sums(masses[s], masses[2 * m])
         assert np.max(np.abs(got - want)) <= 1e-13 * want.max() + 8e-17
-    want = np.bincount(orbit, problem.cell_weights, n_orbits)
+    w = problem.band_weights
+    want = np.bincount(orbit, np.outer(w, w).ravel(), n_orbits)
     got = _orbit_sums(problem.band_weights, problem.band_weights)
     assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
@@ -290,12 +314,20 @@ def test_assembled_region(solved12):
     region = assemble_bayes_region(problem, sol)
     assert region.kind == "bayes"
     assert region.alpha == problem.alpha
-    assert region.outside_rule is not None
-    assert region.outside_rule.threshold == problem.b / 2.0
-    assert region.outside_rule.box == (-problem.b, problem.b, -problem.b, problem.b)
+    assert region.outside_rule is None
     for cell in region.cells:
         assert 0.0 < cell.p <= 1.0
-        assert cell.x.lo >= -problem.b and cell.x.hi <= problem.b
+    # beyond the box the JS rule is tail bands on the grid: a cell outside
+    # [-b, b]^2 rejects exactly when both of its bands lie in |z| >= b/2
+    b, t = problem.b, problem.b / 2.0
+    xs = list(zip(region.x_edges[:-1].tolist(), region.x_edges[1:].tolist()))
+    ys = list(zip(region.y_edges[:-1].tolist(), region.y_edges[1:].tolist()))
+    for i, (xlo, xhi) in enumerate(xs):
+        for j, (ylo, yhi) in enumerate(ys):
+            if -b <= xlo and xhi <= b and -b <= ylo and yhi <= b:
+                continue
+            in_tail = (xlo >= t or xhi <= -t) and (ylo >= t or yhi <= -t)
+            assert region.probs[i, j] == (1.0 if in_tail else 0.0)
 
     # level condition on every constraint grid point, then on a 10x finer
     # axis grid (discretization leakage stays tiny)
@@ -319,8 +351,10 @@ def test_objective_matches_independent_bayes_risk(solved12):
     def band(lo, hi):
         return std_normal_cdf(hi / sig) - std_normal_cdf(lo / sig)
 
+    b = problem.b
     reject_in_box = sum(c.p * band(c.x.lo, c.x.hi) * band(c.y.lo, c.y.hi)
-                        for c in region.cells)
+                        for c in region.cells
+                        if -b <= c.x.lo and c.x.hi <= b and -b <= c.y.lo and c.y.hi <= b)
     p_box = (band(-problem.b, problem.b)) ** 2
     assert abs(sol.objective_value - (p_box - reject_in_box)) < 1e-6
 
@@ -345,3 +379,56 @@ def test_assemble_rejects_bad_solutions(solved12):
     short = LpSolution(sol.m_r[:5], sol.objective_value, "optimal")
     with pytest.raises(ValueError, match="length"):
         assemble_bayes_region(problem, short)
+    # NaN counts as kept: at m = 12 no other cell keeps the edge between
+    # bands 7 and 8, so a dropped edge would merge NaN's band into band 7
+    m_r = sol.m_r.copy()
+    m_r[8 * 24 + 8] = math.nan
+    with pytest.raises(ValueError, match="NaN"):
+        assemble_bayes_region(problem, LpSolution(m_r, sol.objective_value, "optimal"))
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
+def test_assembly_matches_cell_list_oracle(alpha):
+    # the grid written from the band factors, against the kept cells plus the
+    # outside rule compiled by the cell painter
+    for m in [*range(4, 17), 39, 65]:
+        problem = build_lp(alpha, m)
+        sol = solve_lp(problem)
+        for derandomize in (False, True):
+            region = assemble_bayes_region(problem, sol, derandomize)
+            want = _cell_list_region(problem, sol, derandomize)
+            assert region == want, (m, derandomize)
+            assert serialize(region) == serialize(want), (m, derandomize)
+            assert region.outside_rule is None
+
+
+def test_ladder_ends_are_exact():
+    # m*(b/m) can miss b by an ulp (at 0.05 for m = 13 and 39, among 84 of
+    # these 784 pairs); the pinned ladder ends exactly on the box
+    for alpha in (0.05, 0.1, 0.2, 0.01):
+        b = 2.0 * std_normal_quantile(1.0 - alpha / 2.0)
+        for m in range(4, 200):
+            edges = _ladder(b, m)
+            assert (edges[0], edges[-1]) == (-b, b), (alpha, m)
+            assert np.array_equal(edges, -edges[::-1]), (alpha, m)
+            interior = (np.arange(1, 2 * m, dtype=float) - m) * (b / m)
+            assert np.array_equal(edges[1:-1], interior), (alpha, m)
+        for m in (13, 39, 65):
+            assert np.array_equal(build_lp(alpha, m).edges, _ladder(b, m))
+    # an unpinned ladder leaves a 1-ulp sliver band at each box edge
+    for m in (13, 39):
+        problem = build_lp(0.05, m)
+        region = assemble_bayes_region(problem, solve_lp(problem))
+        assert np.diff(region.x_edges).min() > 1e-12
+        assert np.diff(region.y_edges).min() > 1e-12
+
+
+def test_candidate_objective_matches_per_cell_sum():
+    rng = np.random.default_rng(7)
+    for m in (4, 12, 65):
+        problem = build_lp(0.05, m)
+        cell_weights = np.outer(problem.band_weights, problem.band_weights).ravel()
+        for _ in range(5):
+            m_r = rng.uniform(0.0, 1.0, 4 * m * m)
+            want = float(np.sum(cell_weights * (1.0 - m_r)))
+            assert abs(candidate_objective(problem, m_r) - want) <= 1e-15
