@@ -47,12 +47,30 @@ _DEGENERATE = 1.0 - 1e-9
 # eq=False: ndarray fields have no truth value, so compare and hash by identity
 @dataclass(frozen=True, eq=False)
 class ConstraintRow:
-    """One type-1 row: sum over listed cells of value*m_r <= rhs."""
+    """One type-1 row: sum over listed cells of value*m_r <= rhs.
 
-    indices: np.ndarray
-    values: np.ndarray
+    The row is held as its two band factors: cell i*len(y_masses) + j has
+    coefficient x_masses[i]*y_masses[j]. ``indices`` and ``values`` list the
+    cells whose coefficient exceeds 1e-17, in row-major order; they are
+    derived on each access and not kept.
+    """
+
+    x_masses: np.ndarray
+    y_masses: np.ndarray
     rhs: float
     sense: str = "<="
+
+    def _coefficients(self) -> np.ndarray:
+        return np.outer(self.x_masses, self.y_masses).ravel()
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.flatnonzero(self._coefficients() > _COEFF_DROP)
+
+    @property
+    def values(self) -> np.ndarray:
+        vals = self._coefficients()
+        return vals[vals > _COEFF_DROP]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +85,9 @@ class LpProblem:
     the row at (0, d_s) the transpose. ``rhs`` is alpha minus the mass of
     the fixed tail bands, in ``null_grid`` order. Bounds 0 <= m_r <= 1 are
     implicit. ``cells`` and ``constraints``, the per-cell views kept for
-    counting, are derived on first access, then cached.
+    counting, are derived on first access, then cached; each constraint row
+    holds two rows of ``band_masses`` (views, not copies), so the cached
+    rows cost no per-cell memory.
     """
 
     edges: np.ndarray
@@ -89,16 +109,12 @@ class LpProblem:
 
     @cached_property
     def constraints(self) -> tuple[ConstraintRow, ...]:
-        """One row per null point, coefficients below 1e-17 dropped."""
+        """One row per null point, in ``null_grid`` order."""
         m, g = self.m, self.band_masses
         shifts = [(s, 2 * m) for s in range(4 * m + 1)]
         shifts += [(2 * m, s) for s in range(4 * m + 1) if s != 2 * m]
-        rows = []
-        for (sx, sy), rhs in zip(shifts, self.rhs.tolist()):
-            vals = np.outer(g[sx], g[sy]).ravel()
-            keep = np.nonzero(vals > _COEFF_DROP)[0]
-            rows.append(ConstraintRow(keep, vals[keep], rhs))
-        return tuple(rows)
+        return tuple(ConstraintRow(g[sx], g[sy], rhs)
+                     for (sx, sy), rhs in zip(shifts, self.rhs.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -322,7 +322,8 @@ def rejection_prob_at_points(region: RejectionRegion2D, zx, zy) -> np.ndarray:
 
 
 def analytic_power(region: RejectionRegion2D, delta_star) -> float:
-    """Exact rejection probability at delta* = (dx, dy) under unit-variance normals."""
+    """Exact rejection probability at delta* = (dx, dy) under unit-variance
+    normals; a NaN or infinite shift raises ValueError."""
     dx, dy = _as_xy(delta_star)
     return float(analytic_power_batch(region, np.array([[dx, dy]]))[0])
 
@@ -331,11 +332,16 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     """Exact rejection probability at each row of an (n, 2) array of shifts.
 
     With Gx[s, i] the N(dx_s, 1) mass of x-band i (Gy likewise), the power
-    at shift s is the s-th row sum of (Gx @ probs) * Gy.
+    at shift s is the s-th row sum of (Gx @ probs) * Gy. A NaN or infinite
+    shift raises ValueError naming the first such row.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 2 or deltas.shape[1] != 2:
         raise ValueError("deltas must be an (n, 2) array")
+    bad = np.flatnonzero(~np.isfinite(deltas).all(axis=1))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"shifts must be finite, got {tuple(deltas[k].tolist())!r} at row {k}")
     gx = np.diff(_cdf_array(region.x_edges[None, :] - deltas[:, :1]), axis=1)
     gy = np.diff(_cdf_array(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
     return np.clip(((gx @ region.probs) * gy).sum(axis=1), 0.0, 1.0)

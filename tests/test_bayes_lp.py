@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,6 +280,17 @@ def test_orbit_solve_matches_unfolded_lp(m):
 
 def test_orbit_solve_at_shipped_order():
     problem = build_lp(0.05, 65)
+    # the rows hold band-factor views, so counting their nonzeros keeps no per-cell arrays
+    tracemalloc.start()
+    try:
+        nnz = sum(len(r.indices) for r in problem.constraints)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nnz == 7560104 and peak < 8e6
+    for r in problem.constraints:
+        assert np.shares_memory(r.x_masses, problem.band_masses)
+        assert np.shares_memory(r.y_masses, problem.band_masses)
     sol = solve_lp(problem)
     assert (len(problem.cells), len(problem.constraints)) == (16900, 521)
     assert abs(sol.objective_value - UNFOLDED_OPTIMUM_M65) <= 1e-9

@@ -188,6 +188,17 @@ def test_batch_power_matches_scalar():
         assert row == pytest.approx(analytic_power(region, tuple(d)), abs=1e-14)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_analytic_power_rejects_non_finite_shifts(bad):
+    region = build_minimax_region(0.05)
+    for shift in ((bad, 0.0), (0.0, bad)):
+        with pytest.raises(ValueError, match="at row 0"):
+            analytic_power(region, shift)
+    deltas = np.array([[0.0, 0.0], [1.0, -2.0], [bad, 1.0], [0.0, bad]])
+    with pytest.raises(ValueError, match=r"shifts must be finite, got \(.*, 1\.0\) at row 2"):
+        analytic_power_batch(region, deltas)
+
+
 @functools.cache
 def _band(lo, hi, mu):
     return gaussian_interval_prob(Interval(lo, hi), mu)
