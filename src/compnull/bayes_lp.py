@@ -6,8 +6,10 @@ rejection probability m_r; the LP maximizes the prior-weighted rejection
 mass subject to one type-1 constraint per null-axis grid point, with the
 region outside B fixed to the joint-significance rule as tail bands on the
 grid. Every objective coefficient and row is a product of per-band vectors,
-stored as such. Solving once and persisting the region document is the
-intended workflow.
+stored as such. The LP is folded onto the D4 orbits of the cells and solved
+in-library by a bounded dual simplex in numpy, with a feasibility and
+optimality check on its final basis. Solving once and persisting the region
+document is the intended workflow.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .regions import (Interval, RejectionRegion2D, WeightedRect, _cdf_array, _js_outside,
                       analytic_power_batch)
@@ -119,9 +119,13 @@ class LpProblem:
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
+    """Cell probabilities, objective and status of a solve, with the number
+    of simplex pivots it took."""
+
     m_r: np.ndarray
     objective_value: float
     solver_status: str
+    iterations: int = 0
 
     def __post_init__(self):
         if self.solver_status not in ("optimal", "infeasible", "iteration_limit"):
@@ -193,9 +197,6 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
                      alpha, m, b, prior_sd)
 
 
-_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible"}
-
-
 def _cell_orbits(m: int) -> np.ndarray:
     """D4 orbit number, 0 .. m(m+1)/2 - 1, of each of the 4m^2 cells.
 
@@ -224,8 +225,93 @@ def _orbit_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return fu[..., lo] * fv[..., hi] + np.where(lo == hi, 0.0, fu[..., hi] * fv[..., lo])
 
 
+_MAX_ITERATIONS = 5000
+# pivots between fresh inverses of the basis
+_REFACTOR = 50
+# primal and dual feasibility in scaled units; the loop aims lower than the
+# certificate so that rounding in the updated inverse cannot fail it
+_LOOP_TOL = 1e-14
+_CERT_TOL = 1e-12
+# a skipped ratio-test entry moves its reduced cost by at most this per unit
+# of dual step, well inside the certificate
+_PIVOT_TOL = 1e-13
+
+
+def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
+    """Maximize gain @ x subject to a @ x <= rhs and 0 <= x <= 1, gain > 0.
+
+    Bounded dual simplex on [a | I], the slack columns s >= 0 unbounded
+    above. Every x starts at its upper bound 1 with the slacks basic: with a
+    positive gain that basis is dual feasible, so no phase 1 is needed. Each
+    step the most infeasible basic row leaves for its violated bound, and a
+    bound-flipping ratio test flips every boxed column whose breakpoint it
+    passes before the column that enters. The basis inverse takes rank-1
+    updates and is rebuilt every ``_REFACTOR`` pivots; basic values and
+    reduced costs are recomputed from it each step. Returns (x, status,
+    iterations), x None unless the status is "optimal".
+    """
+    k, n = a.shape
+    full = np.hstack((a, np.eye(k)))
+    cost = np.concatenate((-gain / gain.max(), np.zeros(k)))
+    upper = np.concatenate((np.ones(n), np.full(k, np.inf)))
+    # each nonbasic column's value, 0 or its upper bound; 0 on basic columns
+    value = np.concatenate((np.ones(n), np.zeros(k)))
+    basis = np.arange(n, n + k)
+    binv = np.eye(k)
+    iterations = 0
+    while True:
+        x_b = binv @ (rhs - a @ value[:n])
+        infeas = np.maximum(-x_b, x_b - upper[basis])
+        r = int(np.argmax(infeas))
+        if infeas[r] <= _LOOP_TOL:
+            break
+        if iterations == _MAX_ITERATIONS:
+            return None, "iteration_limit", iterations
+        iterations += 1
+        # the leaving variable moves to its violated bound, and each reduced
+        # cost moves by step * alpha_r[j] for a dual step >= 0
+        sign = 1.0 if x_b[r] < 0.0 else -1.0
+        alpha_r = sign * (binv[r] @ full)
+        reduced = cost - (cost[basis] @ binv) @ full
+        at_upper = value > 0.0
+        nonbasic = np.ones(n + k, dtype=bool)
+        nonbasic[basis] = False
+        cand = np.flatnonzero(nonbasic & np.where(at_upper, alpha_r > _PIVOT_TOL,
+                                                    alpha_r < -_PIVOT_TOL))
+        ratio = np.maximum(np.where(at_upper[cand], -reduced[cand], reduced[cand]), 0.0)
+        cand = cand[np.argsort(ratio / np.abs(alpha_r[cand]), kind="stable")]
+        # the dual objective keeps rising while this slope stays positive
+        slope = infeas[r] - np.cumsum(np.abs(alpha_r[cand]) * upper[cand])
+        passed = np.flatnonzero(slope <= 0.0)
+        if len(passed) == 0:
+            return None, "infeasible", iterations
+        flipped, q = cand[:passed[0]], cand[passed[0]]
+        value[flipped] = upper[flipped] - value[flipped]
+        value[q] = 0.0
+        value[basis[r]] = 0.0 if sign > 0.0 else upper[basis[r]]
+        column = binv @ full[:, q]
+        pivot_row = binv[r] / column[r]
+        binv -= np.outer(column, pivot_row)
+        binv[r] = pivot_row
+        basis[r] = q
+        if iterations % _REFACTOR == 0:
+            binv = np.linalg.inv(full[:, basis])
+
+    # certificate: fresh basic values within their bounds, and each reduced
+    # cost signed for its column's bound
+    basic_matrix = full[:, basis]
+    x_b = np.linalg.solve(basic_matrix, rhs - a @ value[:n])
+    reduced = cost - np.linalg.solve(basic_matrix.T, cost[basis]) @ full
+    reduced[basis] = 0.0
+    if (np.max(np.maximum(-x_b, x_b - upper[basis])) > _CERT_TOL
+            or np.max(np.where(value > 0.0, reduced, -reduced)) > _CERT_TOL):
+        raise RuntimeError("solver failed: the final basis is not certified optimal")
+    value[basis] = x_b
+    return value[:n], "optimal", iterations
+
+
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve by sparse dual simplex on the D4 cell orbits; deterministic.
+    """Solve by bounded dual simplex on the D4 cell orbits; deterministic.
 
     The prior, the null grid and the type-1 rows of a :func:`build_lp`
     problem are invariant under sign flips and the x<->y swap, so the orbit
@@ -237,12 +323,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     to all 4m^2 cells.
 
     Each folded row is pre-scaled so its largest coefficient is 1 (an exact
-    reformulation) because the raw rows are uniformly tiny and the solver's
-    own equilibration then leaves ~1e-7 feasibility slop in original units.
-    HiGHS also drops matrix entries below 1e-9; on the unfolded rows that
-    loses their tails and breaks the full rows by ~1e-10, while the folded
-    solution holds every full row to ~1e-15 at m=65. Infeasibility and
-    iteration limits are reported in the status, never masked.
+    reformulation): the raw rows are uniformly tiny, and in scaled units one
+    absolute feasibility tolerance (1e-12, checked on the final basis) means
+    the same for every row. A final basis that fails that check raises
+    ``RuntimeError``; infeasibility and the iteration cap are reported in
+    the status, never masked.
     """
     m = problem.m
     shapes = (problem.edges.shape, problem.band_weights.shape, problem.band_masses.shape,
@@ -254,22 +339,13 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     folded = _orbit_sums(at_zero, at_zero[0])
     scales = folded.max(axis=1)
     scales[scales == 0.0] = 1.0
-    a_ub = scipy.sparse.csr_matrix(folded / scales[:, None])
-    del folded  # the dense rows would otherwise sit through the solve's memory peak
-    b_ub = problem.rhs[2 * m:4 * m + 1] / scales
-
-    res = scipy.optimize.linprog(
-        -_orbit_sums(problem.band_weights, problem.band_weights), A_ub=a_ub, b_ub=b_ub,
-        bounds=(0.0, 1.0), method="highs-ds",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
-    status = _STATUS.get(res.status)
-    if status is None:
-        raise RuntimeError(f"solver failed: {res.message}")
+    x, status, iterations = _dual_simplex(
+        folded / scales[:, None], problem.rhs[2 * m:4 * m + 1] / scales,
+        _orbit_sums(problem.band_weights, problem.band_weights))
     if status != "optimal":
-        return LpSolution(np.zeros(4 * m * m), math.nan, status)
-    m_r = np.asarray(res.x)[_cell_orbits(m)]
-    return LpSolution(m_r, candidate_objective(problem, m_r), "optimal")
+        return LpSolution(np.zeros(4 * m * m), math.nan, status, iterations)
+    m_r = x[_cell_orbits(m)]
+    return LpSolution(m_r, candidate_objective(problem, m_r), "optimal", iterations)
 
 
 def js_restricted_candidate(problem: LpProblem) -> np.ndarray:

@@ -1,7 +1,9 @@
+import os
 import pathlib
 
 import pytest
 
+import compnull
 from compnull import deserialize
 
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -27,3 +29,11 @@ def shipped_bayes_region():
 def shipped_bayes_region_v1():
     """The shipped Bayes region loaded from its region-v1 cell document."""
     return deserialize(SHIPPED_BAYES_V1.read_text())
+
+
+@pytest.fixture(scope="session")
+def package_env():
+    """Environment for a subprocess that imports this compnull, installed or not."""
+    src = str(pathlib.Path(compnull.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)

@@ -9,6 +9,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 
+from compnull import bayes_lp
 from compnull.bayes_lp import (
     LpSolution,
     _cell_orbits,
@@ -60,6 +61,22 @@ def _unfolded_objective(problem):
                  "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0
     return candidate_objective(problem, res.x)
+
+
+def _folded_highs_objective(problem):
+    """Reference HiGHS solve of the folded LP that solve_lp runs: the 2m+1
+    orbit rows, each scaled so its largest coefficient is 1."""
+    m = problem.m
+    at_zero = problem.band_masses[2 * m:]
+    folded = _orbit_sums(at_zero, at_zero[0])
+    scales = folded.max(axis=1)
+    res = scipy.optimize.linprog(
+        -_orbit_sums(problem.band_weights, problem.band_weights), A_ub=folded / scales[:, None],
+        b_ub=problem.rhs[2 * m:4 * m + 1] / scales, bounds=(0.0, 1.0), method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return candidate_objective(problem, res.x[_cell_orbits(m)])
 
 
 def _prior_interval_weights(edges, prior_sd, grid_points):
@@ -295,6 +312,43 @@ def test_orbit_solve_at_shipped_order():
     assert (len(problem.cells), len(problem.constraints)) == (16900, 521)
     assert abs(sol.objective_value - UNFOLDED_OPTIMUM_M65) <= 1e-9
     assert _worst_row_excess(problem, sol.m_r) <= 1e-12
+    # a count, not a timing: 42 pivots when written
+    assert 0 < sol.iterations <= 100
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.1, 0.05, 0.025, 0.01, 0.005, 0.001])
+@pytest.mark.parametrize("m", [*range(4, 13), 16, 24, 40])
+def test_solve_holds_every_row(alpha, m):
+    # at alpha <= 0.01 a HiGHS solve of the folded LP breaks the unfolded
+    # rows by up to 4.5e-10 (alpha = 0.001, m = 10) within its 1e-10 scaled
+    # tolerance; solve_lp holds them, and its objective stays that close
+    problem = build_lp(alpha, m)
+    sol = solve_lp(problem)
+    assert sol.solver_status == "optimal"
+    assert _worst_row_excess(problem, sol.m_r) <= 1e-12
+    assert abs(sol.objective_value - _folded_highs_objective(problem)) <= 1e-9
+
+
+def test_solve_status_paths(solved12, monkeypatch):
+    problem, _ = solved12
+    rhs = problem.rhs.copy()
+    rhs[2 * problem.m + 3] = -1e-6
+    sol = solve_lp(dataclasses.replace(problem, rhs=rhs))
+    assert sol.solver_status == "infeasible" and math.isnan(sol.objective_value)
+    assert sol.iterations > 0
+    with pytest.raises(ValueError, match="infeasible"):
+        assemble_bayes_region(problem, sol)
+
+    monkeypatch.setattr(bayes_lp, "_MAX_ITERATIONS", 1)
+    sol = solve_lp(problem)
+    assert (sol.solver_status, sol.iterations) == ("iteration_limit", 1)
+    assert math.isnan(sol.objective_value)
+    monkeypatch.undo()
+
+    # a final basis outside the certificate's tolerance is a failure, not a status
+    monkeypatch.setattr(bayes_lp, "_CERT_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="solver failed"):
+        solve_lp(problem)
 
 
 def test_solve_rejects_foreign_layout(solved12):

@@ -1,6 +1,8 @@
 """End-to-end command-line checks through cli_dispatch."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -409,6 +411,14 @@ def test_bayes_solve_and_reuse(tmp_path, capsys):
     code, _, _ = _run(capsys, "simulate", "power", "--methods", "bayes",
                       "--bayes-region", path, "--reps", "2000", "--seed", "3")
     assert code == 0
+
+
+def test_bayes_solve_is_identical_across_processes(package_env):
+    argv = [sys.executable, "-m", "compnull", "bayes", "solve", "--alpha", "0.05", "--m", "12"]
+    first, second = (subprocess.run(argv, env=package_env, capture_output=True, check=True).stdout
+                     for _ in range(2))
+    assert first and first == second
+    assert deserialize(first.decode()).kind == "bayes"
 
 
 def test_bayes_solve_usage_error(capsys):

@@ -4,6 +4,8 @@ import importlib
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 
@@ -50,3 +52,13 @@ def test_array_holders_compare_by_identity():
         a, b = make(), make()
         assert a == a and a != b and not a == b
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_import_leaves_lp_backends_unloaded(package_env):
+    # the LP is solved in-library, so importing the package pays for
+    # neither scipy.optimize nor scipy.sparse
+    code = ("import sys, compnull; "
+            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
