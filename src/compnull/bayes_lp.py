@@ -22,7 +22,7 @@ import numpy as np
 
 from .regions import (Interval, RejectionRegion2D, WeightedRect, _cdf_array, _js_outside,
                       analytic_power_batch)
-from .statmath import _alpha, _count, std_normal_quantile
+from .statmath import _alpha, _count, _positive, std_normal_quantile
 
 __all__ = [
     "LpProblem",
@@ -172,9 +172,7 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     """
     alpha = _alpha(alpha)
     m = _count("m", m, 4)
-    prior_sd = float(prior_sd)
-    if not (math.isfinite(prior_sd) and prior_sd > 0.0):
-        raise ValueError(f"prior_sd must be positive and finite, got {prior_sd!r}")
+    prior_sd = _positive("prior_sd", prior_sd)
 
     b = 2.0 * std_normal_quantile(1.0 - alpha / 2.0)
     edges = _ladder(b, m)

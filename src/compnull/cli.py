@@ -13,8 +13,8 @@ import math
 import sys
 
 from .bayes_lp import DEFAULT_PRIOR_SD, assemble_bayes_region, build_lp, solve_lp
-from .closed_form import (build_extended_region, build_js_region, build_minimax_region,
-                          js_test)
+from .closed_form import (AlphaSpec, build_extended_region, build_js_region,
+                          build_minimax_region, js_test)
 from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects3,
                      square_from_json)
 from .mediation import DataError, load_csv, product_method_stats
@@ -24,9 +24,10 @@ from .regions import (RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
-from .statmath import _alpha
 
 __all__ = ["cli_dispatch", "main"]
+
+_MAX_LATIN_ORDER = 200  # a Latin region's K^3 label tensor takes 64 MB at K = 200
 
 
 class _UsageError(Exception):
@@ -129,9 +130,13 @@ def _cmd_test3(args) -> int:
         z = tuple(float(v) for v in parts)
     except ValueError:
         raise _UsageError(f"--z expects numbers, got {args.z!r}") from None
-    _alpha(args.alpha)
+    k = AlphaSpec.from_alpha(args.alpha).k
+    if k is None:
+        raise ValueError(f"alpha={args.alpha!r} must be 1/K for an integer order K")
+    if k > _MAX_LATIN_ORDER:
+        raise ValueError(f"order K={k:.6g} (alpha={args.alpha!r}) exceeds the limit of "
+                         f"{_MAX_LATIN_ORDER}; alpha must be >= {1 / _MAX_LATIN_ORDER!r}")
     if args.square == "cyclic":
-        k = round(1.0 / args.alpha)
         square = normalize_corner(cyclic_latin(k)).square
     else:
         with open(args.square) as fh:

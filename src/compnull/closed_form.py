@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import RejectionRegion2D, _as_xy
-from .statmath import _alpha, std_normal_cdf, std_normal_quantile
+from .statmath import _alpha, _count, _finite, _positive, std_normal_cdf, std_normal_quantile
 
 __all__ = [
     "AlphaSpec",
@@ -56,6 +56,8 @@ class AlphaSpec:
 def _unit_order(alpha: float) -> int | None:
     """K when 1/alpha lies within 1e-9 of the integer K, else None."""
     inv = 1.0 / alpha
+    if math.isinf(inv):  # subnormal alpha: no integer K has 1/K this small
+        return None
     k = round(inv)
     return k if abs(inv - k) <= _UNIT_FRACTION_TOL else None
 
@@ -178,15 +180,13 @@ def sobel_test(delta_x_hat: float, delta_y_hat: float, se_x: float, se_y: float,
     ``se_x``/``se_y`` are on the sqrt(n)-scale: the standard deviations of
     sqrt(n)*(estimate - truth). Z = sqrt(n)*dx*dy / sqrt(dy^2 se_x^2 +
     dx^2 se_y^2). Both estimates zero makes the denominator vanish; that
-    degenerate case reports Z=0, p=1 with a flag instead of an error.
+    degenerate case reports Z=0, p=1 with a flag instead of an error. The
+    estimates must be finite, the SEs positive and finite, and n an integer.
     """
     alpha = _alpha(alpha)
-    if se_x <= 0.0 or se_y <= 0.0:
-        raise ValueError("standard errors must be positive")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    dx = float(delta_x_hat)
-    dy = float(delta_y_hat)
+    (dx,), (dy,) = _finite("delta_x_hat", (delta_x_hat,)), _finite("delta_y_hat", (delta_y_hat,))
+    se_x, se_y = _positive("se_x", se_x), _positive("se_y", se_y)
+    n = _count("n", n, 1)
     denom = math.hypot(dy * se_x, dx * se_y)
     if denom == 0.0:
         return SobelTestResult(0.0, 1.0, False, True)

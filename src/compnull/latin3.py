@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import AlphaSpec, extended_breakpoints
-from .statmath import Interval, _alpha, _cdf_array
+from .regions import _paint
+from .statmath import Interval, _alpha, _cdf_array, _count, _finite
 
 __all__ = [
     "LatinSquare",
@@ -43,9 +44,8 @@ class LatinSquare:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = self.k
-        if k < 1:
-            raise ValueError(f"order must be >= 1, got {k!r}")
+        k = _count("order", self.k, 1)
+        object.__setattr__(self, "k", k)
         grid = tuple(tuple(int(v) for v in row) for row in self.grid)
         object.__setattr__(self, "grid", grid)
         if len(grid) != k or any(len(row) != k for row in grid):
@@ -66,8 +66,7 @@ class LatinSquare:
 
 def cyclic_latin(k: int) -> LatinSquare:
     """The cyclic square A_{i,j} = ((i+j-2) mod K) + 1."""
-    if k < 1:
-        raise ValueError(f"order must be >= 1, got {k!r}")
+    k = _count("order", k, 1)
     return LatinSquare(k, tuple(
         tuple((i + j) % k + 1 for j in range(k)) for i in range(k)))
 
@@ -140,64 +139,44 @@ class RejectionRegion3D:
     Construction validates the boxes and compiles them onto one band
     tensor: per-axis sorted band edges, each running from 0 to inf and
     including every box endpoint, and a read-only tensor holding, for each
-    open grid cell, 1 + the index of the box containing it (0 for none),
-    with its 0/1 membership as floats. Every box is a slab of whole grid
-    cells, so lookup is one bisection per axis plus one tensor read and
-    exact power is a contraction of per-axis band masses with the tensor.
+    open grid cell, 1 + the index of the box containing it (0 for none).
+    Every box is a slab of whole grid cells, so lookup is one bisection per
+    axis plus one tensor read and exact power is a contraction of per-axis
+    band masses with the tensor's membership.
     """
 
-    __slots__ = ("alpha", "boxes", "_edges", "_inner", "_label", "_member")
+    __slots__ = ("alpha", "boxes", "_edges", "_inner", "_label")
 
     def __init__(self, alpha: float, boxes):
         alpha = _alpha(alpha)
         norm = []
-        for b in boxes:
-            x, y, z = b
+        for x, y, z in boxes:
             for iv in (x, y, z):
                 if not isinstance(iv, Interval):
                     raise ValueError("each box must be a triple of Interval")
                 if iv.lo < 0.0:
                     raise ValueError("boxes must lie in the nonnegative octant")
             norm.append((x, y, z))
-        self.alpha = alpha
-        self.boxes = tuple(norm)
-        self._compile()
+        self.alpha, self.boxes = alpha, tuple(norm)
+        self._set_tensor(*self._compile())
 
-    def _compile(self) -> None:
+    def _compile(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in self.boxes]
                           ).reshape(-1, 3, 2).transpose(2, 1, 0)
         edges = tuple(np.unique(np.concatenate(([0.0, math.inf], lo[a], hi[a])))
                       for a in range(3))
-        nx, ny, nz = (len(e) - 1 for e in edges)
-
-        # Box k covers the grid slab i0[:, k]:i1[:, k] exactly, because its
-        # endpoints are grid edges. Paint coverage counts and labels k+1 with
-        # a 3-D difference array (+-1 at the slab's eight corners, then a
-        # cumsum along each axis); integer sums keep both exact.
-        i0 = np.array([np.searchsorted(e, v) for e, v in zip(edges, lo)])
-        i1 = np.array([np.searchsorted(e, v) for e, v in zip(edges, hi)])
-        labels = np.arange(1, len(self.boxes) + 1)
-        count = np.zeros((nx + 1, ny + 1, nz + 1), dtype=np.int64)
-        label = np.zeros_like(count)
-        for corner in itertools.product((0, 1), repeat=3):
-            index = tuple(i1[a] if c else i0[a] for a, c in enumerate(corner))
-            sign = (-1) ** sum(corner)
-            np.add.at(count, index, sign)
-            np.add.at(label, index, sign * labels)
-        count = count.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2)[:nx, :ny, :nz]
-        if count.max(initial=0) > 1:
-            cell = np.argwhere(count > 1)[0][:, None]
-            a, b = np.nonzero(np.all((i0 <= cell) & (cell < i1), axis=0))[0][:2]
+        label, overlap = _paint(edges, lo, hi)
+        if overlap is not None:
+            _, a, b = overlap
             raise ValueError(f"boxes overlap: {self.boxes[a]} and {self.boxes[b]}")
-        label = label.cumsum(axis=0).cumsum(axis=1).cumsum(axis=2)[:nx, :ny, :nz]
-        member = (label > 0).astype(float)
+        return edges, label
 
-        for arr in (*edges, label, member):
+    def _set_tensor(self, edges: tuple[np.ndarray, ...], label: np.ndarray) -> None:
+        for arr in (*edges, label):
             arr.flags.writeable = False
         self._edges = edges
         self._inner = tuple(tuple(e[1:-1].tolist()) for e in edges)
         self._label = label
-        self._member = member
 
     def __eq__(self, other):
         if not isinstance(other, RejectionRegion3D):
@@ -218,7 +197,9 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     :func:`~compnull.closed_form.extended_breakpoints`, so c_0 = 0 and
     c_K = inf. Requires alpha = 1/K for the square's order K. The square is
     used as given; apply normalize_corner first if consistency at large
-    diagonal alternatives is wanted.
+    diagonal alternatives is wanted. Each box is one cell of the ladder's
+    band tensor, which is written directly (cell (i, j, A_ij) gets label
+    (i - 1) K + j), not compiled from the boxes.
     """
     spec = AlphaSpec.from_alpha(alpha)
     if spec.k != a.k:
@@ -227,11 +208,14 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     k = a.k
     c = extended_breakpoints(spec.alpha)
     bands = [Interval(c[i], c[i + 1]) for i in range(k)]
-    boxes = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            boxes.append((bands[i - 1], bands[j - 1], bands[a[i, j] - 1]))
-    return RejectionRegion3D(spec.alpha, boxes)
+    boxes = tuple((bands[i], bands[j], bands[s - 1])
+                  for i, row in enumerate(a.grid) for j, s in enumerate(row))
+    label = np.zeros((k * k, k), dtype=np.int64)
+    label[np.arange(k * k), np.ravel(a.grid) - 1] = np.arange(1, k * k + 1)
+    region = RejectionRegion3D.__new__(RejectionRegion3D)
+    region.alpha, region.boxes = spec.alpha, boxes
+    region._set_tensor((np.array(c),) * 3, label.reshape(k, k, k))
+    return region
 
 
 def _as_xyz(z) -> tuple[float, float, float]:
@@ -268,12 +252,10 @@ def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
     With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is
     the contraction of the membership tensor with g_x, g_y and g_z.
     """
-    d = _as_xyz(delta_star)
-    if not all(math.isfinite(mu) for mu in d):
-        raise ValueError(f"mean must be finite, got {d!r}")
+    d = _finite("mean", _as_xyz(delta_star))
     gx, gy, gz = (np.diff(_cdf_array(e - mu)) - np.diff(_cdf_array(-e - mu))
                   for e, mu in zip(region._edges, d))
-    return min(1.0, max(0.0, float(region._member @ gz @ gy @ gx)))
+    return min(1.0, max(0.0, float((region._label > 0) @ gz @ gy @ gx)))
 
 
 def square_to_json(a: LatinSquare) -> str:
@@ -289,6 +271,6 @@ def square_from_json(text: str) -> LatinSquare:
     if not isinstance(doc, dict) or "order" not in doc or "grid" not in doc:
         raise ValueError("square document must have 'order' and 'grid' fields")
     try:
-        return LatinSquare(int(doc["order"]), tuple(tuple(row) for row in doc["grid"]))
+        return LatinSquare(doc["order"], tuple(tuple(row) for row in doc["grid"]))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid square document: {exc}") from None

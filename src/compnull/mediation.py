@@ -18,6 +18,7 @@ from scipy.linalg.blas import dnrm2 as _dnrm2
 from scipy.linalg.lapack import dgeqrf as _dgeqrf, dtrtrs as _dtrtrs
 
 from .regions import EstimateProvenance, TestStatisticPair
+from .statmath import _count, _finite, _positive
 
 __all__ = [
     "DataError",
@@ -230,18 +231,18 @@ def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,
 
     ``sigma`` is the 2x2 covariance of sqrt(n)*(estimates - truth) and must
     be diagonal: correlated coordinates are rejected, not silently whitened.
+    The estimates must be finite, the variances positive and finite, and n
+    an integer.
     """
+    (dx,), (dy,) = _finite("delta_x_hat", (delta_x_hat,)), _finite("delta_y_hat", (delta_y_hat,))
     s = np.asarray(sigma, dtype=float)
     if s.shape != (2, 2):
         raise ValueError(f"sigma must be 2x2, got shape {s.shape}")
     if s[0, 1] != 0.0 or s[1, 0] != 0.0:
         raise ValueError(
             "sigma must be diagonal; refusing to whiten correlated estimates")
-    if s[0, 0] <= 0.0 or s[1, 1] <= 0.0:
-        raise ValueError("sigma diagonal entries must be positive")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
-    return _pair(delta_x_hat, delta_y_hat, math.sqrt(s[0, 0]), math.sqrt(s[1, 1]), n)
+    var_x, var_y = _positive("sigma[0][0]", s[0, 0]), _positive("sigma[1][1]", s[1, 1])
+    return _pair(dx, dy, math.sqrt(var_x), math.sqrt(var_y), _count("n", n, 1))
 
 
 def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:

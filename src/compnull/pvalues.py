@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import _as_xy
-from .statmath import _cdf_array
+from .statmath import _cdf_array, _count
 
 __all__ = [
     "PvalueResult",
@@ -46,17 +46,9 @@ class PvalueResult:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        if self.resolution < 1:
-            raise ValueError(f"resolution must be positive, got {self.resolution!r}")
+        _count("resolution", self.resolution, 1)
         if self.method not in _PVALUE_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
-
-
-def _check_resolution(resolution: int) -> int:
-    resolution = int(resolution)
-    if resolution < 100:
-        raise ValueError(f"resolution must be >= 100, got {resolution}")
-    return resolution
 
 
 def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
@@ -67,7 +59,7 @@ def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
     joint-significance p-value everywhere. A coordinate at +-inf lies in
     the end band of every region; NaN raises ``ValueError``.
     """
-    resolution = _check_resolution(resolution)
+    resolution = _count("resolution", resolution, 100)
     zx, zy = _as_xy(z)
     if math.isnan(zx) or math.isnan(zy):
         raise ValueError("test statistics must not be NaN")
@@ -80,7 +72,7 @@ def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.nda
 
     A pair holding NaN is never rejected, so its p-value is 1.
     """
-    r = _check_resolution(resolution)
+    r = _count("resolution", resolution, 100)
     u = np.abs(np.asarray(zx, dtype=float))
     v = np.abs(np.asarray(zy, dtype=float))
     if u.shape != v.shape or u.ndim != 1:

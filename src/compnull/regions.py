@@ -241,31 +241,46 @@ class RejectionRegion2D:
             y_extra += (-t, t) + (box[2:] if box is not None else ())
         x_edges = np.unique(np.concatenate((xlo, xhi, x_extra)))
         y_edges = np.unique(np.concatenate((ylo, yhi, y_extra)))
-        nx, ny = len(x_edges) - 1, len(y_edges) - 1
-
-        # Cell k covers grid rows i0:i1 and columns j0:j1 exactly, because
-        # its endpoints are grid edges. Paint coverage counts and labels k+1
-        # with 2-D difference arrays; integer cumsums keep both exact.
-        i0, i1 = np.searchsorted(x_edges, xlo), np.searchsorted(x_edges, xhi)
-        j0, j1 = np.searchsorted(y_edges, ylo), np.searchsorted(y_edges, yhi)
-        labels = np.arange(1, len(self._cells) + 1)
-        count = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-        label = np.zeros((nx + 1, ny + 1), dtype=np.int64)
-        for rows, cols, sign in ((i0, j0, 1), (i0, j1, -1), (i1, j0, -1), (i1, j1, 1)):
-            np.add.at(count, (rows, cols), sign)
-            np.add.at(label, (rows, cols), sign * labels)
-        count = count.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]
-        if count.max(initial=0) > 1:
-            gi, gj = np.argwhere(count > 1)[0]
-            a, b = np.nonzero((i0 <= gi) & (gi < i1) & (j0 <= gj) & (gj < j1))[0][:2]
+        label, overlap = _paint((x_edges, y_edges), np.array([xlo, ylo]), np.array([xhi, yhi]))
+        if overlap is not None:
+            (gi, gj), a, b = overlap
             raise RegionValidationError(
                 f"overlapping cells: cells[{a}] and cells[{b}] share the open rectangle "
                 f"({float(x_edges[gi])!r}, {float(x_edges[gi + 1])!r}) x "
                 f"({float(y_edges[gj])!r}, {float(y_edges[gj + 1])!r})")
-        cell_p = np.concatenate(([0.0], p))[label.cumsum(axis=0).cumsum(axis=1)[:nx, :ny]]
+        cell_p = np.concatenate(([0.0], p))[label]
 
         fires = _js_outside(x_edges, y_edges, t, box) if rule is not None else False
         return x_edges, y_edges, np.where(cell_p > 0.0, cell_p, fires)
+
+
+def _paint(edges, lo, hi):
+    """Paint boxes onto a grid: their label tensor and the first overlap.
+
+    ``lo``/``hi`` are (axes, boxes) arrays of box bounds, each an edge in
+    ``edges``, so box k is a slab of whole cells; difference arrays (+-1 at
+    slab corners, a cumsum per axis) paint its label k + 1 and coverage
+    counts exactly. Returns the labels (0 off every box) and None, or
+    ``(cell, a, b)``: the first cell two boxes share and the first two on it.
+    """
+    i0, i1 = (np.array([np.searchsorted(e, v) for e, v in zip(edges, b)]) for b in (lo, hi))
+    labels = np.arange(1, i0.shape[1] + 1)
+    count = np.zeros([len(e) for e in edges], dtype=np.int64)
+    label = np.zeros_like(count)
+    for corner in itertools.product((0, 1), repeat=len(edges)):
+        index = tuple(i1[a] if c else i0[a] for a, c in enumerate(corner))
+        sign = (-1) ** sum(corner)
+        np.add.at(count, index, sign)
+        np.add.at(label, index, sign * labels)
+    inner = (slice(-1),) * len(edges)
+    for axis in range(len(edges)):
+        count, label = count.cumsum(axis=axis), label.cumsum(axis=axis)
+    count, label = count[inner], label[inner]
+    if count.max(initial=0) <= 1:
+        return label, None
+    cell = np.argwhere(count > 1)[0]
+    a, b = np.nonzero(np.all((i0 <= cell[:, None]) & (cell[:, None] < i1), axis=0))[0][:2]
+    return label, (cell, a, b)
 
 
 def _checked_edges(edges, name: str) -> np.ndarray:

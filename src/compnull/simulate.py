@@ -24,7 +24,7 @@ import numpy as np
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
 from .regions import RejectionRegion2D, rejection_prob_at_points, _cdf_array
-from .statmath import _alpha, _count, std_normal_quantile
+from .statmath import _alpha, _count, _finite, std_normal_quantile
 
 __all__ = [
     "SimSpec",
@@ -64,13 +64,6 @@ def _seed(value) -> int:
     if _count("seed", value, 0) >= 2 ** 64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {value!r}")
     return int(value)
-
-
-def _finite(name: str, values) -> tuple[float, ...]:
-    out = tuple(float(v) for v in values)
-    if not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} must be finite, got {out!r}")
-    return out
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,22 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _finite(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; NaN and +-inf are refused."""
+    out = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be finite, got {out!r}")
+    return out
+
+
+def _positive(name: str, value) -> float:
+    """``value`` as a positive finite float."""
+    v = float(value)
+    if not (math.isfinite(v) and v > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return v
+
+
 def _cdf_array(x: np.ndarray) -> np.ndarray:
     # Same formula as std_normal_cdf, vectorized for the batch power paths.
     return 0.5 * _special.erfc(-np.asarray(x, dtype=float) / _SQRT2)
@@ -139,9 +155,7 @@ def std_normal_quantile(p: float) -> float:
 
 def gaussian_interval_prob(interval: Interval, mu: float) -> float:
     """P(Z in interval) for Z ~ N(mu, 1), clamped to [0, 1]."""
-    mu = float(mu)
-    if not math.isfinite(mu):
-        raise ValueError(f"mean must be finite, got {mu!r}")
+    (mu,) = _finite("mean", (mu,))
     p = std_normal_cdf(interval.hi - mu) - std_normal_cdf(interval.lo - mu)
     return min(1.0, max(0.0, p))
 

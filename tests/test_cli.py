@@ -149,6 +149,27 @@ def test_three_factor_usage_errors(capsys):
         assert err == f"error: alpha must lie in (0, 1), got {shown}\n"
 
 
+def test_three_factor_refuses_orders_above_the_limit(tmp_path, capsys):
+    # K = 201 is refused before any square is built or read, so a missing
+    # square file is never opened
+    alpha = 1.0 / 201
+    want = (f"error: order K=201 (alpha={alpha!r}) exceeds the limit of 200; "
+            "alpha must be >= 0.005\n")
+    for square in ("cyclic", str(tmp_path / "missing.json")):
+        code, out, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(alpha),
+                              "--square", square)
+        assert (code, out, err) == (1, "", want)
+    code, out, _ = _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.005")
+    assert code == 0 and json.loads(out)["order"] == 200
+
+
+@pytest.mark.parametrize("alpha", ["0.4", "0.3", "1e-320"])
+def test_three_factor_refuses_non_unit_levels(capsys, alpha):
+    code, out, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", alpha)
+    assert (code, out) == (1, "")
+    assert err == f"error: alpha={float(alpha)!r} must be 1/K for an integer order K\n"
+
+
 def test_pvalue_command(capsys):
     code, out, _ = _run(capsys, "pvalue", "--zx", "2.5", "--zy", "1.0",
                         "--resolution", "10000")

@@ -278,6 +278,28 @@ def test_sobel_degenerate_input():
     assert res.statistic == 0.0 and res.p_value == 1.0 and not res.reject
 
 
+@pytest.mark.parametrize("args, message", [
+    ((math.inf, 1.0, 1.0, 1.0, 10), "delta_x_hat must be finite, got (inf,)"),
+    ((1.0, -math.inf, 1.0, 1.0, 10), "delta_y_hat must be finite, got (-inf,)"),
+    ((math.nan, 1.0, 1.0, 1.0, 10), "delta_x_hat must be finite, got (nan,)"),
+    ((1.0, 1.0, math.nan, 1.0, 10), "se_x must be positive and finite, got nan"),
+    ((1.0, 1.0, math.inf, 1.0, 10), "se_x must be positive and finite, got inf"),
+    ((1.0, 1.0, 1.0, 0.0, 10), "se_y must be positive and finite, got 0.0"),
+    ((1.0, 1.0, 1.0, -2.0, 10), "se_y must be positive and finite, got -2.0"),
+    ((1.0, 1.0, 1.0, 1.0, 2.5), "n must be an integer, got 2.5"),
+    ((1.0, 1.0, 1.0, 1.0, True), "n must be an integer, got True"),
+    ((1.0, 1.0, 1.0, 1.0, 0), "n must be >= 1, got 0"),
+])
+def test_sobel_input_contract(args, message):
+    with pytest.raises(ValueError) as err:
+        sobel_test(*args)
+    assert str(err.value) == message
+
+
+def test_sobel_accepts_numpy_integers():
+    assert sobel_test(0.2, 0.1, 1.0, 1.0, np.int64(100)) == sobel_test(0.2, 0.1, 1.0, 1.0, 100)
+
+
 def test_interval_reuse_in_cells():
     # cells expose plain Interval endpoints; tails carry the infinities
     region = build_minimax_region(0.25)

@@ -1,6 +1,7 @@
 """Three-factor regions built from Latin squares."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -381,3 +382,30 @@ def test_large_order_is_similar():
     for point in ((0.0, 1.3, 2.9), (0.4, 0.0, 3.5), (2.2, 0.01, 0.0)):
         assert abs(analytic_power3(region, point) - 1.0 / k) <= 1e-12
     assert rejects3(region, (np.inf, np.inf, np.inf))
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, "3"])
+def test_order_must_be_an_integer(bad):
+    for make in (cyclic_latin, lambda k: LatinSquare(k, ((1,),))):
+        with pytest.raises(ValueError) as err:
+            make(bad)
+        assert str(err.value) == f"order must be an integer, got {bad!r}"
+    with pytest.raises(ValueError, match="invalid square document: order must be an integer"):
+        square_from_json(json.dumps({"order": bad, "grid": [[1]]}))
+    assert cyclic_latin(np.int64(3)) == cyclic_latin(3)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 20])
+def test_written_tensor_equals_compiled(k):
+    # the box compiler is the reference for the tensor build_latin_region writes
+    for sq in (cyclic_latin(k), normalize_corner(cyclic_latin(k)).square):
+        region = build_latin_region(sq, 1.0 / k)
+        compiled = RejectionRegion3D(1.0 / k, region.boxes)
+        assert region == compiled
+        assert region.boxes == compiled.boxes
+        assert all(isinstance(iv, Interval) for box in region.boxes for iv in box)
+        for written, ref in zip(region._edges + (region._label,),
+                                compiled._edges + (compiled._label,)):
+            assert written.dtype == ref.dtype and np.array_equal(written, ref)
+            assert not written.flags.writeable
+        assert region._inner == compiled._inner

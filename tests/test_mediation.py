@@ -454,3 +454,21 @@ def test_load_csv_error_coordinates(tmp_path):
     p = _write(tmp_path / "roles.csv", "y,a,m\n1,2,3\n")
     with pytest.raises(DataError, match="roles overlap"):
         load_csv(p, y="y", a="a", m="a")
+
+
+_SIGMA = [[4.0, 0.0], [0.0, 9.0]]
+
+
+@pytest.mark.parametrize("args, message", [
+    ((math.nan, 0.5, _SIGMA, 25), "delta_x_hat must be finite, got (nan,)"),
+    ((0.5, math.inf, _SIGMA, 25), "delta_y_hat must be finite, got (inf,)"),
+    ((0.5, 0.5, [[math.nan, 0.0], [0.0, 1.0]], 25), "sigma[0][0] must be positive and finite, got nan"),
+    ((0.5, 0.5, [[1.0, 0.0], [0.0, math.inf]], 25), "sigma[1][1] must be positive and finite, got inf"),
+    ((0.5, 0.5, [[1.0, 0.0], [0.0, -1.0]], 25), "sigma[1][1] must be positive and finite, got -1.0"),
+    ((0.5, 0.5, _SIGMA, 2.5), "n must be an integer, got 2.5"),
+    ((0.5, 0.5, _SIGMA, True), "n must be an integer, got True"),
+])
+def test_standardize_pair_input_contract(args, message):
+    with pytest.raises(ValueError) as err:
+        standardize_pair(*args)
+    assert str(err.value) == message

@@ -35,6 +35,17 @@ def test_result_validation():
             PvalueResult(0.5, 100, method)
 
 
+@pytest.mark.parametrize("bad", [100.5, True, "100"])
+def test_resolution_must_be_an_integer(bad):
+    for call in (lambda r: minimax_pvalue((1.0, 1.0), r),
+                 lambda r: minimax_pvalue_batch([1.0], [1.0], r),
+                 lambda r: PvalueResult(0.5, r, "extended_minimax")):
+        with pytest.raises(ValueError) as err:
+            call(bad)
+        assert str(err.value) == f"resolution must be an integer, got {bad!r}"
+    assert minimax_pvalue((1.0, 1.0), np.int64(100)).resolution == 100
+
+
 def test_resolution_floor():
     with pytest.raises(ValueError, match="resolution"):
         minimax_pvalue((1.0, 1.0), resolution=99)
