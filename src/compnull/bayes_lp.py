@@ -20,9 +20,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .regions import (Interval, RejectionRegion2D, WeightedRect, _cdf_array, _js_outside,
+from .regions import (Interval, RejectionRegion2D, WeightedRect, _js_outside,
                       analytic_power_batch)
-from .statmath import _alpha, _count, _positive, std_normal_quantile
+from .statmath import _alpha, _cdf_array, _count, _positive, std_normal_quantile
 
 __all__ = [
     "LpProblem",

@@ -24,10 +24,12 @@ from .regions import (RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
+from .statmath import _alpha
 
 __all__ = ["cli_dispatch", "main"]
 
 _MAX_LATIN_ORDER = 200  # a Latin region's K^3 label tensor takes 64 MB at K = 200
+_MAX_GRID_ORDER = 1000  # a minimax/extended grid has (2*floor(1/alpha) + 2)^2 cells
 
 
 class _UsageError(Exception):
@@ -77,7 +79,16 @@ def _parse_pair(text: str, flag: str) -> tuple[float, float]:
         raise _UsageError(f"{flag} expects numbers, got {text!r}") from None
 
 
+def _check_grid_order(alpha: float) -> None:
+    """Refuse a level whose minimax/extended grid exceeds _MAX_GRID_ORDER."""
+    if 1.0 / _alpha(alpha) >= _MAX_GRID_ORDER + 1:
+        raise ValueError(f"order floor(1/alpha) (alpha={alpha!r}) exceeds the limit of "
+                         f"{_MAX_GRID_ORDER}; alpha must be > 1/{_MAX_GRID_ORDER + 1}")
+
+
 def _build_region(method: str, alpha: float):
+    if method in ("minimax", "extended"):
+        _check_grid_order(alpha)
     if method == "minimax":
         return build_minimax_region(alpha)
     if method == "extended":
@@ -213,6 +224,8 @@ def _parse_deltas(text: str) -> tuple[tuple[float, float], ...]:
 
 def _cmd_sim_power(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
+    if {"minimax", "extended"} & set(methods):
+        _check_grid_order(args.alpha)
     region = _load_region(args.bayes_region) if args.bayes_region else None
     spec = SimSpec(methods, _parse_deltas(args.deltas), args.n, args.reps,
                    args.seed, args.alpha, region,

@@ -8,8 +8,10 @@ and it holds a pair iff both p-values share a band. With a <= b the pair's
 p-values and R the resolution, level j misses iff
 floor(b*R/j) > floor(a*R/j). The count adds up about 2*sqrt(R) vectorized
 groups: small j one by one, large j grouped by the value of floor(b*R/j).
-A right-endpoint grid makes the value dominated by the joint-significance
-p-value b exactly, not just up to grid error: only levels j <= b*R miss.
+On a right-endpoint grid only levels j <= b*R miss, so in exact arithmetic
+the value is at most the joint-significance (JS) p-value b. The products
+b*R and misses/R round, so the count is clamped to b as computed, which
+keeps the value at most ``js_test``'s p-value bit for bit.
 """
 
 from __future__ import annotations
@@ -80,7 +82,8 @@ def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.nda
     valid = (u > 0.0) & (v > 0.0)
     # Two-sided p-values times r. A nonzero |z| whose p rounds to 1 sits on
     # the top band's open end; every value in [r-1, r) shares that band.
-    pr = np.minimum(2.0 * _cdf_array(-np.stack([u, v], axis=1)) * r, r - 0.5)
+    p2 = 2.0 * _cdf_array(-np.stack([u, v], axis=1))
+    pr = np.minimum(p2 * r, r - 0.5)
     pr[~valid] = 0.0
     a = pr.min(axis=1)
     b = pr.max(axis=1)
@@ -98,7 +101,7 @@ def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.nda
         lo = np.maximum(np.subtract(fb, lo, out=lo), 0.0, out=lo)
         lo += fb > fa  # whole counts, so the float sum is exact
         misses[i:i + rows] = lo.sum(axis=1)
-    return np.where(valid, misses / r, 1.0)
+    return np.where(valid, np.minimum(misses / r, p2.max(axis=1)), 1.0)
 
 
 def _validated_pvals(pvals) -> np.ndarray:

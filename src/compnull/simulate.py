@@ -23,8 +23,8 @@ import numpy as np
 
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
-from .regions import RejectionRegion2D, rejection_prob_at_points, _cdf_array
-from .statmath import _alpha, _count, _finite, std_normal_quantile
+from .regions import RejectionRegion2D, rejection_prob_at_points
+from .statmath import _alpha, _cdf_array, _count, _finite, std_normal_quantile
 
 __all__ = [
     "SimSpec",

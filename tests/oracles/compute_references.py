@@ -78,6 +78,11 @@ def main() -> None:
     for k in (1, 2):
         out[f"latin_c{k}_alpha1_3"] = nquantile((1 + mp.mpf(k) / 3) / 2)
 
+    # Minimax ladder quantiles (K+j)/(2K) near 1/2, at the double nearest
+    # each ratio (K = 200, j = 1 and 3; K = 100, j = 1).
+    for num, den in ((201, 400), (203, 400), (101, 200)):
+        out[f"quantile_{num}/{den}"] = nquantile(num / den)
+
     # Quantile at 3/4 (order-2 Latin threshold) and JS p at z=(3,3).
     out["quantile_0.75"] = nquantile("0.75")
     out["js_p_(3,3)"] = 2 * (1 - ncdf(3))

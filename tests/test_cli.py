@@ -170,6 +170,34 @@ def test_three_factor_refuses_non_unit_levels(capsys, alpha):
     assert err == f"error: alpha={float(alpha)!r} must be 1/K for an integer order K\n"
 
 
+_GRID_COMMANDS = [("test", "--zx", "1", "--zy", "1", "--method", "minimax"),
+                  ("test", "--zx", "1", "--zy", "1", "--method", "extended"),
+                  ("region", "build", "--method", "minimax"),
+                  ("region", "build", "--method", "extended"),
+                  ("simulate", "power", "--methods", "js,extended", "--reps", "10",
+                   "--seed", "1")]
+
+
+@pytest.mark.parametrize("alpha", ["0.000999", "1e-320"])
+@pytest.mark.parametrize("command", _GRID_COMMANDS)
+def test_grid_methods_refuse_orders_above_the_limit(capsys, command, alpha):
+    # refused before any grid is built, even where floor(1/alpha) would overflow
+    code, out, err = _run(capsys, *command, "--alpha", alpha)
+    assert (code, out) == (1, "")
+    assert err == (f"error: order floor(1/alpha) (alpha={float(alpha)!r}) exceeds the "
+                   "limit of 1000; alpha must be > 1/1001\n")
+
+
+def test_grid_methods_accept_the_limit_order(capsys):
+    for method in ("minimax", "extended"):
+        code, out, _ = _run(capsys, "test", "--zx", "1", "--zy", "1", "--method", method,
+                            "--alpha", "0.001")
+        assert code == 0 and json.loads(out)["reject"] is True
+    code, out, _ = _run(capsys, "simulate", "power", "--methods", "js", "--reps", "10",
+                        "--seed", "1", "--alpha", "0.000999")
+    assert code == 0 and out.startswith("delta_x,")
+
+
 def test_pvalue_command(capsys):
     code, out, _ = _run(capsys, "pvalue", "--zx", "2.5", "--zy", "1.0",
                         "--resolution", "10000")

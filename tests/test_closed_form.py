@@ -387,7 +387,7 @@ def test_unit_fraction_ladder_is_shared():
         assert (-mm.x_edges[:k + 1][::-1]).tolist() == ladder
     # Phi^-1(0.65) = 0.38532046640756762... (mpmath) is an edge at alpha = 1/20,
     # so the open bands leave the point outside both regions
-    edge = 0.3853204664075677
+    edge = 0.38532046640756773
     assert edge == std_normal_quantile(26 / 40)
     for region in (build_minimax_region(0.05), build_extended_region(0.05)):
         assert rejection_prob_at_point(region, (edge, edge)) == 0.0

@@ -174,6 +174,23 @@ def test_dominated_by_js_pvalue_everywhere():
     assert np.all(phat >= 0.0)
 
 
+@pytest.mark.parametrize("resolution", [300, 1000, 10_000, 12345])
+def test_dominated_by_js_pvalue_on_grid_boundaries(resolution):
+    # zx within 4 ulps of the boundary -Phi^-1(k/2R) of a grid level, where
+    # the rounding of p*R and misses/R used to lift the value one ulp above
+    # the JS p-value; compared with js_test itself, with no tolerance
+    edge = np.array([-std_normal_quantile(k / (2 * resolution)) for k in range(1, resolution)])
+    zx = [edge]
+    for step in range(1, 5):
+        zx += [edge + step * np.spacing(edge), edge - step * np.spacing(edge)]
+    zx = np.concatenate(zx)
+    phat = minimax_pvalue_batch(zx, np.full_like(zx, 9.0), resolution)
+    pjs = np.array([js_test((x, 9.0), 0.05).p_value for x in zx.tolist()])
+    assert np.count_nonzero(phat > pjs) == 0
+    for i in range(0, len(zx), 997):
+        assert minimax_pvalue((zx[i], 9.0), resolution).p == phat[i]
+
+
 def test_resolution_refinement_is_slow():
     # halving the grid step moves the value by at most one coarse step
     vals = [0.0, 0.3, 0.9, 1.7, 2.6]

@@ -6,12 +6,14 @@ Reference constants come from tests/oracles/compute_references.py (mpmath at
 
 import math
 
+import numpy as np
 import pytest
 
 from compnull import (AlphaSpec, Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
                       build_extended_region, build_js_region, build_latin_region, build_lp,
                       cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
                       origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
+from compnull.statmath import _cdf_array
 
 Q_975 = 1.9599639845400542
 Q_995 = 2.5758293035489008
@@ -20,6 +22,9 @@ Q_5_7 = 0.56594882193286305
 CDF_1 = 0.84134474606854295
 CDF_M35 = 0.00023262907903552504
 FOLDED_12_MU05 = 0.30232787340021076
+# Minimax ladder quantiles at the double nearest (K+j)/(2K)
+LADDER_Q = {201 / 400: 0.0062666117017503349, 203 / 400: 0.018800819591187534,
+            101 / 200: 0.012533469508069274}
 
 
 def test_cdf_frozen_values():
@@ -40,6 +45,19 @@ def test_quantile_frozen_values():
     assert std_normal_quantile(0.995) == pytest.approx(Q_995, abs=1e-14)
     assert std_normal_quantile(0.8) == pytest.approx(Q_08, abs=1e-14)
     assert std_normal_quantile(5.0 / 7.0) == pytest.approx(Q_5_7, abs=1e-14)
+
+
+def test_scalar_and_array_cdf_agree_bitwise():
+    xs = np.concatenate((np.linspace(-40.0, 40.0, 80_001),
+                         np.random.default_rng(7).uniform(-40.0, 40.0, 20_000)))
+    scalar = np.array([std_normal_cdf(x) for x in xs.tolist()])
+    assert scalar.tobytes() == _cdf_array(xs).tobytes()
+
+
+def test_quantile_on_the_ladder_within_four_ulps():
+    # near 1/2 the quantile is small, so its ulp is fine-grained there
+    for p, ref in LADDER_Q.items():
+        assert abs(std_normal_quantile(p) - ref) <= 4 * math.ulp(ref), p
 
 
 def test_quantile_edges():
