@@ -18,8 +18,8 @@ from .closed_form import (AlphaSpec, JsTestResult, SobelTestResult,
                           build_extended_region, build_js_region,
                           build_minimax_region, extended_breakpoints, js_test,
                           origin_type1, sobel_test)
-from .pvalues import (DEFAULT_RESOLUTION, PvalueResult, benjamini_hochberg,
-                      bonferroni, minimax_pvalue, minimax_pvalue_batch)
+from .pvalues import (PvalueResult, benjamini_hochberg, bonferroni, minimax_pvalue,
+                      minimax_pvalue_batch)
 from .latin3 import (CornerNormalization, LatinSquare, RejectionRegion3D,
                      analytic_power3, build_latin_region, conjugate, cyclic_latin,
                      is_totally_symmetric, normalize_corner, rejects3,
@@ -46,7 +46,7 @@ __all__ = [
     "AlphaSpec", "JsTestResult", "SobelTestResult", "build_extended_region",
     "build_js_region", "build_minimax_region", "extended_breakpoints", "js_test",
     "origin_type1", "sobel_test",
-    "DEFAULT_RESOLUTION", "PvalueResult", "benjamini_hochberg", "bonferroni",
+    "PvalueResult", "benjamini_hochberg", "bonferroni",
     "minimax_pvalue", "minimax_pvalue_batch",
     "CornerNormalization", "LatinSquare", "RejectionRegion3D", "analytic_power3",
     "build_latin_region", "conjugate", "cyclic_latin", "is_totally_symmetric",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .regions import (Interval, RejectionRegion2D, WeightedRect, _js_outside,
                       analytic_power_batch)
-from .statmath import _alpha, _cdf_array, _count, _positive, std_normal_quantile
+from .statmath import _alpha, _cdf_array, _count, _positive, _two_sided_cutoff
 
 __all__ = [
     "LpProblem",
@@ -174,7 +174,7 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     m = _count("m", m, 4)
     prior_sd = _positive("prior_sd", prior_sd)
 
-    b = 2.0 * std_normal_quantile(1.0 - alpha / 2.0)
+    b = 2.0 * _two_sided_cutoff(alpha)
     edges = _ladder(b, m)
     band_weights = np.diff(_cdf_array(edges / math.hypot(1.0, prior_sd)))
     offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * (b / m)

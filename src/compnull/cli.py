@@ -18,8 +18,7 @@ from .closed_form import (AlphaSpec, build_extended_region, build_js_region,
 from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects3,
                      square_from_json)
 from .mediation import DataError, load_csv, product_method_stats
-from .pvalues import (DEFAULT_RESOLUTION, benjamini_hochberg, bonferroni,
-                      minimax_pvalue)
+from .pvalues import benjamini_hochberg, bonferroni, minimax_pvalue
 from .regions import (RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
@@ -160,9 +159,8 @@ def _cmd_test3(args) -> int:
 
 
 def _cmd_pvalue(args) -> int:
-    res = minimax_pvalue((args.zx, args.zy), args.resolution)
-    _emit(_json({"p": res.p, "resolution": res.resolution, "method": res.method}),
-          args.out)
+    res = minimax_pvalue((args.zx, args.zy))
+    _emit(_json({"p": res.p, "method": res.method}), args.out)
     return 0
 
 
@@ -236,7 +234,7 @@ def _cmd_sim_power(args) -> int:
 
 def _cmd_sim_ecdf(args) -> int:
     delta = _parse_pair(args.delta, "--delta")
-    table = simulate_pvalue_ecdf(args.reps, delta, args.resolution, args.seed)
+    table = simulate_pvalue_ecdf(args.reps, delta, seed=args.seed)
     _emit(table.to_csv(), args.out)
     return 0
 
@@ -289,7 +287,6 @@ def _build_parser() -> _Parser:
     p_pv = sub.add_parser("pvalue", help="generalized p-value of a point")
     p_pv.add_argument("--zx", type=float, required=True)
     p_pv.add_argument("--zy", type=float, required=True)
-    p_pv.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p_pv.add_argument("--out")
     p_pv.set_defaults(func=_cmd_pvalue)
 
@@ -341,7 +338,6 @@ def _build_parser() -> _Parser:
     p_se = sim_sub.add_parser("ecdf", help="p-value ECDF table")
     p_se.add_argument("--reps", type=int, required=True)
     p_se.add_argument("--delta", default="0,0")
-    p_se.add_argument("--resolution", type=int, default=DEFAULT_RESOLUTION)
     p_se.add_argument("--seed", type=int, default=0)
     p_se.add_argument("--out")
     p_se.set_defaults(func=_cmd_sim_ecdf)

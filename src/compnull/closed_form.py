@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import RejectionRegion2D, _as_xy
-from .statmath import _alpha, _count, _finite, _positive, std_normal_cdf, std_normal_quantile
+from .regions import RejectionRegion2D, _statistic_pair
+from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, std_normal_cdf,
+                       std_normal_quantile)
 
 __all__ = [
     "AlphaSpec",
@@ -67,7 +68,8 @@ def extended_breakpoints(alpha: float) -> list[float]:
 
     Consecutive breakpoints carve |z| into floor(1/alpha)+1 bands; the
     innermost band has two-sided mass 1 - floor(1/alpha)*alpha (zero, hence
-    dropped, at unit fractions) and every other band has mass alpha. At a
+    dropped, at unit fractions) and every other band has mass alpha; off unit
+    fractions the breakpoints are two-sided cutoffs at levels (m-j)*alpha. At a
     unit fraction 1/K the k-th breakpoint is the (K+k)/(2K) normal quantile,
     whose argument is exact, so the minimax region and the Latin-square
     boxes share this ladder bit for bit.
@@ -79,7 +81,7 @@ def extended_breakpoints(alpha: float) -> list[float]:
     if k is not None:
         return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
     m = math.floor(1.0 / alpha)
-    return [0.0] + [std_normal_quantile(1.0 - (m - j) * alpha / 2.0) for j in range(m + 1)]
+    return [0.0] + [_two_sided_cutoff((m - j) * alpha) for j in range(m)] + [math.inf]
 
 
 def _folded_region(alpha: float, kind: str) -> RejectionRegion2D:
@@ -123,7 +125,7 @@ def build_extended_region(alpha: float) -> RejectionRegion2D:
 def build_js_region(alpha: float) -> RejectionRegion2D:
     """Joint-significance region: reject iff both |z| exceed the two-sided cutoff."""
     alpha = _alpha(alpha)
-    t = std_normal_quantile(1.0 - alpha / 2.0)
+    t = _two_sided_cutoff(alpha)
     edges = [-math.inf, -t, t, math.inf]
     tails = np.array([1.0, 0.0, 1.0])
     return RejectionRegion2D.from_grid(alpha, "joint_significance", edges, edges,
@@ -156,10 +158,8 @@ def js_test(z, alpha: float) -> JsTestResult:
     raises ``ValueError``.
     """
     alpha = _alpha(alpha)
-    zx, zy = _as_xy(z)
-    if math.isnan(zx) or math.isnan(zy):
-        raise ValueError("test statistics must not be NaN")
-    threshold = std_normal_quantile(1.0 - alpha / 2.0)
+    zx, zy = _statistic_pair(z)
+    threshold = _two_sided_cutoff(alpha)
     reject = abs(zx) > threshold and abs(zy) > threshold
     p = max(2.0 * std_normal_cdf(-abs(zx)), 2.0 * std_normal_cdf(-abs(zy)))
     return JsTestResult(reject, min(1.0, p), threshold)
@@ -192,5 +192,5 @@ def sobel_test(delta_x_hat: float, delta_y_hat: float, se_x: float, se_y: float,
         return SobelTestResult(0.0, 1.0, False, True)
     stat = math.sqrt(n) * dx * dy / denom
     p = min(1.0, 2.0 * std_normal_cdf(-abs(stat)))
-    reject = abs(stat) > std_normal_quantile(1.0 - alpha / 2.0)
+    reject = abs(stat) > _two_sided_cutoff(alpha)
     return SobelTestResult(stat, p, reject, False)

@@ -1,107 +1,93 @@
 """Generalized p-values for the banded product-null test, plus standard
 multiple-testing adjustments.
 
-The generalized p-value is the share of grid levels alpha_j = j/resolution
-whose extended region misses the observed statistic pair. On the two-sided
-p-value scale the region at level alpha is a set of bands floor(p/alpha),
-and it holds a pair iff both p-values share a band. With a <= b the pair's
-p-values and R the resolution, level j misses iff
-floor(b*R/j) > floor(a*R/j). The count adds up about 2*sqrt(R) vectorized
-groups: small j one by one, large j grouped by the value of floor(b*R/j).
-On a right-endpoint grid only levels j <= b*R miss, so in exact arithmetic
-the value is at most the joint-significance (JS) p-value b. The products
-b*R and misses/R round, so the count is clamped to b as computed, which
-keeps the value at most ``js_test``'s p-value bit for bit.
+The generalized p-value is the measure of the levels alpha in (0, 1] whose
+extended region misses the statistic pair. On the two-sided p-value scale
+that region holds a pair iff both p-values share a band floor(p/alpha), so
+with a <= b the pair's p-values the missed levels are the union of
+(a/k, b/k] over k >= 1. With J = floor(a/(b - a)) these are disjoint for
+k <= J and cover (0, b/(J + 1)] beyond, so p = (b - a)*H_J + b/(J + 1),
+H_J the J-th harmonic number: O(1) per pair, b (the joint-significance
+p-value) when b >= 2a and 0 when a = b. J minimizes that expression, whose
+value at J = 0 is b, so p <= b exactly; the rounded value is clamped to b as
+computed, which keeps it at most ``js_test``'s p-value bit for bit.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import _as_xy
-from .statmath import _cdf_array, _count
+from .regions import _statistic_pair
+from .statmath import _cdf_array
 
 __all__ = [
     "PvalueResult",
-    "DEFAULT_RESOLUTION",
     "minimax_pvalue",
     "minimax_pvalue_batch",
     "bonferroni",
     "benjamini_hochberg",
 ]
 
-DEFAULT_RESOLUTION = 10_000
-
 _PVALUE_METHODS = frozenset({"extended_minimax"})
-_CHUNK = 1 << 14  # pairs x levels per broadcast: 163 pairs at R = 10**4, 128 KB a temporary
+
+# H_j for j below _TABLE; above it the asymptotic series, whose first omitted
+# term 1/(252 j^6) times (b - a) <= 1/j stays below 1e-15.
+_TABLE = 64
+_HARMONIC = np.cumsum(np.concatenate(([0.0], 1.0 / np.arange(1.0, _TABLE))))
+_EULER_GAMMA = 0.5772156649015329
 
 
 @dataclass(frozen=True)
 class PvalueResult:
     p: float
-    resolution: int
     method: str
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p!r}")
-        _count("resolution", self.resolution, 1)
         if self.method not in _PVALUE_METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
 
-def minimax_pvalue(z, resolution: int = DEFAULT_RESOLUTION) -> PvalueResult:
+def minimax_pvalue(z) -> PvalueResult:
     """Generalized p-value of the extended region family at ``z``.
 
-    p = (1/resolution) * #{j : z not in R_{j/resolution}}. Always 1 on the
-    axes (every region in the family excludes them) and at most the
-    joint-significance p-value everywhere. A coordinate at +-inf lies in
-    the end band of every region; NaN raises ``ValueError``.
+    The measure of the levels alpha in (0, 1] whose region misses ``z``.
+    Always 1 on the axes (every region in the family excludes them) and at
+    most the joint-significance p-value everywhere. A coordinate at +-inf
+    lies in the end band of every region; NaN raises ``ValueError``.
     """
-    resolution = _count("resolution", resolution, 100)
-    zx, zy = _as_xy(z)
-    if math.isnan(zx) or math.isnan(zy):
-        raise ValueError("test statistics must not be NaN")
-    p = float(minimax_pvalue_batch([zx], [zy], resolution)[0])
-    return PvalueResult(p, resolution, "extended_minimax")
+    zx, zy = _statistic_pair(z)
+    return PvalueResult(float(minimax_pvalue_batch([zx], [zy])[0]), "extended_minimax")
 
 
-def minimax_pvalue_batch(zx, zy, resolution: int = DEFAULT_RESOLUTION) -> np.ndarray:
+def minimax_pvalue_batch(zx, zy) -> np.ndarray:
     """:func:`minimax_pvalue` over paired statistic arrays.
 
     A pair holding NaN is never rejected, so its p-value is 1.
     """
-    r = _count("resolution", resolution, 100)
     u = np.abs(np.asarray(zx, dtype=float))
     v = np.abs(np.asarray(zy, dtype=float))
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError("zx and zy must be 1-d arrays of equal length")
     valid = (u > 0.0) & (v > 0.0)
-    # Two-sided p-values times r. A nonzero |z| whose p rounds to 1 sits on
-    # the top band's open end; every value in [r-1, r) shares that band.
-    p2 = 2.0 * _cdf_array(-np.stack([u, v], axis=1))
-    pr = np.minimum(p2 * r, r - 0.5)
-    pr[~valid] = 0.0
-    a = pr.min(axis=1)
-    b = pr.max(axis=1)
-    # Level j misses iff floor(b/j) > floor(a/j). Step k counts level j = k
-    # and the levels j > s with floor(b/j) = k, i.e. b/(k+1) < j <= b/k, of
-    # which those with j > a/k miss: isqrt(r) steps on one broadcast axis.
-    s = math.isqrt(r)
-    k = np.arange(1.0, s + 1.0)
-    rows = max(1, _CHUNK // s)
-    misses = np.empty(u.shape, dtype=np.int64)
-    for i in range(0, len(a), rows):
-        ac, bc = a[i:i + rows, None], b[i:i + rows, None]
-        fa, fb = np.floor(ac / k), np.floor(bc / k)
-        lo = np.maximum(np.maximum(fa, np.floor(bc / (k + 1.0))), s)
-        lo = np.maximum(np.subtract(fb, lo, out=lo), 0.0, out=lo)
-        lo += fb > fa  # whole counts, so the float sum is exact
-        misses[i:i + rows] = lo.sum(axis=1)
-    return np.where(valid, np.minimum(misses / r, p2.max(axis=1)), 1.0)
+    # Two-sided p-values, zeroed on the pairs scored 1 so no NaN reaches the sum.
+    p2 = np.where(valid, 2.0 * _cdf_array(-np.stack([u, v])), 0.0)
+    return np.where(valid, _generalized(p2.min(axis=0), p2.max(axis=0)), 1.0)
+
+
+def _generalized(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(b - a)*H_J + b/(J + 1), J = floor(a/(b - a)), for p-values a <= b in
+    [0, 1]; 0 where a = b, and clamped to b."""
+    d = b - a
+    tied = d == 0.0
+    j = np.floor(a / np.where(tied, 1.0, d))
+    big = np.maximum(j, _TABLE)  # H_j from the table below _TABLE, the series above
+    h = np.where(j < _TABLE, _HARMONIC[np.minimum(j, _TABLE - 1).astype(np.intp)],
+                 np.log(big) + _EULER_GAMMA + 0.5 / big - big**-2 / 12.0 + big**-4 / 120.0)
+    return np.where(tied, 0.0, np.minimum(d * h + b / (j + 1.0), b))
 
 
 def _validated_pvals(pvals) -> np.ndarray:

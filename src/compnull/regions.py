@@ -117,6 +117,14 @@ def _as_xy(z) -> tuple[float, float]:
     return float(zx), float(zy)
 
 
+def _statistic_pair(z) -> tuple[float, float]:
+    """``z`` as the two floats of a test statistic pair; NaN raises."""
+    zx, zy = _as_xy(z)
+    if math.isnan(zx) or math.isnan(zy):
+        raise ValueError("test statistics must not be NaN")
+    return zx, zy
+
+
 class RejectionRegion2D:
     """A rejection region: one tensor grid of weighted open bands.
 
@@ -316,9 +324,7 @@ def rejection_prob_at_point(region: RejectionRegion2D, z) -> float:
     Grid cells are open, so points on any inner band edge return 0; a
     coordinate at +-inf lies in the unbounded end band. NaN raises.
     """
-    zx, zy = _as_xy(z)
-    if math.isnan(zx) or math.isnan(zy):
-        raise ValueError("test statistics must not be NaN")
+    zx, zy = _statistic_pair(z)
     return float(rejection_prob_at_points(region, zx, zy))
 
 

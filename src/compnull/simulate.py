@@ -22,9 +22,9 @@ from io import StringIO
 import numpy as np
 
 from .closed_form import build_extended_region, build_minimax_region
-from .pvalues import DEFAULT_RESOLUTION, minimax_pvalue_batch
+from .pvalues import minimax_pvalue_batch
 from .regions import RejectionRegion2D, rejection_prob_at_points
-from .statmath import _alpha, _cdf_array, _count, _finite, std_normal_quantile
+from .statmath import _alpha, _cdf_array, _count, _finite, _two_sided_cutoff
 
 __all__ = [
     "SimSpec",
@@ -148,10 +148,8 @@ def _method_evaluators(spec: SimSpec):
             evals[name] = ("region", region, True)
         elif name == "bayes":
             evals[name] = ("region", spec.bayes_region, spec.bayes_randomized)
-        elif name == "js":
-            evals[name] = ("js", std_normal_quantile(1.0 - spec.alpha / 2.0), None)
-        else:
-            evals[name] = ("sobel", std_normal_quantile(1.0 - spec.alpha / 2.0), None)
+        else:  # js and sobel: a statistic against the two-sided cutoff
+            evals[name] = (name, _two_sided_cutoff(spec.alpha), None)
     return evals
 
 
@@ -242,9 +240,7 @@ class EcdfTable:
         raise KeyError(method)
 
 
-def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0),
-                         resolution: int = DEFAULT_RESOLUTION,
-                         seed: int = 0) -> EcdfTable:
+def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0), *, seed: int = 0) -> EcdfTable:
     """Draw statistic pairs at delta_star and tabulate both p-value ECDFs.
 
     The pair is drawn directly from the bivariate normal around delta_star
@@ -257,7 +253,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0),
     z = gen.standard_normal((reps, 2))
     zx = z[:, 0] + dx
     zy = z[:, 1] + dy
-    phat = minimax_pvalue_batch(zx, zy, resolution)
+    phat = minimax_pvalue_batch(zx, zy)
     pjs = np.minimum(1.0, np.maximum(2.0 * _cdf_array(-np.abs(zx)),
                                      2.0 * _cdf_array(-np.abs(zy))))
     return EcdfTable((("extended_minimax", np.sort(phat)), ("js", np.sort(pjs))))

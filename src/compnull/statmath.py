@@ -109,6 +109,14 @@ def std_normal_quantile(p: float) -> float:
     return float(_special.ndtri(p))
 
 
+def _two_sided_cutoff(alpha: float) -> float:
+    """|z| cutoff of the two-sided level-``alpha`` test, -ndtri(alpha/2): finite
+    wherever alpha/2 is nonzero, unlike the quantile of 1 - alpha/2."""
+    if alpha / 2.0 == 0.0:
+        raise ValueError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0")
+    return float(-_special.ndtri(alpha / 2.0))
+
+
 def gaussian_interval_prob(interval: Interval, mu: float) -> float:
     """P(Z in interval) for Z ~ N(mu, 1), clamped to [0, 1]."""
     (mu,) = _finite("mean", (mu,))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 import scipy.sparse
+from scipy.special import ndtri
 
 from compnull import bayes_lp
 from compnull.bayes_lp import (
@@ -23,10 +24,10 @@ from compnull.bayes_lp import (
 )
 from compnull.regions import (OutsideRule, RejectionRegion2D, WeightedRect, analytic_power,
                               analytic_power_batch, serialize)
-from compnull.statmath import Interval, _cdf_array, std_normal_cdf, std_normal_quantile
+from compnull.statmath import Interval, _cdf_array, std_normal_cdf
 
 # mpmath, 50 digits
-B_AT_005 = 3.9199279690801085          # twice the 0.975 quantile
+B_AT_005 = 3.9199279690801085          # twice the 0.025 upper-tail cutoff
 PRIOR_W_HALF_15 = 0.1603641596988097   # band (0.5, 1.5) mixed over sd-2 prior
 # _unfolded_objective(build_lp(0.05, 65)); the unfolded solve takes ~18 s
 UNFOLDED_OPTIMUM_M65 = 0.7312595167020794
@@ -117,8 +118,7 @@ def _cell_list_region(problem, solution, derandomize=False):
 def _per_cell_rows(alpha, m):
     """The type-1 rows built point by point over the 4m^2 cells: the oracle of
     the rows derived from the band factors."""
-    threshold = std_normal_quantile(1.0 - alpha / 2.0)
-    b = 2.0 * threshold
+    b = 2.0 * -ndtri(alpha / 2.0)
     h = b / m
     edges = (np.arange(2 * m + 1, dtype=float) - m) * h
     edges[0], edges[-1] = -b, b
@@ -179,7 +179,7 @@ def test_build_validation():
 def test_box_half_width():
     problem = build_lp(0.05, 4)
     assert abs(problem.b - B_AT_005) < 1e-14
-    assert problem.b == 2.0 * std_normal_quantile(0.975)
+    assert problem.b == 2.0 * -ndtri(0.025)
     assert problem.prior_sd == 2.0
 
 
@@ -469,20 +469,20 @@ def test_assembly_matches_cell_list_oracle(alpha):
 
 
 def test_ladder_ends_are_exact():
-    # m*(b/m) can miss b by an ulp (at 0.05 for m = 13 and 39, among 84 of
+    # m*(b/m) can miss b by an ulp (at 0.05 for m = 25 and 59, among 86 of
     # these 784 pairs); the pinned ladder ends exactly on the box
     for alpha in (0.05, 0.1, 0.2, 0.01):
-        b = 2.0 * std_normal_quantile(1.0 - alpha / 2.0)
+        b = 2.0 * -ndtri(alpha / 2.0)
         for m in range(4, 200):
             edges = _ladder(b, m)
             assert (edges[0], edges[-1]) == (-b, b), (alpha, m)
             assert np.array_equal(edges, -edges[::-1]), (alpha, m)
             interior = (np.arange(1, 2 * m, dtype=float) - m) * (b / m)
             assert np.array_equal(edges[1:-1], interior), (alpha, m)
-        for m in (13, 39, 65):
+        for m in (25, 59, 65):
             assert np.array_equal(build_lp(alpha, m).edges, _ladder(b, m))
     # an unpinned ladder leaves a 1-ulp sliver band at each box edge
-    for m in (13, 39):
+    for m in (25, 59):
         problem = build_lp(0.05, m)
         region = assemble_bayes_region(problem, solve_lp(problem))
         assert np.diff(region.x_edges).min() > 1e-12

@@ -87,6 +87,21 @@ def test_js_decision(capsys):
     assert doc["p_value"] == pytest.approx(0.0026997960632601891, rel=1e-12)
 
 
+def test_js_at_tiny_levels(capsys):
+    # the cutoff -Phi^-1(alpha/2) stays finite wherever alpha/2 is nonzero
+    code, out, _ = _run(capsys, "region", "build", "--method", "js", "--alpha", "1e-16")
+    assert code == 0
+    t = deserialize(out).x_edges[2]
+    assert t == pytest.approx(8.3047854251941, rel=1e-12)
+    code, out, _ = _run(capsys, "test", "--method", "js", "--alpha", "1e-320",
+                        "--zx", "40", "--zy", "-40")
+    assert code == 0 and json.loads(out)["reject"] is True
+    code, out, err = _run(capsys, "test", "--method", "js", "--alpha", "5e-324",
+                          "--zx", "40", "--zy", "40")
+    assert (code, out) == (1, "")
+    assert err == "error: alpha=5e-324 is too small: alpha/2 rounds to 0\n"
+
+
 def test_region_round_trip_matches_direct_decision(tmp_path, capsys):
     path = str(tmp_path / "mm.region.json")
     assert _run(capsys, "region", "build", "--alpha", "0.2", "--out", path)[0] == 0
@@ -199,13 +214,20 @@ def test_grid_methods_accept_the_limit_order(capsys):
 
 
 def test_pvalue_command(capsys):
-    code, out, _ = _run(capsys, "pvalue", "--zx", "2.5", "--zy", "1.0",
-                        "--resolution", "10000")
+    code, out, _ = _run(capsys, "pvalue", "--zx", "2.5", "--zy", "1.0")
     assert code == 0
+    # |zx| >= 2|zy| in p-value terms, so p is the JS p-value 2*Phi(-1)
+    assert out.startswith('{"method": "extended_minimax", "p": ')
     doc = json.loads(out)
-    assert doc["p"] == 0.3173
-    assert doc["resolution"] == 10000
-    assert doc["method"] == "extended_minimax"
+    assert doc == {"method": "extended_minimax", "p": 0.31731050786291415}
+
+
+@pytest.mark.parametrize("argv", [("pvalue", "--zx", "2.5", "--zy", "1.0"),
+                                  ("simulate", "ecdf", "--reps", "40")])
+def test_resolution_flag_is_gone(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--resolution", "10000")
+    assert (code, out) == (1, "")
+    assert "--resolution" in err
 
 
 def _strict_json(text):
@@ -252,14 +274,15 @@ def test_infinite_inputs_echo_as_standard_json(capsys):
 
     code, out, _ = _run(capsys, "pvalue", "--zx", "inf", "--zy", "2")
     assert code == 0
-    assert _strict_json(out)["p"] == 0.0455
+    assert _strict_json(out)["p"] == 0.04550026389635839  # the JS p-value 2*Phi(-2)
 
 
 @pytest.mark.parametrize("argv, key, want", [
     (("test", "--zx", "-1e-3", "--zy", "1", "--alpha", "0.05"), "zx", -1e-3),
     (("test", "--zx", "-inf", "--zy", "1", "--alpha", "0.05"), "zx", "-inf"),
     (("test3", "--z", "-0.5,1,2", "--alpha", "0.05"), "z", [-0.5, 1.0, 2.0]),
-    (("pvalue", "--zx", "-2e-1", "--zy", "1"), "p", 0.8414),
+    pytest.param(("pvalue", "--zx", "-2e-1", "--zy", "1"), "p", 0.8414805811217939,
+                 id="argv3-p-0.8414"),
 ])
 def test_dash_led_values_are_values(capsys, argv, key, want):
     code, out, err = _run(capsys, *argv)
@@ -422,8 +445,7 @@ def test_simulate_power_bad_method(capsys):
 
 
 def test_simulate_ecdf_command(capsys):
-    code, out, _ = _run(capsys, "simulate", "ecdf", "--reps", "40",
-                        "--resolution", "100", "--seed", "2")
+    code, out, _ = _run(capsys, "simulate", "ecdf", "--reps", "40", "--seed", "2")
     assert code == 0
     lines = out.strip().split("\n")
     assert lines[0] == "method,p_value,ecdf"

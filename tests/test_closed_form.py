@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from compnull import (AlphaSpec, Interval, OutsideRule, RejectionRegion2D, WeightedRect,
                       analytic_power, build_extended_region, build_js_region,
-                      build_latin_region, build_minimax_region, cyclic_latin,
+                      build_latin_region, build_lp, build_minimax_region, cyclic_latin,
                       extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
                       rejection_prob_at_point, rejection_prob_at_points, serialize,
                       sobel_test, std_normal_cdf, std_normal_quantile)
@@ -224,10 +225,30 @@ def test_origin_type1_values_and_gap():
 def test_js_region_and_test_agree():
     region = build_js_region(0.05)
     assert region.kind == "joint_significance"
-    t = std_normal_quantile(0.975)
+    t = -ndtri(0.025)
     assert region.x_edges.tolist() == region.y_edges.tolist() == [-math.inf, -t, t, math.inf]
     assert region.probs.tolist() == [[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 1.0]]
     assert analytic_power(region, (0.0, 0.0)) == pytest.approx(0.0025, abs=1e-12)
+
+
+def test_two_sided_cutoff_has_exact_size():
+    # the cutoff is -Phi^-1(alpha/2), taken in the lower tail where alpha/2
+    # is exact; every test built on it shares the one value
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in (0.05, 1e-4, 1e-8, 1e-10, 1e-14, 1e-16):
+        t = js_test((1.0, 1.0), alpha).threshold
+        with mpmath.workdps(50):
+            size = 2 * mpmath.ncdf(-mpmath.mpf(t))
+            assert abs(float(size / alpha) - 1.0) <= 2e-14, alpha
+        assert build_js_region(alpha).x_edges.tolist() == [-math.inf, -t, t, math.inf]
+    for alpha in (0.05, 1e-4):  # smaller levels leave the Bayes LP infeasible
+        assert build_lp(alpha, 4).b == 2.0 * js_test((1.0, 1.0), alpha).threshold
+    assert js_test((1.0, 1.0), 0.05).threshold == 1.9599639845400545
+    assert math.isfinite(js_test((1.0, 1.0), 1e-320).threshold)
+    with pytest.raises(ValueError, match=r"alpha=5e-324 is too small"):
+        js_test((1.0, 1.0), 5e-324)
+    with pytest.raises(ValueError, match=r"alpha=5e-324 is too small"):
+        build_js_region(5e-324)
 
 
 def test_js_test_examples():
@@ -333,8 +354,7 @@ def _oracle_extended(alpha):
     inv = 1.0 / alpha
     m = round(inv) if abs(inv - round(inv)) <= 1e-9 else math.floor(inv)
     unit = abs(m * alpha - 1.0) <= 1e-9
-    ladder = [0.0] + [std_normal_quantile(1.0 - (m - j) * alpha / 2.0)
-                      for j in range(1 if unit else 0, m + 1)]
+    ladder = [0.0] + [-ndtri((m - j) * alpha / 2.0) for j in range(1 if unit else 0, m + 1)]
     cells = []
     for j in range(1, len(ladder)):
         lo, hi = ladder[j - 1], ladder[j]
@@ -347,7 +367,7 @@ def _oracle_extended(alpha):
 
 def _oracle_js(alpha):
     return RejectionRegion2D(alpha, "joint_significance", [],
-                             OutsideRule(std_normal_quantile(1.0 - alpha / 2.0)))
+                             OutsideRule(-ndtri(alpha / 2.0)))
 
 
 def _same_document(a, b):

@@ -32,6 +32,9 @@ def test_exported_names_resolve():
     for module in modules:
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert missing == [], f"{module.__name__}.__all__ names missing attributes {missing}"
+    # the generalized p-value is exact, so no grid resolution is exported
+    assert not hasattr(compnull, "DEFAULT_RESOLUTION")
+    assert not hasattr(compnull.pvalues, "DEFAULT_RESOLUTION")
 
 
 def test_array_holders_compare_by_identity():

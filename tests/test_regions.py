@@ -6,13 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidationError,
                       RejectionRegion2D, WeightedRect, analytic_power,
                       analytic_power_batch, build_extended_region, build_js_region,
                       build_minimax_region, deserialize, gaussian_interval_prob, js_test,
-                      rejection_prob_at_point, rejection_prob_at_points, serialize,
-                      std_normal_quantile)
+                      rejection_prob_at_point, rejection_prob_at_points, serialize)
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
 Q_5_7 = 0.56594882193286305  # quantile(5/7)
@@ -398,7 +398,7 @@ def test_region_equality_is_on_the_grid():
     assert a == b and hash(a) == hash(b)
     # a rule and the cells it paints compile to one grid, which is the grid
     # build_js_region writes
-    js = RejectionRegion2D(0.05, "joint_significance", [], OutsideRule(std_normal_quantile(0.975)))
+    js = RejectionRegion2D(0.05, "joint_significance", [], OutsideRule(-ndtri(0.025)))
     painted = RejectionRegion2D(0.05, "joint_significance", deserialize(serialize(js)).cells)
     assert js.outside_rule is not None and painted.outside_rule is None
     assert js == painted and hash(js) == hash(painted)

@@ -274,7 +274,7 @@ def test_bayes_method_with_shipped_region(shipped_bayes_region):
 
 
 def test_pvalue_ecdf_table():
-    table = simulate_pvalue_ecdf(2000, resolution=1000, seed=11)
+    table = simulate_pvalue_ecdf(2000, seed=11)
     assert isinstance(table, EcdfTable)
     assert [name for name, _ in table.entries] == ["extended_minimax", "js"]
     phat = table.pvalues("extended_minimax")
@@ -301,12 +301,12 @@ def test_pvalue_ecdf_table():
 
 
 def test_pvalue_ecdf_under_strong_alternative():
-    table = simulate_pvalue_ecdf(2000, (5.0, 5.0), resolution=1000, seed=12)
+    table = simulate_pvalue_ecdf(2000, (5.0, 5.0), seed=12)
     assert float(np.median(table.pvalues("extended_minimax"))) < 0.01
 
 
 def test_ecdf_csv_shape():
-    table = simulate_pvalue_ecdf(50, resolution=100, seed=2)
+    table = simulate_pvalue_ecdf(50, seed=2)
     lines = table.to_csv().strip().split("\n")
     assert lines[0] == "method,p_value,ecdf"
     assert len(lines) == 1 + 2 * 50
