@@ -134,9 +134,13 @@ class LpSolution:
 
 def _ladder(b: float, m: int) -> np.ndarray:
     """Band edges (i - m)*(b/m), i = 0..2m: exactly negation-symmetric, with
-    the ends pinned to -b and b, which m*(b/m) can miss by an ulp."""
+    the ends pinned to -b and b, which m*(b/m) can miss by an ulp, and for
+    even m the middle points pinned to the JS cutoffs -b/2 and b/2 likewise,
+    so the region's grid gets no sliver band beside them."""
     edges = (np.arange(2 * m + 1, dtype=float) - m) * (b / m)
     edges[0], edges[-1] = -b, b
+    if m % 2 == 0:
+        edges[m // 2], edges[3 * m // 2] = -b / 2.0, b / 2.0
     return edges
 
 

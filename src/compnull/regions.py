@@ -41,6 +41,10 @@ __all__ = [
 FORMAT_VERSION = "region-v2"
 _V1 = "region-v1"
 REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", "custom"})
+# the largest bucket table _BandIndex grows to while edges share buckets
+_MAX_BUCKETS = 4096
+# points per pass of rejection_prob_at_points
+_LOOKUP_CHUNK = 1 << 15
 
 
 class RegionFormatError(ValueError):
@@ -146,7 +150,7 @@ class RejectionRegion2D:
     """
 
     __slots__ = ("alpha", "kind", "outside_rule", "_cells",
-                 "x_edges", "y_edges", "probs", "_x_hi", "_y_hi", "_padded")
+                 "x_edges", "y_edges", "probs", "_x_bands", "_y_bands", "_padded")
 
     def __init__(self, alpha, kind, cells, outside_rule=None):
         self._set_header(alpha, kind)
@@ -214,11 +218,9 @@ class RejectionRegion2D:
         self.kind = kind
 
     def _set_grid(self, x_edges: np.ndarray, y_edges: np.ndarray, probs: np.ndarray) -> None:
-        # Lookup support: a zero row and column past the end catch NaN, which
-        # searchsorted places after +inf; in the upper-edge arrays the end
-        # band's +inf is a NaN sentinel, so +inf never tests as on an edge.
-        # + 0.0 turns a -0.0 edge into 0.0, as from_grid does for probs; the
-        # compiled probs are 0.0, 1.0 or a positive cell value
+        # Lookup support: a zero row and column past the end catch NaN (see
+        # _BandIndex). + 0.0 turns a -0.0 edge into 0.0, as from_grid does
+        # for probs; the compiled probs are 0.0, 1.0 or a positive cell value
         x_edges, y_edges = x_edges + 0.0, y_edges + 0.0
         nx, ny = probs.shape
         padded = np.zeros((nx + 1, ny + 1))
@@ -229,8 +231,10 @@ class RejectionRegion2D:
         self.x_edges, self.y_edges = x_edges, y_edges
         self.probs = padded[:nx, :ny]
         self._padded = padded
-        self._x_hi = np.concatenate((x_edges[1:-1], [math.nan, math.nan]))
-        self._y_hi = np.concatenate((y_edges[1:-1], [math.nan, math.nan]))
+        self._x_bands = _BandIndex(x_edges[1:-1])
+        # minimax, extended, JS and Bayes grids have equal x and y edges, which share a table
+        same = x_edges.tobytes() == y_edges.tobytes()
+        self._y_bands = self._x_bands if same else _BandIndex(y_edges[1:-1])
 
     def _compile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         for cell in self._cells:
@@ -308,6 +312,91 @@ def _checked_edges(edges, name: str) -> np.ndarray:
     return edges
 
 
+class _BandIndex:
+    """Band lookup along one axis of a grid, by a bucket table.
+
+    Band i is (edges[i], edges[i+1]). ``index(z)`` gives each z's band, the
+    number of inner edges below it, so a point on an inner edge lands in the
+    band below; NaN lands one past the end band, on the grid's zero pad.
+
+    The table cuts [lo, hi], the first to last inner edge, into ``buckets``
+    equal buckets, and entry b of ``start`` counts the edges whose bucket
+    lies left of b. A point's bucket comes from the same float operations as
+    an edge's, and they are monotone, so ``start`` never overshoots the band
+    and falls short by at most the depth, the most edges sharing a bucket.
+    The table doubles from 4 buckets per edge until no two edges share a
+    bucket or it reaches _MAX_BUCKETS.
+
+    ``upper`` holds the inner edges and then NaN, which compares false, so
+    no step passes the end band and +inf is never on an edge. At depth 1
+    one step ``i += upper[i] < z`` ends the search, and the same gathered
+    edge is the on-edge test: the next edge lies in a later bucket, above
+    z. Deeper tables, of clustered edges, close the gap with branchless
+    halving steps ``i += s`` while ``upper[i + s - 1] < z`` and then gather
+    ``upper[i]`` once more.
+    """
+
+    __slots__ = ("lo", "hi", "scale", "buckets", "start", "upper", "halving", "last_step")
+
+    def __init__(self, inner: np.ndarray) -> None:
+        k = len(inner)
+        lo, hi = (float(inner[0]), float(inner[-1])) if k else (0.0, 0.0)
+        if hi - lo == math.inf:  # edges past +-8.9e307: cover the lower half
+            hi = lo / 2.0 + hi / 2.0
+        self.lo, self.hi = np.float64(lo), np.float64(hi)
+        buckets = max(4 * k, 1)
+        if k > 1:  # enough buckets to part the closest two edges
+            with np.errstate(over="ignore"):
+                parted = (hi - lo) / float((inner[1:] - inner[:-1]).min())
+            while buckets < parted and 2 * buckets <= _MAX_BUCKETS:
+                buckets *= 2
+        while True:
+            self.buckets = np.float64(buckets)
+            scale = buckets / (hi - lo) if hi > lo else 1.0
+            # any positive finite scale keeps the lookup exact; hi's bucket
+            # must stay below the NaN bucket
+            scale = scale if scale < math.inf else 1.0
+            while (hi - lo) * scale >= buckets:
+                scale = math.nextafter(scale, 0.0)
+            self.scale = np.float64(scale)
+            edge_buckets = self._bucket(inner)
+            depth = int(np.bincount(edge_buckets).max(initial=0))
+            if depth <= 1 or 2 * buckets > _MAX_BUCKETS:
+                break
+            buckets *= 2  # rounding put two edges in one bucket
+        start = np.searchsorted(edge_buckets, np.arange(buckets + 1))
+        start[-1] = k + 1
+        start.flags.writeable = False
+        self.start = start
+        steps = depth.bit_length() if depth > 1 else 0
+        upper = np.concatenate((inner, np.full(2 ** steps + 1, math.nan)))
+        upper.flags.writeable = False
+        self.upper = upper
+        self.halving = tuple((s, upper[s - 1:]) for s in (1 << e for e in reversed(range(steps))))
+        self.last_step = depth == 1
+
+    def _bucket(self, z: np.ndarray) -> np.ndarray:
+        """Bucket of each z in [0, buckets), and NaN in bucket ``buckets``,
+        whose ``start`` entry is one past the end band."""
+        # maximum and minimum keep NaN, and fmin sends it alone to its bucket
+        u = np.maximum(z, self.lo)
+        np.minimum(u, self.hi, out=u)
+        u -= self.lo
+        u *= self.scale
+        np.fmin(u, self.buckets, out=u)
+        return u.astype(np.intp)
+
+    def index(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Band index of each z in a 1-D float array, and whether z is on an inner edge."""
+        i = self.start.take(self._bucket(z))
+        for s, probe in self.halving:
+            i += (probe.take(i) < z) * s
+        upper = self.upper.take(i)
+        if self.last_step:
+            i += upper < z
+        return i, z == upper
+
+
 def _js_outside(x: np.ndarray, y: np.ndarray, t: float, box) -> np.ndarray:
     """Cells of the grid on band edges x, y with both bands in |z| >= t, outside
     the closed ``box`` (xlo, xhi, ylo, yhi) unless it is None."""
@@ -334,12 +423,26 @@ def rejection_prob_at_points(region: RejectionRegion2D, zx, zy) -> np.ndarray:
     zy = np.asarray(zy, dtype=float)
     if zx.shape != zy.shape:
         raise ValueError("zx and zy must have matching shapes")
-    # Band i is (edges[i], edges[i+1]); searching the upper edges leaves a
-    # point on an inner edge in the band below, where it equals _x_hi[i].
-    i = np.searchsorted(region.x_edges[1:], zx)
-    j = np.searchsorted(region.y_edges[1:], zy)
-    on_edge = (zx == region._x_hi[i]) | (zy == region._y_hi[j])
-    return np.where(on_edge, 0.0, region._padded[i, j])
+    shape = zx.shape
+    zx, zy = zx.reshape(-1), zy.reshape(-1)
+    # chunks keep the lookup's temporaries in cache
+    out = np.empty(zx.size)
+    for lo in range(0, zx.size, _LOOKUP_CHUNK):
+        part = slice(lo, lo + _LOOKUP_CHUNK)
+        out[part] = _lookup(region, zx[part], zy[part])
+    return out.reshape(shape)
+
+
+def _lookup(region: RejectionRegion2D, zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
+    """Rejection probability at each point of two 1-D float arrays."""
+    i, on_edge = region._x_bands.index(zx)
+    j, on_y_edge = region._y_bands.index(zy)
+    on_edge |= on_y_edge
+    i *= region._padded.shape[1]
+    i += j
+    probs = region._padded.ravel().take(i)
+    probs[on_edge] = 0.0
+    return probs
 
 
 def analytic_power(region: RejectionRegion2D, delta_star) -> float:

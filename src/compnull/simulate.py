@@ -6,9 +6,10 @@ sqrt(n)*mean ~ N(sqrt(n)*delta, 1), independent of s**2 ~ chi2(n-1)/(n-1).
 
 Reproducibility scheme: replicates are split into fixed-size blocks; block
 (point_index, block_index) draws from a counter-based generator seeded by
-SeedSequence(seed, spawn_key=(point_index, block_index)). Blocks are merged
-by exact integer counts, so results are identical for any worker count,
-including serial runs.
+SeedSequence(seed, spawn_key=(point_index, block_index)). A task takes up to
+_TASK_BLOCKS consecutive blocks of one point and looks their draws up
+together; tasks are merged by exact integer counts, so results are
+identical for any worker count, including serial runs.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ __all__ = [
 
 _METHODS = ("minimax", "extended", "bayes", "js", "sobel")
 _BLOCK = 4096
+# blocks per task: enough draws per numpy call that threads do not queue on the GIL
+_TASK_BLOCKS = 8
 _DEGENERATE = 1.0 - 1e-9
 
 
@@ -137,19 +140,31 @@ class SimResult:
 
 
 def _method_evaluators(spec: SimSpec):
-    """One vectorized decision function per method, built once per run."""
+    """One vectorized decision function per method, built once per run.
+
+    A region whose grid equals an earlier method's is replaced by that
+    region, so the two share one lookup (minimax and extended at 1/K).
+    """
     evals = {}
+    regions = []
     for name in spec.methods:
-        if name == "minimax":
-            region = build_minimax_region(spec.alpha)
-            evals[name] = ("region", region, True)
-        elif name == "extended":
-            region = build_extended_region(spec.alpha)
-            evals[name] = ("region", region, True)
-        elif name == "bayes":
-            evals[name] = ("region", spec.bayes_region, spec.bayes_randomized)
-        else:  # js and sobel: a statistic against the two-sided cutoff
+        if name in ("js", "sobel"):  # a statistic against the two-sided cutoff
             evals[name] = (name, _two_sided_cutoff(spec.alpha), None)
+            continue
+        if name == "minimax":
+            region, randomized = build_minimax_region(spec.alpha), True
+        elif name == "extended":
+            region, randomized = build_extended_region(spec.alpha), True
+        else:
+            region, randomized = spec.bayes_region, spec.bayes_randomized
+        # == would also compare kind and alpha
+        for earlier in regions:
+            if all(np.array_equal(u, v) for u, v in zip(earlier._grid(), region._grid())):
+                region = earlier
+                break
+        else:
+            regions.append(region)
+        evals[name] = ("region", region, randomized)
     return evals
 
 
@@ -159,30 +174,45 @@ def _sobel(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
     return np.divide(zx * zy, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
-def _power_block(spec: SimSpec, evals, point_index: int, block_index: int,
-                 size: int) -> dict[str, int]:
+def _power_task(spec: SimSpec, evals, point_index: int, blocks: range) -> dict[str, int]:
+    """Rejection counts over consecutive blocks of one point.
+
+    Each block draws from its own generator, its normals and then, when a
+    region method is randomized, its uniforms, into its slice of the task's
+    arrays; every method then runs once over the whole task.
+    """
     dx, dy = spec.delta_grid[point_index]
-    ss = np.random.SeedSequence(spec.seed, spawn_key=(point_index, block_index))
-    gen = np.random.Generator(np.random.Philox(ss))
+    first = blocks.start * _BLOCK
+    size = min(blocks.stop * _BLOCK, spec.reps) - first
+    z = np.empty((2, size))
+    uniforms = any(kind == "region" and randomized for kind, _, randomized in evals.values())
+    aux = np.empty(size) if uniforms else None
+    for bi in blocks:
+        lo = bi * _BLOCK - first
+        part = slice(lo, min(lo + _BLOCK, size))
+        ss = np.random.SeedSequence(spec.seed, spawn_key=(point_index, bi))
+        gen = np.random.Generator(np.random.Philox(ss))
+        gen.standard_normal(out=z[0, part])
+        gen.standard_normal(out=z[1, part])
+        if aux is not None:
+            gen.random(out=aux[part])
     root_n = math.sqrt(spec.n)
-    z = gen.standard_normal((2, size))
-    zx, zy = z[0] + root_n * dx, z[1] + root_n * dy
-    aux = None
+    zx, zy = z
+    zx += root_n * dx
+    zy += root_n * dy
+    lookups = {}
     counts = {}
     for name, (kind, obj, randomized) in evals.items():
         if kind == "region":
-            probs = rejection_prob_at_points(obj, zx, zy)
-            if randomized:
-                if aux is None:
-                    aux = gen.uniform(size=size)
-                rej = aux < probs
-            else:
-                rej = probs >= _DEGENERATE
+            if id(obj) not in lookups:
+                lookups[id(obj)] = rejection_prob_at_points(obj, zx, zy)
+            probs = lookups[id(obj)]
+            rej = aux < probs if randomized else probs >= _DEGENERATE
         elif kind == "js":
             rej = (np.abs(zx) > obj) & (np.abs(zy) > obj)
         else:
             rej = np.abs(_sobel(zx, zy)) > obj
-        counts[name] = int(rej.sum())
+        counts[name] = int(np.count_nonzero(rej))
     return counts
 
 
@@ -190,20 +220,18 @@ def simulate_power(spec: SimSpec) -> SimResult:
     """Monte Carlo rejection rates per delta point and method."""
     evals = _method_evaluators(spec)
     n_blocks = (spec.reps + _BLOCK - 1) // _BLOCK
-    tasks = []
-    for pi in range(len(spec.delta_grid)):
-        for bi in range(n_blocks):
-            size = min(_BLOCK, spec.reps - bi * _BLOCK)
-            tasks.append((pi, bi, size))
+    tasks = [(pi, range(b, min(b + _TASK_BLOCKS, n_blocks)))
+             for pi in range(len(spec.delta_grid))
+             for b in range(0, n_blocks, _TASK_BLOCKS)]
 
     totals = [dict.fromkeys(spec.methods, 0) for _ in spec.delta_grid]
     workers = worker_count()
     if workers == 1 or len(tasks) == 1:
-        results = [_power_block(spec, evals, *t) for t in tasks]
+        results = [_power_task(spec, evals, *t) for t in tasks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _power_block(spec, evals, *t), tasks))
-    for (pi, _, _), counts in zip(tasks, results):
+            results = list(pool.map(lambda t: _power_task(spec, evals, *t), tasks))
+    for (pi, _), counts in zip(tasks, results):
         for name, c in counts.items():
             totals[pi][name] += c
 

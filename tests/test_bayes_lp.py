@@ -122,6 +122,8 @@ def _per_cell_rows(alpha, m):
     h = b / m
     edges = (np.arange(2 * m + 1, dtype=float) - m) * h
     edges[0], edges[-1] = -b, b
+    if m % 2 == 0:
+        edges[m // 2], edges[3 * m // 2] = -b / 2.0, b / 2.0
     offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * h
     null_grid = [(float(d), 0.0) for d in offsets]
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
@@ -478,6 +480,8 @@ def test_ladder_ends_are_exact():
             assert (edges[0], edges[-1]) == (-b, b), (alpha, m)
             assert np.array_equal(edges, -edges[::-1]), (alpha, m)
             interior = (np.arange(1, 2 * m, dtype=float) - m) * (b / m)
+            if m % 2 == 0:  # the middle points are pinned too
+                interior[[m // 2 - 1, 3 * m // 2 - 1]] = -b / 2.0, b / 2.0
             assert np.array_equal(edges[1:-1], interior), (alpha, m)
         for m in (25, 59, 65):
             assert np.array_equal(build_lp(alpha, m).edges, _ladder(b, m))
@@ -487,6 +491,36 @@ def test_ladder_ends_are_exact():
         region = assemble_bayes_region(problem, solve_lp(problem))
         assert np.diff(region.x_edges).min() > 1e-12
         assert np.diff(region.y_edges).min() > 1e-12
+
+
+def test_even_ladders_meet_the_js_cutoff():
+    # (m/2)*(b/m) can miss b/2 by an ulp (at 0.05 for m = 50, 100, 118, ...;
+    # at 0.01 for m = 10, 20, ...); the grid then kept both points, a
+    # 2.2e-16-wide band beside the JS cutoff
+    for alpha in (0.05, 0.1, 0.2, 0.01):
+        b = 2.0 * -ndtri(alpha / 2.0)
+        for m in range(4, 200, 2):
+            edges = _ladder(b, m)
+            assert (edges[m // 2], edges[3 * m // 2]) == (-b / 2.0, b / 2.0), (alpha, m)
+            region = bayes_lp._bayes_region(alpha, edges, np.ones((2 * m, 2 * m)), b)
+            assert len(region.x_edges) == 2 * m + 3, (alpha, m)
+            assert np.diff(region.x_edges).min() > 1e-3, (alpha, m)
+    for alpha, m in ((0.05, 50), (0.01, 10)):
+        problem = build_lp(alpha, m)
+        region = assemble_bayes_region(problem, solve_lp(problem))
+        assert np.diff(region.x_edges).min() > 1e-12
+        assert np.diff(region.y_edges).min() > 1e-12
+
+
+def test_odd_ladders_are_unpinned_inside():
+    # odd m has no middle point, so the ladder at the shipped order is the
+    # plain product with the ends pinned, bit for bit
+    for alpha in (0.05, 0.01):
+        b = 2.0 * -ndtri(alpha / 2.0)
+        for m in range(5, 200, 2):
+            want = (np.arange(2 * m + 1, dtype=float) - m) * (b / m)
+            want[0], want[-1] = -b, b
+            assert _ladder(b, m).tobytes() == want.tobytes(), (alpha, m)
 
 
 def test_candidate_objective_matches_per_cell_sum():

@@ -180,6 +180,102 @@ def test_batch_lookup_matches_scalar():
         assert np.array_equal(batch, np.array(scalar))
 
 
+def _searchsorted_lookup(region, zx, zy):
+    """The lookup as two binary searches: the upper edges are searched, so a
+    point on an inner edge lands in the band below, and NaN past +inf, on a
+    zero pad row or column."""
+    zx, zy = np.asarray(zx, dtype=float), np.asarray(zy, dtype=float)
+    x_hi, y_hi = (np.concatenate((e[1:-1], [math.nan, math.nan]))
+                  for e in (region.x_edges, region.y_edges))
+    padded = np.pad(region.probs, ((0, 1), (0, 1)))
+    i = np.searchsorted(region.x_edges[1:], zx)
+    j = np.searchsorted(region.y_edges[1:], zy)
+    on_edge = (zx == x_hi[i]) | (zy == y_hi[j])
+    return np.where(on_edge, 0.0, padded[i, j])
+
+
+def _criterion_10_style_region(rng):
+    nx, ny = (int(v) for v in rng.integers(2, 5, size=2))
+    xs, ys = (np.sort(rng.uniform(-3.0, 3.0, size=k + 1)) for k in (nx, ny))
+    cells = [WeightedRect(Interval(xs[i], xs[i + 1]), Interval(ys[j], ys[j + 1]),
+                          float(rng.uniform(0.2, 1.0)))
+             for i in range(nx) for j in range(ny) if rng.uniform() < 0.6]
+    return RejectionRegion2D(0.1, "custom", cells or [_rect(xs[0], xs[1], ys[0], ys[1], 0.5)])
+
+
+def _lookup_test_regions(shipped_bayes_region):
+    rng = np.random.default_rng(2718)
+    # 200 edges inside an interval of width 1e-9 and a few wide ones, so
+    # many edges share a bucket however long the table grows
+    clustered = np.concatenate(([-math.inf, -2.0, -1.0], 0.5 + np.sort(rng.uniform(0.0, 1e-9, 200)),
+                                [1.5, 3.0, math.inf]))
+    wide = [-math.inf, -1e308, -1.0, 1e-300, 1e308, math.inf]
+    tiny = [-math.inf, 0.0, 5e-324, 1e-323, math.inf]
+    grids = {"clustered": (clustered, np.append(clustered[:-1:3], math.inf)), "wide": (wide, tiny),
+             "one_edge": ([-math.inf, 0.0, math.inf], [-math.inf, math.inf]),
+             "huge": ([-math.inf, -1.7e308, 1.7e308, math.inf],
+                      [-math.inf, -1e308, 0.0, 1.5e308, math.inf]),
+             "uneven": (np.concatenate(([-math.inf], np.cumsum(rng.exponential(size=30) ** 3) - 20,
+                                        [math.inf])), [-math.inf, -0.0, 1e-12, 2.0, math.inf])}
+    regions = {name: RejectionRegion2D.from_grid(
+                   0.1, "custom", x, y, rng.choice([0.0, 0.25, 1.0], size=(len(x) - 1, len(y) - 1)))
+               for name, (x, y) in grids.items()}
+    for alpha in (0.5, 0.2, 0.05, 0.01, 1 / 300):
+        regions[f"minimax_{alpha}"] = build_minimax_region(alpha)
+        regions[f"js_{alpha}"] = build_js_region(alpha)
+    for alpha in (0.07, 0.3, 0.0123):
+        regions[f"extended_{alpha}"] = build_extended_region(alpha)
+    regions["fixture"] = shipped_bayes_region
+    for k in range(8):
+        regions[f"criterion_10_{k}"] = _criterion_10_style_region(rng)
+    return regions
+
+
+def _lookup_test_points(region, n, rng):
+    """n coordinates per axis: wide normals, points on and next to every
+    inner edge, signed zeros, NaN and infinities."""
+    special = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324])
+    out = []
+    for edges in (region.x_edges, region.y_edges):
+        inner = edges[1:-1]
+        z = rng.standard_normal(n) * rng.choice([0.5, 3.0, 1e3], size=n)
+        if len(inner):
+            near = rng.choice(inner, size=n)
+            near = np.where(rng.uniform(size=n) < 0.5, near,
+                            np.nextafter(near, rng.choice([-math.inf, math.inf], size=n)))
+            z = np.where(rng.uniform(size=n) < 0.4, near, z)
+        z = np.where(rng.uniform(size=n) < 0.05, rng.choice(special, size=n), z)
+        out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 4096, 200_000])
+def test_lookup_matches_searchsorted_oracle(n, shipped_bayes_region):
+    rng = np.random.default_rng(n)
+    for name, region in _lookup_test_regions(shipped_bayes_region).items():
+        zx, zy = _lookup_test_points(region, n, rng)
+        got = rejection_prob_at_points(region, zx, zy)
+        want = _searchsorted_lookup(region, zx, zy)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        # Python floats, 0-d arrays and strided views take the same path
+        for a, b in ((float(zx[0]), float(zy[0])), (zx[0].reshape(()), zy[0].reshape(())),
+                     (zx[::3], zy[::-3])):
+            got = rejection_prob_at_points(region, a, b)
+            want = _searchsorted_lookup(region, a, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+def test_lookup_keeps_the_input_shape():
+    region = build_minimax_region(0.2)
+    rng = np.random.default_rng(4)
+    zx, zy = rng.standard_normal((2, 3, 4, 5)) * 2.0
+    got = rejection_prob_at_points(region, zx, zy)
+    assert got.shape == (3, 4, 5)
+    assert np.array_equal(got, _searchsorted_lookup(region, zx, zy))
+    assert np.array_equal(rejection_prob_at_points(region, zx.T, zy.T), got.T)
+    assert rejection_prob_at_points(region, [], []).shape == (0,)
+
+
 def test_batch_power_matches_scalar():
     region = build_extended_region(0.07)
     deltas = np.array([[0.0, 0.0], [1.0, -2.0], [3.5, 0.2], [-4.0, 4.0]])

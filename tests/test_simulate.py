@@ -1,5 +1,6 @@
 """Monte Carlo harness: reproducibility, CSV shape, and rate calibration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -206,14 +207,48 @@ def test_power_runs_are_reproducible():
     assert simulate_power(spec).to_csv() == simulate_power(spec).to_csv()
 
 
+# two full tasks of 8 blocks per point, then one block of 5 draws
+_MULTI_TASK_REPS = 2 * 8 * simulate._BLOCK + 5
+
+
 def test_worker_count_does_not_change_results(monkeypatch):
-    # two points x two blocks, merged by block index
-    spec = SimSpec(("minimax", "sobel"), ((0.0, 0.0), (0.3, 0.3)), 10, 6000, 9)
+    # two points x three tasks, merged by block index
+    spec = SimSpec(("minimax", "sobel"), ((0.0, 0.0), (0.3, 0.3)), 10, _MULTI_TASK_REPS, 9)
     monkeypatch.setenv("COMPOSITE_NULL_THREADS", "1")
     serial = simulate_power(spec).to_csv()
     monkeypatch.setenv("COMPOSITE_NULL_THREADS", "3")
     threaded = simulate_power(spec).to_csv()
     assert serial == threaded
+
+
+def test_seeded_power_output_is_pinned(shipped_bayes_region, monkeypatch):
+    # sha256 of the CSVs written when every 4096-draw block was its own task;
+    # the first spec draws the uniform too, the second does not
+    grid = ((0.0, 0.0), (0.3, 0.0), (0.25, -0.35))
+    cases = [
+        (SimSpec(simulate._METHODS, grid, 40, _MULTI_TASK_REPS, 2024, bayes_region=shipped_bayes_region),
+         "563a411470eaf48414702bf49a4b5b7472363f508fee36c771489f45e6448982"),
+        (SimSpec(("bayes", "js"), grid[1:], 40, _MULTI_TASK_REPS, 2025,
+                 bayes_region=shipped_bayes_region, bayes_randomized=False),
+         "cb5f7e486828d0a0428a611fc44726544bc2e5c1acb02d05d3f212a714f48b02"),
+    ]
+    for threads in ("1", "2"):
+        monkeypatch.setenv("COMPOSITE_NULL_THREADS", threads)
+        for spec, want in cases:
+            csv = simulate_power(spec).to_csv()
+            assert hashlib.sha256(csv.encode()).hexdigest() == want, (threads, spec.seed)
+
+
+def test_equal_grids_share_one_lookup(shipped_bayes_region):
+    # at 1/K the minimax and extended grids are bit-identical; a Bayes region
+    # with the same grid shares too, though its kind differs
+    twin = build_extended_region(0.05)
+    evals = simulate._method_evaluators(SimSpec(("minimax", "extended", "bayes"), ((0.0, 0.0),),
+                                                10, 10, 1, bayes_region=twin))
+    assert evals["extended"][1] is evals["minimax"][1] and evals["bayes"][1] is evals["minimax"][1]
+    evals = simulate._method_evaluators(SimSpec(("extended", "bayes"), ((0.0, 0.0),), 10, 10, 1,
+                                                alpha=0.07, bayes_region=shipped_bayes_region))
+    assert evals["bayes"][1] is shipped_bayes_region and evals["extended"][1].kind == "extended"
 
 
 def test_methods_share_draws():
