@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 class DataError(ValueError):
@@ -41,7 +42,8 @@ class DataError(ValueError):
 # eq=False: ndarray fields have no truth value, so compare and hash by identity
 @dataclass(frozen=True, eq=False)
 class MediationDataset:
-    """Columns y (outcome), a (exposure), m (mediator), c (n x k covariates)."""
+    """Columns y (outcome), a (exposure), m (mediator), c (n x k covariates;
+    zero-size means none), checked finite here once; names default to c1..ck."""
 
     y: np.ndarray
     a: np.ndarray
@@ -54,25 +56,28 @@ class MediationDataset:
         a = np.asarray(self.a, dtype=float)
         m = np.asarray(self.m, dtype=float)
         c = np.asarray(self.c, dtype=float)
-        if c.ndim == 1:
-            c = c.reshape(len(c), -1) if c.size else c.reshape(0, 0)
         n = len(y)
+        if c.size == 0:
+            c = c.reshape(n, 0)
+        elif c.ndim == 1:
+            c = c.reshape(-1, 1)
         if a.shape != (n,) or m.shape != (n,) or c.shape[0] != n:
             raise DataError("columns must have equal length")
-        if c.shape[1] != len(self.covariate_names):
-            object.__setattr__(
-                self, "covariate_names",
-                tuple(f"c{i + 1}" for i in range(c.shape[1])))
-        for name, col in (("y", y), ("a", a), ("m", m)):
-            if not np.all(np.isfinite(col)):
-                raise DataError(f"column {name!r} contains non-finite values")
-        if c.size and not np.all(np.isfinite(c)):
-            raise DataError("covariate columns contain non-finite values")
+        names = self.covariate_names or tuple(f"c{i + 1}" for i in range(c.shape[1]))
+        if len(names) != c.shape[1]:
+            raise DataError(f"got {len(names)} covariate names for {c.shape[1]} columns")
+        # A sum of squares is finite only if every entry is. vdot sets no
+        # overflow warning; past ~1e154 the columns are scanned one by one.
+        if not all(math.isfinite(np.vdot(v, v)) for v in (y, a, m, c)):
+            for name, col in (("y", y), ("a", a), ("m", m), *zip(names, c.T)):
+                if not np.isfinite(col).all():
+                    raise DataError(f"column {name!r} contains non-finite values")
         width = 3 + c.shape[1]
         if n <= width + 2:
             raise DataError(
                 f"need more than {width + 2} rows for {width} columns, got {n}")
-        for field, val in (("y", y), ("a", a), ("m", m), ("c", c)):
+        for field, val in (("y", y), ("a", a), ("m", m), ("c", c),
+                           ("covariate_names", tuple(names))):
             object.__setattr__(self, field, val)
 
     @property
@@ -96,9 +101,8 @@ def _r_factor(xy: np.ndarray, names, rhs: np.ndarray) -> tuple[np.ndarray, np.nd
     coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
     |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named;
     BLAS norms are scaled, so they do not overflow as squares would past 1e154.
+    ``xy`` must be finite; callers check it.
     """
-    if not np.isfinite(xy).all():
-        raise DataError("design and response must be finite")
     n, q = xy.shape
     p = q - 1
     norms = np.array([_dnrm2(xy[:, j]) for j in range(p)])
@@ -132,6 +136,8 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
 
     xy = np.empty((n, p + 1), order="F")
     xy[:, :p], xy[:, p] = x, y
+    if not np.isfinite(xy).all():
+        raise DataError("design and response must be finite")
     r, rinv_t = _r_factor(xy, names, np.eye(p))
     sigma2 = float(r[p, p] ** 2) / (n - p)
     # a column scaled near the underflow limit has a variance past the
@@ -176,6 +182,14 @@ def _pair(dx: float, dy: float, se_x: float, se_y: float, n: int) -> TestStatist
                              EstimateProvenance(dx, dy, se_x, se_y, n))
 
 
+def _root_n_norm(v: np.ndarray, n: int, p: int) -> float:
+    """sqrt(n/(n - p))*||v||; BLAS's scaled norm where the squared norm leaves
+    the normal range (columns scaled past ~1e±154). vdot warns of no overflow."""
+    vv = float(np.vdot(v, v))
+    return (math.sqrt(n * vv / (n - p)) if _TINY <= vv < math.inf
+            else math.sqrt(n / (n - p)) * float(_dnrm2(v)))
+
+
 def product_method_stats(data: MediationDataset, model: str = "main_effects",
                          a_prime: float = 1.0, a_dblprime: float = 0.0,
                          ) -> tuple[FitResult, TestStatisticPair]:
@@ -197,7 +211,8 @@ def product_method_stats(data: MediationDataset, model: str = "main_effects",
         raise ValueError(
             "interaction model needs distinct exposure levels a_prime != a_dblprime")
     # [1, a, c, m, (a*m), y]: the leading k columns are the mediator design
-    # and column k its response, so one R holds both regressions.
+    # and column k its response, so one R holds both regressions. The
+    # dataset's columns are finite; only a*m can overflow.
     n = data.n
     k = 2 + data.c.shape[1]
     p = k + 1 + interaction
@@ -205,20 +220,24 @@ def product_method_stats(data: MediationDataset, model: str = "main_effects",
     xy[:, 0], xy[:, 1], xy[:, 2:k] = 1.0, data.a, data.c
     xy[:, k], xy[:, p] = data.m, data.y
     if interaction:
-        xy[:, k + 1] = data.a * data.m
+        with np.errstate(over="ignore"):
+            np.multiply(data.a, data.m, out=xy[:, k + 1])
+        if not np.isfinite(xy[:, k + 1]).all():
+            raise DataError("column 'a:m' is not finite: a*m overflows")
     names = ["intercept", "a", *data.covariate_names, "m", "a:m"]
     # Row 1 of R[:k, :k]^-1 gives the mediator model's beta_a and its
     # variance (sigma2 times the row's squared norm); w = e_m (+ a_prime *
     # e_am) applied to R^-1 gives the outcome model's delta_x likewise.
-    rows = np.eye(p)[:, [1, k]]
+    rows = np.zeros((p, 2), order="F")
+    rows[1, 0] = rows[k, 1] = 1.0
     if interaction:
         rows[k + 1, 1] = a_prime
     r, sol = _r_factor(xy, names, rows)
     u, w = sol[:k, 0], sol[:, 1]
     beta_a = float(u @ r[:k, k])
-    se_beta_a = abs(float(r[k, k])) * math.sqrt(n * float(u @ u) / (n - k))
+    se_beta_a = abs(float(r[k, k])) * _root_n_norm(u, n, k)
     dx = float(w @ r[:p, p])
-    se_x = abs(float(r[p, p])) * math.sqrt(n * float(w @ w) / (n - p))
+    se_x = abs(float(r[p, p])) * _root_n_norm(w, n, p)
     scale = a_prime - a_dblprime if interaction else 1.0
     levels = (a_prime, a_dblprime) if interaction else ()
     result = FitResult(dx, beta_a * scale, se_x, abs(scale) * se_beta_a, n, model, *levels)

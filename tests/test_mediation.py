@@ -1,6 +1,8 @@
 """Regression fitting, standardization, and CSV intake."""
 
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -405,6 +407,104 @@ def test_dataset_validation():
                             rng.standard_normal(12), rng.standard_normal((12, 2)))
     assert data.covariate_names == ("c1", "c2")
     assert data.n == 12
+
+
+@pytest.mark.parametrize("none", [[], (), np.empty(0), np.empty((12, 0)), np.empty((0, 2))])
+def test_zero_size_covariates_mean_none(none):
+    base = _simulated(12, 8)
+    data = MediationDataset(base.y, base.a, base.m, none)
+    assert data.c.shape == (12, 0) and data.covariate_names == ()
+    for model in ("main_effects", "interaction"):
+        assert product_method_stats(data, model)[1] == product_method_stats(base, model)[1]
+
+
+def test_covariate_names_must_match_the_columns():
+    rng = np.random.Generator(np.random.Philox(4))
+    y, a, m = rng.standard_normal((3, 12))
+    c = rng.standard_normal((12, 3))
+    with pytest.raises(DataError, match="got 2 covariate names for 3 columns"):
+        MediationDataset(y, a, m, c, ("age", "dose"))
+    with pytest.raises(DataError, match="got 1 covariate names for 0 columns"):
+        MediationDataset(y, a, m, np.empty((12, 0)), ("age",))
+    assert MediationDataset(y, a, m, c).covariate_names == ("c1", "c2", "c3")
+    named = MediationDataset(y, a, m, c, ["age", "dose", "site"])
+    assert named.covariate_names == ("age", "dose", "site")
+    with pytest.raises(DataError, match="collinear columns: site$"):
+        product_method_stats(MediationDataset(y, a, m, c[:, [0, 1, 1]], ("age", "dose", "site")))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("column", ["y", "a", "m", "dose"])
+def test_dataset_names_the_non_finite_column(column, bad):
+    rng = np.random.Generator(np.random.Philox(6))
+    cols = dict(zip("yam", rng.standard_normal((3, 12))), c=rng.standard_normal((12, 2)))
+    if column == "dose":
+        cols["c"][7, 1] = bad
+    else:
+        cols[column][7] = bad
+    with pytest.raises(DataError, match=f"^column '{column}' contains non-finite values$"):
+        MediationDataset(cols["y"], cols["a"], cols["m"], cols["c"], ("age", "dose"))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("column", ["y", "a", "m", "c"])
+def test_columns_past_the_squared_range_fit_without_warning(column, scale):
+    # squares of these entries overflow and their inverses' squares
+    # underflow, so neither the finiteness test nor the SEs may square them;
+    # Wald ratios do not depend on column scale (levels move with a)
+    rng = np.random.Generator(np.random.Philox(17))
+    n = 40
+    a, noise_m, noise_y = rng.standard_normal((3, n))
+    c = rng.standard_normal((n, 1))
+    m = 0.3 * a + noise_m
+    cols = dict(y=0.5 * a + 0.4 * m + noise_y, a=a, m=m, c=c)
+    base = MediationDataset(cols["y"], cols["a"], cols["m"], cols["c"])
+    cols[column] = scale * cols[column]
+    levels = scale if column == "a" else 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        data = MediationDataset(cols["y"], cols["a"], cols["m"], cols["c"])
+        for model in ("main_effects", "interaction"):
+            pair = product_method_stats(data, model, 1.3 * levels, 0.2 * levels)[1]
+            want = product_method_stats(base, model, 1.3, 0.2)[1]
+            assert pair.zx == pytest.approx(want.zx, rel=1e-12)
+            assert pair.zy == pytest.approx(want.zy, rel=1e-12)
+
+
+def test_exposure_mediator_product_must_be_finite():
+    rng = np.random.Generator(np.random.Philox(19))
+    y, a, m = rng.standard_normal((3, 40))
+    data = MediationDataset(y, 1e200 * a, 1e200 * m, np.empty((40, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        product_method_stats(data, "main_effects")
+        with pytest.raises(DataError, match="column 'a:m' is not finite"):
+            product_method_stats(data, "interaction", 1.3e200, 0.2e200)
+
+
+def test_fit_output_bits_are_pinned():
+    # sha256 of the float64 bits of every fit in a seeded sweep, as computed
+    # when each dataset column was checked in its own pass and the fit
+    # kernel checked [X | y] again; the checks are not arithmetic, so no bit
+    # may move. The bits come from the LAPACK/BLAS build (recorded with the
+    # OpenBLAS of the numpy 2.4 and scipy 1.17 x86-64 wheels).
+    rng = np.random.Generator(np.random.Philox(1961))
+    digest = hashlib.sha256()
+    for n in (30, 400):
+        for k in (0, 1, 3):
+            for _ in range(4):
+                a = rng.standard_normal(n)
+                c = rng.standard_normal((n, k))
+                m = 0.3 * a + c @ rng.standard_normal(k) + rng.standard_normal(n)
+                y = 0.5 * a + 0.4 * m + c @ rng.standard_normal(k) + rng.standard_normal(n)
+                scale = 10.0 ** rng.uniform(-3.0, 3.0, 3 + k)
+                data = MediationDataset(scale[0] * y, scale[1] * a, scale[2] * m, scale[3:] * c)
+                for model in ("main_effects", "interaction"):
+                    fit, pair = product_method_stats(data, model, 1.3 * scale[1], 0.2 * scale[1])
+                    digest.update(np.array([pair.zx, pair.zy, fit.se_x, fit.se_y,
+                                            fit.delta_x_hat, fit.delta_y_hat]).tobytes())
+    assert digest.hexdigest() == (
+        "01605580f4e08345a3bdd2cb94671f68a93d1d916f87e773f2388c780487038b")
 
 
 def _write(path, text):
