@@ -10,12 +10,11 @@ usual finite-sample Wald ratio.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dnrm2 as _dnrm2
-from scipy.linalg.lapack import dgeqrf as _dgeqrf, dtrtrs as _dtrtrs
 
 from .regions import EstimateProvenance, TestStatisticPair
 from .statmath import _count, _finite, _positive
@@ -33,6 +32,11 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
+
+
+@functools.cache
+def _lower(p: int) -> np.ndarray:
+    return np.tri(p, dtype=bool)
 
 
 class DataError(ValueError):
@@ -56,11 +60,16 @@ class MediationDataset:
         a = np.asarray(self.a, dtype=float)
         m = np.asarray(self.m, dtype=float)
         c = np.asarray(self.c, dtype=float)
+        for field, col in (("y", y), ("a", a), ("m", m)):
+            if col.ndim != 1:
+                raise DataError(f"column {field!r} must be one-dimensional, got shape {col.shape}")
         n = len(y)
         if c.size == 0:
             c = c.reshape(n, 0)
         elif c.ndim == 1:
             c = c.reshape(-1, 1)
+        elif c.ndim > 2:
+            raise DataError(f"covariates 'c' must be n x k, got shape {c.shape}")
         if a.shape != (n,) or m.shape != (n,) or c.shape[0] != n:
             raise DataError("columns must have equal length")
         names = self.covariate_names or tuple(f"c{i + 1}" for i in range(c.shape[1]))
@@ -93,25 +102,24 @@ class OlsFit:
     n: int
 
 
-def _r_factor(xy: np.ndarray, names, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """R (upper triangle only) of one in-place Householder QR of ``xy = [X | y]``,
-    and R[:p, :p]^-T rhs, whose column for rhs = e_j is row j of R^-1.
+def _r_factor(xy: np.ndarray, names) -> np.ndarray:
+    """One Householder QR of the finite, column-major ``xy = [X | y]``; R is
+    the upper triangle of the returned n x q view (below it is not R).
 
     Every leading block is a regression: column j on columns :j has
     coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
     |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named;
-    BLAS norms are scaled, so they do not overflow as squares would past 1e154.
-    ``xy`` must be finite; callers check it.
+    ||x_j|| is the hypot of R's column j, which does not overflow past 1e154.
     """
     n, q = xy.shape
     p = q - 1
-    norms = np.array([_dnrm2(xy[:, j]) for j in range(p)])
-    r = _dgeqrf(xy, overwrite_a=True)[0][:q]
-    dependent = np.abs(r.diagonal()[:p]) <= max(n, p) * _EPS * norms
+    h = np.linalg.qr(xy, mode="raw")[0]  # q x n, R transposed: row j holds R[:j+1, j]
+    norms = np.hypot.reduce(np.where(_lower(p), h[:p, :p], 0.0), axis=1)
+    dependent = np.abs(h.diagonal()[:p]) <= max(n, p) * _EPS * norms
     if dependent.any():
         raise DataError("design is rank deficient; collinear columns: "
                         + ", ".join(names[j] for j in np.flatnonzero(dependent)))
-    return r, _dtrtrs(r[:p, :p], rhs, trans=1)[0]
+    return h.T
 
 
 def fit_ols(design, response, column_names=None) -> OlsFit:
@@ -119,8 +127,8 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
 
     Returns coefficients and their covariance sigma2*(X'X)^-1 with
     sigma2 = RSS/(n-p). Non-finite input, rank deficiency and a coefficient
-    variance past the float range raise DataError, the latter two naming
-    the columns.
+    variance outside the normal float range raise DataError, the latter two
+    naming the columns.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -129,8 +137,7 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     n, p = x.shape
     if n <= p:
         raise DataError(f"need n > p, got n={n}, p={p}")
-    names = list(column_names) if column_names is not None else [
-        f"x{i}" for i in range(p)]
+    names = [f"x{i}" for i in range(p)] if column_names is None else list(column_names)
     if len(names) != p:
         raise DataError("column_names length must match design width")
 
@@ -138,17 +145,21 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     xy[:, :p], xy[:, p] = x, y
     if not np.isfinite(xy).all():
         raise DataError("design and response must be finite")
-    r, rinv_t = _r_factor(xy, names, np.eye(p))
+    r = _r_factor(xy, names)
+    rinv = np.linalg.inv(np.triu(r[:p, :p]))
     sigma2 = float(r[p, p] ** 2) / (n - p)
-    # a column scaled near the underflow limit has a variance past the
-    # overflow limit; name it instead of returning inf
+    # sigma*R^-1 is squared once, so only a variance outside the normal range
+    # leaves it; its column is named instead of returning inf or 0
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = sigma2 * (rinv_t.T @ rinv_t)
-    overflow = ~np.isfinite(cov.diagonal())
-    if overflow.any():
-        raise DataError("coefficient variance overflows; columns: "
-                        + ", ".join(names[j] for j in np.flatnonzero(overflow)))
-    return OlsFit(r[:p, p] @ rinv_t, cov, sigma2, n)
+        root = abs(float(r[p, p])) / math.sqrt(n - p) * rinv
+        cov = root @ root.T
+    var = cov.diagonal()
+    for bad, what in ((~np.isfinite(var), "overflows"),
+                      ((var < _TINY) & (sigma2 > 0.0), "underflows")):
+        if bad.any():
+            raise DataError(f"coefficient variance {what}; columns: "
+                            + ", ".join(names[j] for j in np.flatnonzero(bad)))
+    return OlsFit(rinv @ r[:p, p], cov, sigma2, n)
 
 
 @dataclass(frozen=True)
@@ -182,14 +193,6 @@ def _pair(dx: float, dy: float, se_x: float, se_y: float, n: int) -> TestStatist
                              EstimateProvenance(dx, dy, se_x, se_y, n))
 
 
-def _root_n_norm(v: np.ndarray, n: int, p: int) -> float:
-    """sqrt(n/(n - p))*||v||; BLAS's scaled norm where the squared norm leaves
-    the normal range (columns scaled past ~1e±154). vdot warns of no overflow."""
-    vv = float(np.vdot(v, v))
-    return (math.sqrt(n * vv / (n - p)) if _TINY <= vv < math.inf
-            else math.sqrt(n / (n - p)) * float(_dnrm2(v)))
-
-
 def product_method_stats(data: MediationDataset, model: str = "main_effects",
                          a_prime: float = 1.0, a_dblprime: float = 0.0,
                          ) -> tuple[FitResult, TestStatisticPair]:
@@ -210,34 +213,33 @@ def product_method_stats(data: MediationDataset, model: str = "main_effects",
     if interaction and a_prime == a_dblprime:
         raise ValueError(
             "interaction model needs distinct exposure levels a_prime != a_dblprime")
-    # [1, a, c, m, (a*m), y]: the leading k columns are the mediator design
-    # and column k its response, so one R holds both regressions. The
-    # dataset's columns are finite; only a*m can overflow.
+    # [1, c, a, m, (a*m), y]: columns :im are the mediator design and im its
+    # response; each model's effect column ends its design, so every number
+    # below is a ratio of entries of R. The data are finite; only a*m can overflow.
     n = data.n
-    k = 2 + data.c.shape[1]
-    p = k + 1 + interaction
+    ia = 1 + data.c.shape[1]
+    im, p = ia + 1, ia + 2 + interaction
     xy = np.empty((n, p + 1), order="F")
-    xy[:, 0], xy[:, 1], xy[:, 2:k] = 1.0, data.a, data.c
-    xy[:, k], xy[:, p] = data.m, data.y
+    xy[:, 0], xy[:, 1:ia], xy[:, ia], xy[:, im], xy[:, p] = 1.0, data.c, data.a, data.m, data.y
     if interaction:
         with np.errstate(over="ignore"):
-            np.multiply(data.a, data.m, out=xy[:, k + 1])
-        if not np.isfinite(xy[:, k + 1]).all():
+            np.multiply(data.a, data.m, out=xy[:, p - 1])
+        if not np.isfinite(xy[:, p - 1]).all():
             raise DataError("column 'a:m' is not finite: a*m overflows")
-    names = ["intercept", "a", *data.covariate_names, "m", "a:m"]
-    # Row 1 of R[:k, :k]^-1 gives the mediator model's beta_a and its
-    # variance (sigma2 times the row's squared norm); w = e_m (+ a_prime *
-    # e_am) applied to R^-1 gives the outcome model's delta_x likewise.
-    rows = np.zeros((p, 2), order="F")
-    rows[1, 0] = rows[k, 1] = 1.0
+    r = _r_factor(xy, ("intercept", *data.covariate_names, "a", "m", "a:m"))
+    r_aa, r_mm, r_yy = r.item(ia, ia), r.item(im, im), r.item(p, p)
+    beta_a = r.item(ia, im) / r_aa
+    se_beta_a = math.sqrt(n / (n - im)) * abs(r_mm / r_aa)
     if interaction:
-        rows[k + 1, 1] = a_prime
-    r, sol = _r_factor(xy, names, rows)
-    u, w = sol[:k, 0], sol[:, 1]
-    beta_a = float(u @ r[:k, k])
-    se_beta_a = abs(float(r[k, k])) * _root_n_norm(u, n, k)
-    dx = float(w @ r[:p, p])
-    se_x = abs(float(r[p, p])) * _root_n_norm(w, n, p)
+        # delta_x = w'theta for w = e_m + a_prime*e_am is v'R[:p, y] with
+        # R[:p, :p]'v = w: v is zero but on the trailing [m, a:m] block
+        v_m = 1.0 / r_mm
+        v_am = (a_prime - r.item(im, p - 1) * v_m) / r.item(p - 1, p - 1)
+        dx = v_m * r.item(im, p) + v_am * r.item(p - 1, p)
+        se_x = math.sqrt(n / (n - p)) * abs(r_yy) * math.hypot(v_m, v_am)
+    else:
+        dx = r.item(im, p) / r_mm
+        se_x = math.sqrt(n / (n - p)) * abs(r_yy / r_mm)
     scale = a_prime - a_dblprime if interaction else 1.0
     levels = (a_prime, a_dblprime) if interaction else ()
     result = FitResult(dx, beta_a * scale, se_x, abs(scale) * se_beta_a, n, model, *levels)
@@ -282,8 +284,7 @@ def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:
         header = [h.strip() for h in header]
         missing = [c for c in wanted if c not in header]
         if missing:
-            raise DataError(
-                f"{path}: missing columns {missing}; header has {header}")
+            raise DataError(f"{path}: missing columns {missing}; header has {header}")
         idx = {c: header.index(c) for c in wanted}
         rows = []
         for rownum, rec in enumerate(reader, start=1):
@@ -308,6 +309,4 @@ def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     arr = np.asarray(rows, dtype=float)
-    k = len(covariates)
-    c = arr[:, 3:3 + k] if k else np.empty((len(rows), 0))
-    return MediationDataset(arr[:, 0], arr[:, 1], arr[:, 2], c, tuple(covariates))
+    return MediationDataset(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3:], tuple(covariates))

@@ -4,6 +4,7 @@ import hashlib
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -89,15 +90,13 @@ def test_fit_ols_names_collinear_columns():
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_fit_ols_takes_columns_whose_squares_overflow(scale):
-    # the rank test's column norms must not overflow; a column scaled by s
-    # has its coefficient scaled by 1/s
+    # the rank test's column norms must not overflow: the column is not
+    # named collinear, only its variance (near 1/scale**2) leaves the range
     rng = np.random.Generator(np.random.Philox(53))
     z = rng.standard_normal(40)
     y = 1.0 + 2.0 * z + rng.standard_normal(40)
-    base = fit_ols(np.column_stack([np.ones(40), z]), y)
-    fit = fit_ols(np.column_stack([np.ones(40), scale * z]), y)
-    assert fit.beta[0] == pytest.approx(base.beta[0], rel=1e-12)
-    assert fit.beta[1] * scale == pytest.approx(base.beta[1], rel=1e-12)
+    with pytest.raises(DataError, match="variance underflows; columns: x1$"):
+        fit_ols(np.column_stack([np.ones(40), scale * z]), y)
     with pytest.raises(DataError, match="collinear columns: right$"):
         fit_ols(np.column_stack([np.ones(40), scale * z, 2.0 * scale * z]), y,
                 ["intercept", "left", "right"])
@@ -113,6 +112,29 @@ def test_fit_ols_names_a_column_whose_variance_overflows():
         fit_ols(np.column_stack([np.ones(40), 1e-300 * z]), y, ["intercept", "tiny"])
     fit = fit_ols(np.column_stack([np.ones(40), 1e-150 * z]), y)
     assert np.isfinite(fit.cov).all() and fit.cov[1, 1] > 1e298
+
+
+def test_fit_ols_names_a_column_whose_variance_underflows():
+    # a column scaled by s has its coefficient scaled by 1/s and its
+    # variance by 1/s**2, which is subnormal or zero from s ~ 1e154 on
+    rng = np.random.Generator(np.random.Philox(53))
+    z = rng.standard_normal(40)
+    y = 1.0 + 2.0 * z + rng.standard_normal(40)
+    base = fit_ols(np.column_stack([np.ones(40), z]), y)
+    for scale in (1e200, 1e300):
+        with pytest.raises(DataError, match="variance underflows; columns: big$"):
+            fit_ols(np.column_stack([np.ones(40), scale * z]), y, ["intercept", "big"])
+    fit = fit_ols(np.column_stack([np.ones(40), 1e150 * z]), y)
+    assert fit.beta[0] == pytest.approx(base.beta[0], rel=1e-12)
+    assert fit.beta[1] * 1e150 == pytest.approx(base.beta[1], rel=1e-12)
+    assert fit.cov[1, 1] * 1e300 == pytest.approx(base.cov[1, 1], rel=1e-12)
+    # squares of the column overflow, yet a response as large keeps the
+    # variance in range: the column norms of the rank test must not overflow
+    fit = fit_ols(np.column_stack([np.ones(40), 1e160 * z]), 1e20 * y)
+    assert fit.beta[1] * 1e140 == pytest.approx(base.beta[1], rel=1e-12)
+    assert fit.cov[1, 1] * 1e280 == pytest.approx(base.cov[1, 1], rel=1e-12)
+    # a zero residual gives zero variances at any scale
+    assert not fit_ols(np.column_stack([np.ones(40), 1e200 * z]), np.zeros(40)).cov.any()
 
 
 def test_fit_ols_shape_validation():
@@ -231,6 +253,73 @@ def test_product_method_matches_two_regression_oracle(collinear, tol):
                 assert fit.se_y == pytest.approx(se_y, rel=tol)
                 assert abs(pair.zx - zx) <= tol * max(1.0, abs(zx))
                 assert abs(pair.zy - zy) <= tol * max(1.0, abs(zy))
+
+
+def _mp_ols(cols, response):
+    """Coefficients, inverse Gram matrix and RSS of ``response`` on ``cols``
+    by the normal equations in mpmath's working precision; the float64
+    inputs convert exactly."""
+    x = mpmath.matrix([[mpmath.mpf(float(v)) for v in row] for row in zip(*cols)])
+    y = mpmath.matrix([mpmath.mpf(float(v)) for v in response])
+    gram_inv = mpmath.inverse(x.T * x)
+    beta = gram_inv * (x.T * y)
+    resid = y - x * beta
+    return beta, gram_inv, sum(e * e for e in resid)
+
+
+def _mpmath_oracle(data, model, a_prime, a_dblprime):
+    """(zx, zy, se_x, se_y, delta_x_hat, delta_y_hat) at 40 digits, from the
+    two regressions fitted to the same float64 columns (a*m rounded as the
+    library rounds it)."""
+    n, ones = data.n, np.ones(data.n)
+    with mpmath.workdps(40):
+        med, med_inv, med_rss = _mp_ols([ones, data.a, *data.c.T], data.m)
+        inter = [data.a * data.m] if model == "interaction" else []
+        out_cols = [ones, data.a, data.m, *inter, *data.c.T]
+        out, out_inv, out_rss = _mp_ols(out_cols, data.y)
+        w = mpmath.matrix(len(out_cols), 1)
+        w[2] = 1
+        scale = mpmath.mpf(1)
+        if inter:
+            w[3] = mpmath.mpf(a_prime)
+            scale = mpmath.mpf(a_prime) - mpmath.mpf(a_dblprime)
+        dx = (w.T * out)[0]
+        se_x = mpmath.sqrt(n * out_rss / (n - len(out_cols)) * (w.T * out_inv * w)[0])
+        dy = med[1] * scale
+        se_y = abs(scale) * mpmath.sqrt(n * med_rss / (n - 2 - data.c.shape[1]) * med_inv[1, 1])
+        rn = mpmath.sqrt(n)
+        return tuple(float(v) for v in (rn * dx / se_x, rn * dy / se_y, se_x, se_y, dx, dy))
+
+
+def test_product_method_matches_mpmath_oracle():
+    # every output within 1e-12 relative of a 40-digit oracle, or within
+    # 1e-13 in Wald units where the value is near 0; the columns are scaled
+    # by 10**U(-3, 3) and the levels run up to 2000 times a's scale, where
+    # the interaction column is far from the contrast's direction
+    rng = np.random.Generator(np.random.Philox(71))
+    n = 30
+    for k in (0, 1, 3):
+        for _ in range(3):
+            a = rng.standard_normal(n)
+            c = rng.standard_normal((n, k))
+            m = 0.3 * a + c @ rng.standard_normal(k) + rng.standard_normal(n)
+            y = (0.5 * a + 0.4 * m + 0.2 * a * m + c @ rng.standard_normal(k)
+                 + rng.standard_normal(n))
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, 3 + k)
+            data = MediationDataset(scale[0] * y, scale[1] * a, scale[2] * m, scale[3:] * c)
+            runs = [("main_effects", 1.0, 0.0)] + [
+                ("interaction", lo * scale[1], hi * scale[1])
+                for lo, hi in ((1.3, 0.2), (1e3, 0.2), (-2e3, 1e3))]
+            for model, a_prime, a_dblprime in runs:
+                fit, pair = product_method_stats(data, model, a_prime, a_dblprime)
+                zx, zy, se_x, se_y, dx, dy = _mpmath_oracle(data, model, a_prime, a_dblprime)
+                assert fit.se_x == pytest.approx(se_x, rel=1e-12, abs=0.0)
+                assert fit.se_y == pytest.approx(se_y, rel=1e-12, abs=0.0)
+                rn = math.sqrt(n)
+                for got, want, wald in ((pair.zx, zx, 1.0), (pair.zy, zy, 1.0),
+                                        (fit.delta_x_hat, dx, rn / se_x),
+                                        (fit.delta_y_hat, dy, rn / se_y)):
+                    assert abs(got - want) * wald <= max(1e-12 * abs(want) * wald, 1e-13)
 
 
 def test_fit_ols_refuses_non_finite_input():
@@ -409,6 +498,23 @@ def test_dataset_validation():
     assert data.n == 12
 
 
+@pytest.mark.parametrize("field", ["y", "a", "m"])
+def test_dataset_refuses_a_two_dimensional_column(field):
+    rng = np.random.Generator(np.random.Philox(7))
+    cols = dict(zip("yam", rng.standard_normal((3, 12))))
+    cols[field] = rng.standard_normal((12, 2))
+    with pytest.raises(DataError, match=rf"^column '{field}' must be one-dimensional, "
+                                        r"got shape \(12, 2\)$"):
+        MediationDataset(cols["y"], cols["a"], cols["m"], np.empty((12, 0)))
+
+
+def test_dataset_refuses_three_dimensional_covariates():
+    rng = np.random.Generator(np.random.Philox(7))
+    y, a, m = rng.standard_normal((3, 12))
+    with pytest.raises(DataError, match=r"^covariates 'c' must be n x k, got shape \(12, 2, 1\)$"):
+        MediationDataset(y, a, m, rng.standard_normal((12, 2, 1)))
+
+
 @pytest.mark.parametrize("none", [[], (), np.empty(0), np.empty((12, 0)), np.empty((0, 2))])
 def test_zero_size_covariates_mean_none(none):
     base = _simulated(12, 8)
@@ -446,11 +552,11 @@ def test_dataset_names_the_non_finite_column(column, bad):
         MediationDataset(cols["y"], cols["a"], cols["m"], cols["c"], ("age", "dose"))
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e300])
+@pytest.mark.parametrize("scale", [1e200, 1e300, 1e-200, 1e-300])
 @pytest.mark.parametrize("column", ["y", "a", "m", "c"])
 def test_columns_past_the_squared_range_fit_without_warning(column, scale):
-    # squares of these entries overflow and their inverses' squares
-    # underflow, so neither the finiteness test nor the SEs may square them;
+    # squares of these entries (or of their inverses) leave the float range,
+    # so neither the finiteness test, the rank test nor the SEs may square them;
     # Wald ratios do not depend on column scale (levels move with a)
     rng = np.random.Generator(np.random.Philox(17))
     n = 40
@@ -483,11 +589,11 @@ def test_exposure_mediator_product_must_be_finite():
 
 
 def test_fit_output_bits_are_pinned():
-    # sha256 of the float64 bits of every fit in a seeded sweep, as computed
-    # when each dataset column was checked in its own pass and the fit
-    # kernel checked [X | y] again; the checks are not arithmetic, so no bit
-    # may move. The bits come from the LAPACK/BLAS build (recorded with the
-    # OpenBLAS of the numpy 2.4 and scipy 1.17 x86-64 wheels).
+    # sha256 of the float64 bits of every fit in a seeded sweep, so that a
+    # change that is meant to leave the arithmetic alone moves no bit. The
+    # bits come from numpy's LAPACK build (recorded with the OpenBLAS of the
+    # numpy 2.4 x86-64 wheel); test_product_method_matches_mpmath_oracle
+    # bounds the error itself.
     rng = np.random.Generator(np.random.Philox(1961))
     digest = hashlib.sha256()
     for n in (30, 400):
@@ -504,7 +610,7 @@ def test_fit_output_bits_are_pinned():
                     digest.update(np.array([pair.zx, pair.zy, fit.se_x, fit.se_y,
                                             fit.delta_x_hat, fit.delta_y_hat]).tobytes())
     assert digest.hexdigest() == (
-        "01605580f4e08345a3bdd2cb94671f68a93d1d916f87e773f2388c780487038b")
+        "166ba0734d2d78225266a709c440160e4b34b932a58adbeedf2e45819a65e073")
 
 
 def _write(path, text):

@@ -58,10 +58,11 @@ def test_array_holders_compare_by_identity():
 
 
 def test_import_leaves_lp_backends_unloaded(package_env):
-    # the LP is solved in-library, so importing the package pays for
-    # neither scipy.optimize nor scipy.sparse
-    code = ("import sys, compnull; "
-            "print(sorted(m for m in ('scipy.optimize', 'scipy.sparse') if m in sys.modules))")
+    # the LP is solved in-library and the regressions run on numpy's LAPACK,
+    # so importing the package pays for none of scipy.optimize, scipy.sparse
+    # and scipy.linalg
+    code = ("import sys, compnull; print(sorted(m for m in sys.modules if m.split('.')[:2] "
+            "in (['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))")
     out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
