@@ -224,7 +224,13 @@ def _orbit_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     fu = u[..., :m] + u[..., :m - 1:-1]
     fv = v[..., :m] + v[..., :m - 1:-1]
     lo, hi = np.triu_indices(m)
-    return fu[..., lo] * fv[..., hi] + np.where(lo == hi, 0.0, fu[..., hi] * fv[..., lo])
+    out = fu[..., lo]
+    out *= fv[..., hi]
+    cross = fu[..., hi]
+    cross *= fv[..., lo]
+    cross[..., lo == hi] = 0.0
+    out += cross
+    return out
 
 
 _MAX_ITERATIONS = 5000
@@ -341,8 +347,9 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     folded = _orbit_sums(at_zero, at_zero[0])
     scales = folded.max(axis=1)
     scales[scales == 0.0] = 1.0
+    folded /= scales[:, None]
     x, status, iterations = _dual_simplex(
-        folded / scales[:, None], problem.rhs[2 * m:4 * m + 1] / scales,
+        folded, problem.rhs[2 * m:4 * m + 1] / scales,
         _orbit_sums(problem.band_weights, problem.band_weights))
     if status != "optimal":
         return LpSolution(np.zeros(4 * m * m), math.nan, status, iterations)

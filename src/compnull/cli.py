@@ -29,6 +29,7 @@ __all__ = ["cli_dispatch", "main"]
 
 _MAX_LATIN_ORDER = 200  # a Latin region's K^3 label tensor takes 64 MB at K = 200
 _MAX_GRID_ORDER = 1000  # a minimax/extended grid has (2*floor(1/alpha) + 2)^2 cells
+_MAX_LP_ORDER = 256  # the Bayes LP's memory grows as m^3: ~0.3 GB at m = 256
 
 
 class _UsageError(Exception):
@@ -184,6 +185,8 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_bayes_solve(args) -> int:
+    if args.m > _MAX_LP_ORDER:
+        raise ValueError(f"order m={args.m} exceeds the limit of {_MAX_LP_ORDER}")
     problem = build_lp(args.alpha, args.m, args.prior_sd)
     solution = solve_lp(problem)
     if solution.solver_status != "optimal":

@@ -128,7 +128,7 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     Returns coefficients and their covariance sigma2*(X'X)^-1 with
     sigma2 = RSS/(n-p). Non-finite input, rank deficiency and a coefficient
     variance outside the normal float range raise DataError, the latter two
-    naming the columns.
+    naming the columns; so does a residual variance past the float range.
     """
     x = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -147,11 +147,13 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
         raise DataError("design and response must be finite")
     r = _r_factor(xy, names)
     rinv = np.linalg.inv(np.triu(r[:p, :p]))
-    sigma2 = float(r[p, p] ** 2) / (n - p)
+    rss_root = float(r[p, p])
+    # a Python float product overflows to inf without a warning
+    sigma2 = rss_root * rss_root / (n - p)
     # sigma*R^-1 is squared once, so only a variance outside the normal range
     # leaves it; its column is named instead of returning inf or 0
     with np.errstate(over="ignore", invalid="ignore"):
-        root = abs(float(r[p, p])) / math.sqrt(n - p) * rinv
+        root = abs(rss_root) / math.sqrt(n - p) * rinv
         cov = root @ root.T
     var = cov.diagonal()
     for bad, what in ((~np.isfinite(var), "overflows"),
@@ -159,6 +161,8 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
         if bad.any():
             raise DataError(f"coefficient variance {what}; columns: "
                             + ", ".join(names[j] for j in np.flatnonzero(bad)))
+    if not math.isfinite(sigma2):
+        raise DataError("residual variance overflows")
     return OlsFit(rinv @ r[:p, p], cov, sigma2, n)
 
 

@@ -43,8 +43,8 @@ _V1 = "region-v1"
 REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", "custom"})
 # the largest bucket table _BandIndex grows to while edges share buckets
 _MAX_BUCKETS = 4096
-# points per pass of rejection_prob_at_points
-_LOOKUP_CHUNK = 1 << 15
+# values per pass of rejection_prob_at_points and analytic_power_batch
+_CHUNK = 1 << 15
 
 
 class RegionFormatError(ValueError):
@@ -427,8 +427,8 @@ def rejection_prob_at_points(region: RejectionRegion2D, zx, zy) -> np.ndarray:
     zx, zy = zx.reshape(-1), zy.reshape(-1)
     # chunks keep the lookup's temporaries in cache
     out = np.empty(zx.size)
-    for lo in range(0, zx.size, _LOOKUP_CHUNK):
-        part = slice(lo, lo + _LOOKUP_CHUNK)
+    for lo in range(0, zx.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
         out[part] = _lookup(region, zx[part], zy[part])
     return out.reshape(shape)
 
@@ -456,7 +456,9 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     """Exact rejection probability at each row of an (n, 2) array of shifts.
 
     With Gx[s, i] the N(dx_s, 1) mass of x-band i (Gy likewise), the power
-    at shift s is the s-th row sum of (Gx @ probs) * Gy. A NaN or infinite
+    at shift s is the s-th row sum of (Gx @ probs) * Gy. Shifts are taken in
+    blocks of about ``_CHUNK`` band masses, so the temporaries stay in cache
+    and memory does not grow with the number of shifts. A NaN or infinite
     shift raises ValueError naming the first such row.
     """
     deltas = np.asarray(deltas, dtype=float)
@@ -466,9 +468,15 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"shifts must be finite, got {tuple(deltas[k].tolist())!r} at row {k}")
-    gx = np.diff(_cdf_array(region.x_edges[None, :] - deltas[:, :1]), axis=1)
-    gy = np.diff(_cdf_array(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
-    return np.clip(((gx @ region.probs) * gy).sum(axis=1), 0.0, 1.0)
+    x_edges, y_edges = region.x_edges[None, :], region.y_edges[None, :]
+    rows = max(1, _CHUNK // max(x_edges.size, y_edges.size))
+    out = np.empty(len(deltas))
+    for lo in range(0, len(deltas), rows):
+        d = deltas[lo:lo + rows]
+        gx = np.diff(_cdf_array(x_edges - d[:, :1]), axis=1)
+        gy = np.diff(_cdf_array(y_edges - d[:, 1:]), axis=1)
+        out[lo:lo + rows] = ((gx @ region.probs) * gy).sum(axis=1)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # -- serialization ---------------------------------------------------------

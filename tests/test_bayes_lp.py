@@ -272,6 +272,21 @@ def test_orbit_rows_match_bincount_fold(m):
     assert np.max(np.abs(got - want)) <= 1e-13 * want.max()
 
 
+@pytest.mark.parametrize("m", [4, 7, 65])
+def test_orbit_sums_keep_the_bits_of_the_out_of_place_fold(m):
+    # the in-place accumulation does the same IEEE operations, in the same
+    # order, as this out-of-place expression
+    rng = np.random.default_rng(m)
+    lo, hi = np.triu_indices(m)
+    for shape in ((2 * m,), (9, 2 * m)):
+        u, v = rng.standard_normal(shape) * 1e-3, rng.standard_normal(shape)
+        fu = u[..., :m] + u[..., :m - 1:-1]
+        fv = v[..., :m] + v[..., :m - 1:-1]
+        want = fu[..., lo] * fv[..., hi] + np.where(lo == hi, 0.0, fu[..., hi] * fv[..., lo])
+        got = _orbit_sums(u, v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_solve_small_problem(solved12):
     problem, sol = solved12
     assert sol.solver_status == "optimal"

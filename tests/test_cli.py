@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import compnull.cli
 from compnull.cli import cli_dispatch, main
 from compnull.latin3 import cyclic_latin, square_to_json
 from compnull.mediation import MediationDataset, product_method_stats
@@ -504,6 +505,18 @@ def test_bayes_solve_usage_error(capsys):
     code, _, _ = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "8",
                       "--grid-points", "64")
     assert code == 1
+
+
+def test_bayes_solve_refuses_orders_above_the_limit(capsys, monkeypatch):
+    # m = 257 is refused before the LP is built; m = 256 goes on to build it
+    def no_build(*args):
+        raise AssertionError("build_lp was called")
+
+    monkeypatch.setattr(compnull.cli, "build_lp", no_build)
+    code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "257")
+    assert (code, out, err) == (1, "", "error: order m=257 exceeds the limit of 256\n")
+    with pytest.raises(AssertionError, match="build_lp was called"):
+        cli_dispatch(["bayes", "solve", "--alpha", "0.05", "--m", "256"])
 
 
 def test_main_alias(capsys):

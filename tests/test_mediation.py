@@ -137,6 +137,20 @@ def test_fit_ols_names_a_column_whose_variance_underflows():
     assert not fit_ols(np.column_stack([np.ones(40), 1e200 * z]), np.zeros(40)).cov.any()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_fit_ols_refuses_a_residual_variance_that_overflows():
+    # RSS/(n - p) of a response near 1e200 is past the float range; it is
+    # refused without a numpy warning. With the design unscaled, the
+    # coefficient variances overflow first and keep naming their columns.
+    rng = np.random.Generator(np.random.Philox(53))
+    z = rng.standard_normal(40)
+    y = 1.0 + 2.0 * z + rng.standard_normal(40)
+    with pytest.raises(DataError, match="^residual variance overflows$"):
+        fit_ols(np.column_stack([1e200 * np.ones(40), 1e200 * z]), 1e200 * y)
+    with pytest.raises(DataError, match="^coefficient variance overflows; columns: x0, x1$"):
+        fit_ols(np.column_stack([np.ones(40), z]), 1e200 * y)
+
+
 def test_fit_ols_shape_validation():
     with pytest.raises(DataError, match="n > p"):
         fit_ols(np.ones((3, 3)), np.ones(3))

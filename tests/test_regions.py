@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidation
                       analytic_power_batch, build_extended_region, build_js_region,
                       build_minimax_region, deserialize, gaussian_interval_prob, js_test,
                       rejection_prob_at_point, rejection_prob_at_points, serialize)
+from compnull.regions import _CHUNK
+from compnull.statmath import _cdf_array
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
 Q_5_7 = 0.56594882193286305  # quantile(5/7)
@@ -282,6 +285,50 @@ def test_batch_power_matches_scalar():
     batch = analytic_power_batch(region, deltas)
     for row, d in zip(batch, deltas):
         assert row == pytest.approx(analytic_power(region, tuple(d)), abs=1e-14)
+
+
+def _unblocked_power(region, deltas):
+    """Exact power with all shifts in one pass, the oracle for the blocked kernel."""
+    gx = np.diff(_cdf_array(region.x_edges[None, :] - deltas[:, :1]), axis=1)
+    gy = np.diff(_cdf_array(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
+    return np.clip(((gx @ region.probs) * gy).sum(axis=1), 0.0, 1.0)
+
+
+def _power_test_regions(shipped_bayes_region):
+    rng = np.random.default_rng(1729)
+    x = np.concatenate(([-math.inf], np.sort(rng.uniform(-5.0, 5.0, 90)), [math.inf]))
+    y = np.array([-math.inf, -2.0, -0.5, 0.0, 1.0, 3.0, math.inf])
+    hand = {f"hand_{name}": RejectionRegion2D.from_grid(
+                0.1, "custom", a, b, rng.choice([0.0, 0.3, 1.0], size=(len(a) - 1, len(b) - 1)))
+            for name, (a, b) in (("wide_x", (x, y)), ("wide_y", (y, x)))}
+    return {"minimax": build_minimax_region(0.05), "extended": build_extended_region(0.07),
+            "js": build_js_region(0.05), "bayes": shipped_bayes_region, **hand}
+
+
+def test_blocked_power_matches_the_unblocked_formula(shipped_bayes_region):
+    # shift counts around the block size: none, one, a block short by one,
+    # one block, one block and one, and several blocks and a partial one
+    rng = np.random.default_rng(31)
+    for name, region in _power_test_regions(shipped_bayes_region).items():
+        rows = max(1, _CHUNK // max(len(region.x_edges), len(region.y_edges)))
+        for n in (0, 1, rows - 1, rows, rows + 1, 3 * rows + 7):
+            deltas = rng.uniform(-6.0, 6.0, size=(n, 2))
+            deltas[: n // 4, 1] = 0.0
+            got = analytic_power_batch(region, deltas)
+            want = _unblocked_power(region, deltas)
+            assert got.shape == (n,) and got.tobytes() == want.tobytes(), (name, n)
+
+
+def test_blocked_power_memory_does_not_grow_with_the_shifts(shipped_bayes_region):
+    # 50k shifts took 112 MiB in one pass; blocks keep the peak near 1.5 MiB
+    deltas = np.random.default_rng(5).uniform(-6.0, 6.0, size=(50_000, 2))
+    tracemalloc.start()
+    try:
+        analytic_power_batch(shipped_bayes_region, deltas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
