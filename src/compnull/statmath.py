@@ -2,19 +2,26 @@
 
 Every rejection region, closed-form power, and LP coefficient in this
 package reduces to standard-normal cdf and quantile evaluations on
-intervals, so these four functions are the numerical anchor of the whole
-library. Both come from ``scipy.special`` (``ndtr`` and ``ndtri``), and
-the scalar cdf and the array cdf used by the batch paths call the same
-ufunc, so they agree bit for bit.
+intervals, so these functions are the numerical anchor of the whole
+library. The cdf is ``scipy.special.ndtr``, loaded from its own extension
+module without the ``scipy.special`` package (see :func:`_load_ndtr`); the
+scalar cdf and the array cdf used by the batch paths call that one ufunc,
+so they agree bit for bit. The quantile is :func:`_ndtri`, a port of
+Cephes ``ndtri`` (the code behind ``scipy.special.ndtri``) that performs
+the same IEEE operations in the same order, so quantiles and region edges
+have the same bits whatever scipy build is installed.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 __all__ = [
     "Interval",
@@ -23,6 +30,42 @@ __all__ = [
     "gaussian_interval_prob",
     "folded_interval_prob",
 ]
+
+_NDTR_MODULE = "scipy.special._special_ufuncs"
+
+
+def _load_ndtr():
+    """``scipy.special.ndtr``, loaded without the ``scipy.special`` package.
+
+    The package's ``__init__`` pulls in scipy's array-API layer,
+    ``numpy.f2py``, ``numpy.testing`` and the ``_ufuncs`` extension, which
+    starts scipy's own OpenBLAS; ``ndtr`` lives in the ``_special_ufuncs``
+    extension, which needs none of them. An entry already in ``sys.modules``
+    is reused; otherwise the extension is loaded from its file and
+    registered under its real name, so a later ``import scipy.special``
+    reuses it and ``scipy.special.ndtr`` is this same ufunc. Not safe while
+    another thread is importing ``scipy.special`` at the same moment. A
+    scipy without that extension falls back to the package import.
+    """
+    try:
+        if _NDTR_MODULE in sys.modules:
+            module = sys.modules[_NDTR_MODULE]
+        else:
+            root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+            path = os.path.join(root, "special",
+                                "_special_ufuncs" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            spec = importlib.util.spec_from_file_location(_NDTR_MODULE, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_NDTR_MODULE] = module
+        return module.ndtr
+    except (ImportError, AttributeError):
+        from scipy import special
+        return special.ndtr
+
+
+_ndtr = _load_ndtr()
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -55,7 +98,7 @@ def std_normal_cdf(x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise ValueError("std_normal_cdf is undefined for NaN")
-    return float(_special.ndtr(x))
+    return float(_ndtr(x))
 
 
 def _alpha(value) -> float:
@@ -93,11 +136,97 @@ def _positive(name: str, value) -> float:
 
 def _cdf_array(x: np.ndarray) -> np.ndarray:
     # The ufunc behind std_normal_cdf, so scalar and batch paths give the same bits.
-    return _special.ndtr(np.asarray(x, dtype=float))
+    return _ndtr(np.asarray(x, dtype=float))
+
+
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+
+def _ndtri(y0: float) -> float:
+    """Cephes ``ndtri`` for ``y0`` in [0, 1], bit for bit.
+
+    Same IEEE operations in the same order as the C code, with its
+    ``polevl``/``p1evl`` Horner steps written out. For exp(-2) < y <
+    1 - exp(-2) a rational in (y - 1/2)^2 (P0/Q0); in the tails a
+    correction in z = 1/x to x = sqrt(-2 log y), with P1/Q1 for x < 8
+    (y > exp(-32)) and P2/Q2 beyond. Above 1 - exp(-2) it works on 1 - y
+    and keeps the sign positive.
+    """
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    y = y0
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        p0 = ((((-5.99633501014107895267e1 * y2
+                 + 9.80010754185999661536e1) * y2
+                - 5.66762857469070293439e1) * y2
+               + 1.39312609387279679503e1) * y2
+              - 1.23916583867381258016e0)
+        q0 = ((((((((y2 + 1.95448858338141759834e0) * y2
+                    + 4.67627912898881538453e0) * y2
+                   + 8.63602421390890590575e1) * y2
+                  - 2.25462687854119370527e2) * y2
+                 + 2.00260212380060660359e2) * y2
+                - 8.20372256168333339912e1) * y2
+               + 1.59056225126211695515e1) * y2
+              - 1.18331621121330003142e0)
+        x = y + y * (y2 * p0 / q0)
+        return x * _SQRT_2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        p1 = ((((((((4.05544892305962419923e0 * z
+                     + 3.15251094599893866154e1) * z
+                    + 5.71628192246421288162e1) * z
+                   + 4.40805073893200834700e1) * z
+                  + 1.46849561928858024014e1) * z
+                 + 2.18663306850790267539e0) * z
+                - 1.40256079171354495875e-1) * z
+               - 3.50424626827848203418e-2) * z
+              - 8.57456785154685413611e-4)
+        q1 = ((((((((z + 1.57799883256466749731e1) * z
+                    + 4.53907635128879210584e1) * z
+                   + 4.13172038254672030440e1) * z
+                  + 1.50425385692907503408e1) * z
+                 + 2.50464946208309415979e0) * z
+                - 1.42182922854787788574e-1) * z
+               - 3.80806407691578277194e-2) * z
+              - 9.33259480895457427372e-4)
+        x1 = z * p1 / q1
+    else:
+        p2 = ((((((((3.23774891776946035970e0 * z
+                     + 6.91522889068984211695e0) * z
+                    + 3.93881025292474443415e0) * z
+                   + 1.33303460815807542389e0) * z
+                  + 2.01485389549179081538e-1) * z
+                 + 1.23716634817820021358e-2) * z
+                + 3.01581553508235416007e-4) * z
+               + 2.65806974686737550832e-6) * z
+              + 6.23974539184983293730e-9)
+        q2 = ((((((((z + 6.02427039364742014255e0) * z
+                    + 3.67983563856160859403e0) * z
+                   + 1.37702099489081330271e0) * z
+                  + 2.16236993594496635890e-1) * z
+                 + 1.34204006088543189037e-2) * z
+                + 3.28014464682127739104e-4) * z
+               + 2.89247864745380683936e-6) * z
+              + 6.79019408009981274425e-9)
+        x1 = z * p2 / q2
+    x = x0 - x1
+    return x if upper else -x
 
 
 def std_normal_quantile(p: float) -> float:
-    """Inverse of :func:`std_normal_cdf` (``scipy.special.ndtri``).
+    """Inverse of :func:`std_normal_cdf` (:func:`_ndtri`, the bits of
+    ``scipy.special.ndtri``).
 
     Returns -inf at p=0, 0.0 at p=1/2 and +inf at p=1; raises ValueError
     outside [0, 1]. For p >= 1/2 the subtraction 1-p is exact and
@@ -106,7 +235,7 @@ def std_normal_quantile(p: float) -> float:
     p = float(p)
     if math.isnan(p) or p < 0.0 or p > 1.0:
         raise ValueError(f"quantile requires p in [0, 1], got {p!r}")
-    return float(_special.ndtri(p))
+    return _ndtri(p)
 
 
 def _two_sided_cutoff(alpha: float) -> float:
@@ -114,7 +243,7 @@ def _two_sided_cutoff(alpha: float) -> float:
     wherever alpha/2 is nonzero, unlike the quantile of 1 - alpha/2."""
     if alpha / 2.0 == 0.0:
         raise ValueError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0")
-    return float(-_special.ndtri(alpha / 2.0))
+    return -_ndtri(alpha / 2.0)
 
 
 def gaussian_interval_prob(interval: Interval, mu: float) -> float:

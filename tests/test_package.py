@@ -57,12 +57,70 @@ def test_array_holders_compare_by_identity():
         assert len({a, b, a}) == 2 and hash(a) == hash(a)
 
 
+def _run(code: str, env: dict) -> str:
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 def test_import_leaves_lp_backends_unloaded(package_env):
     # the LP is solved in-library and the regressions run on numpy's LAPACK,
     # so importing the package pays for none of scipy.optimize, scipy.sparse
-    # and scipy.linalg
+    # and scipy.linalg; ndtr is loaded from its own extension, so neither
+    # scipy.special's package init (scipy's array-API layer, numpy.f2py,
+    # numpy.testing) nor the _ufuncs extension with scipy's OpenBLAS runs
     code = ("import sys, compnull; print(sorted(m for m in sys.modules if m.split('.')[:2] "
-            "in (['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+            "in (['scipy', 'optimize'], ['scipy', 'sparse'], ['scipy', 'linalg'], "
+            "['numpy', 'f2py'], ['numpy', 'testing']) or m.split('.')[:3] in "
+            "(['scipy', 'special', '_ufuncs'], ['scipy', '_lib', '_array_api'])))")
+    assert _run(code, package_env) == "[]"
+
+
+# Digests of the cdf and quantile bits on fixed inputs, printed by a
+# subprocess and compared with those of this process.
+_BITS = """
+import hashlib, numpy as np
+from compnull.statmath import _cdf_array, std_normal_cdf, std_normal_quantile
+xs = np.linspace(-40.0, 40.0, 8001)
+ps = np.concatenate((np.linspace(0.0, 1.0, 8001), 10.0 ** -np.linspace(0.0, 320.0, 8001)))
+cdf = _cdf_array(xs).tobytes() + np.array([std_normal_cdf(x) for x in xs.tolist()]).tobytes()
+q = np.array([std_normal_quantile(p) for p in ps.tolist()]).tobytes()
+print(hashlib.sha256(cdf).hexdigest(), hashlib.sha256(q).hexdigest())
+"""
+
+
+def test_scipy_special_imported_later_reuses_the_ndtr_ufunc(package_env):
+    # compnull registers the extension it loads under its real name, so a
+    # later import of scipy.special (and scipy.stats on top of it) reuses it
+    code = _BITS + """
+import scipy.special, scipy.stats
+from compnull import statmath
+assert scipy.special.ndtr is statmath._ndtr
+assert scipy.special.ndtr(xs).tobytes() == _cdf_array(xs).tobytes()
+assert scipy.special.ndtri(ps).tobytes() == q
+assert abs(scipy.stats.norm.ppf(0.975) - 1.959963984540054) < 1e-15
+print("ok")
+"""
+    out = _run(code, package_env).splitlines()
+    assert out[-1] == "ok"
+    assert out[0] == _run(_BITS, package_env)
+
+
+def test_ndtr_falls_back_to_the_scipy_special_package(package_env):
+    # a scipy without the _special_ufuncs extension (older than its layout)
+    # is simulated by pointing the file loader at a missing file; the
+    # package import then supplies ndtr, with the same bits
+    code = """
+import importlib.util, sys
+real = importlib.util.spec_from_file_location
+importlib.util.spec_from_file_location = lambda name, path: real(name, path + ".missing")
+""" + _BITS + """
+importlib.util.spec_from_file_location = real
+assert "scipy.special._ufuncs" in sys.modules
+import scipy.special
+from compnull import statmath
+assert statmath._ndtr is scipy.special.ndtr
+print("ok")
+"""
+    out = _run(code, package_env).splitlines()
+    assert out[-1] == "ok"
+    assert out[0] == _run(_BITS, package_env)

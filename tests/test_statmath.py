@@ -8,12 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from compnull import (AlphaSpec, Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
                       build_extended_region, build_js_region, build_latin_region, build_lp,
                       cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
                       origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
-from compnull.statmath import _cdf_array
+from compnull.statmath import _cdf_array, _two_sided_cutoff
 
 Q_975 = 1.9599639845400542
 Q_995 = 2.5758293035489008
@@ -74,6 +75,55 @@ def test_quantile_exact_antisymmetry():
     # the ladder builders rely on negation, never on re-evaluating at 1-p
     for p in (0.5, 0.501, 0.7, 0.9, 0.975, 0.999):
         assert std_normal_quantile(1.0 - p) == -std_normal_quantile(p)
+
+
+def _neighbours(p: float, steps: int = 64) -> np.ndarray:
+    """``p`` and the ``steps`` doubles on each side of it."""
+    out = [p]
+    lo = hi = p
+    for _ in range(steps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
+def test_quantile_matches_scipy_ndtri_bit_for_bit():
+    # std_normal_quantile is a port of Cephes ndtri, so it must give the bits
+    # of scipy.special.ndtri everywhere: deep tails, the branch edges at
+    # exp(-2) and 1 - exp(-2), the switch of tail coefficients where
+    # x = sqrt(-2 log y) crosses 8 (y = exp(-32), on both sides), and every
+    # minimax ladder point (K + j) / (2K) for K <= 1000
+    rng = np.random.default_rng(20210)
+    edges = [math.exp(-2.0), 0.13533528323661269189, 1.0 - math.exp(-2.0),
+             1.0 - 0.13533528323661269189, math.exp(-32.0), 1.0 - math.exp(-32.0), 0.5]
+    ladder = [(k + j) / (2 * k) for k in range(1, 1001) for j in range(1, k + 1)]
+    ps = np.concatenate((
+        rng.uniform(0.0, 1.0, 100_000),
+        10.0 ** -rng.uniform(0.0, 323.3, 100_000),  # log-uniform down to 5e-324
+        1.0 - 10.0 ** -rng.uniform(0.0, 17.0, 50_000),  # next to 1
+        *[_neighbours(p) for p in edges],
+        ladder,
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.0 - 2.0 ** -53, 1.0],
+    ))
+    ps = ps[(ps >= 0.0) & (ps <= 1.0)]
+    ours = np.array([std_normal_quantile(p) for p in ps.tolist()])
+    bad = np.flatnonzero(ours.view(np.int64) != ndtri(ps).view(np.int64))
+    assert bad.size == 0, f"{bad.size} of {ps.size} differ, first at p={ps[bad[0]]!r}"
+
+
+def test_two_sided_cutoff_is_minus_ndtri_of_half_alpha():
+    rng = np.random.default_rng(20211)
+    alphas = np.concatenate((
+        rng.uniform(0.0, 1.0, 20_000),
+        10.0 ** -rng.uniform(0.0, 300.0, 20_000),
+        1.0 / np.arange(1, 1001),
+        np.linspace(0.001, 0.999, 999),
+        _neighbours(2.0 * math.exp(-2.0)),
+        _neighbours(2.0 * math.exp(-32.0)),
+    ))
+    alphas = alphas[(alphas > 0.0) & (alphas < 1.0)]
+    ours = np.array([_two_sided_cutoff(a) for a in alphas.tolist()])
+    assert ours.tobytes() == (-ndtri(alphas / 2.0)).tobytes()
 
 
 def test_cdf_quantile_round_trip():
