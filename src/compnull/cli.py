@@ -17,7 +17,7 @@ from .closed_form import (AlphaSpec, build_extended_region, build_js_region,
                           build_minimax_region, js_test)
 from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects3,
                      square_from_json)
-from .mediation import DataError, load_csv, product_method_stats
+from .mediation import DataError, _read_columns, load_csv, product_method_stats
 from .pvalues import benjamini_hochberg, bonferroni, minimax_pvalue
 from .regions import (RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
@@ -69,12 +69,19 @@ def _echo(value: float) -> float | str:
     return value if math.isfinite(value) else repr(value)
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _floats(text: str, flag: str, form: str) -> tuple[float, ...]:
+    """The comma-separated numbers of ``text``, as many as ``form`` shows:
+    'X,Y' two, 'Z1,Z2,Z3' three, and 'X,...' one or more (empty items skipped)."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise _UsageError(f"{flag} expects 'X,Y', got {text!r}")
+    if form.endswith(",..."):
+        parts = [v for v in parts if v.strip()]
+        counted = len(parts) >= 1
+    else:
+        counted = len(parts) == form.count(",") + 1
+    if not counted:
+        raise _UsageError(f"{flag} expects '{form}', got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return tuple(map(float, parts))
     except ValueError:
         raise _UsageError(f"{flag} expects numbers, got {text!r}") from None
 
@@ -134,13 +141,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_test3(args) -> int:
-    parts = args.z.split(",")
-    if len(parts) != 3:
-        raise _UsageError(f"--z expects 'Z1,Z2,Z3', got {args.z!r}")
-    try:
-        z = tuple(float(v) for v in parts)
-    except ValueError:
-        raise _UsageError(f"--z expects numbers, got {args.z!r}") from None
+    z = _floats(args.z, "--z", "Z1,Z2,Z3")
     k = AlphaSpec.from_alpha(args.alpha).k
     if k is None:
         raise ValueError(f"alpha={args.alpha!r} must be 1/K for an integer order K")
@@ -166,18 +167,12 @@ def _cmd_pvalue(args) -> int:
 
 
 def _cmd_adjust(args) -> int:
-    with open(args.infile) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "p":
-        raise DataError(f"{args.infile}: expected a CSV with header 'p'")
-    try:
-        pvals = [float(v) for v in lines[1:]]
-    except ValueError as exc:
-        raise DataError(f"{args.infile}: non-numeric p-value ({exc})") from None
-    if args.rule == "bh":
-        decisions = benjamini_hochberg(pvals, args.q)
-    else:
-        decisions = bonferroni(pvals, args.q)
+    pvals = _read_columns(args.infile, ["p"])[:, 0].tolist()
+    for row, p in enumerate(pvals, start=1):
+        if not 0.0 <= p <= 1.0:
+            raise DataError(f"{args.infile}: row {row}, column 'p': "
+                            f"p-value must lie in [0, 1], got {p!r}")
+    decisions = (benjamini_hochberg if args.rule == "bh" else bonferroni)(pvals, args.q)
     rows = ["p,reject"]
     rows += [f"{p!r},{'true' if d else 'false'}" for p, d in zip(pvals, decisions)]
     _emit("\n".join(rows) + "\n", args.out)
@@ -212,43 +207,30 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _parse_deltas(text: str) -> tuple[tuple[float, float], ...]:
-    out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if part:
-            out.append(_parse_pair(part, "--deltas"))
-    if not out:
-        raise _UsageError(f"--deltas expects 'X,Y;X,Y;...', got {text!r}")
-    return tuple(out)
-
-
 def _cmd_sim_power(args) -> int:
     methods = tuple(m for m in args.methods.split(",") if m)
     if {"minimax", "extended"} & set(methods):
         _check_grid_order(args.alpha)
+    deltas = tuple(_floats(part.strip(), "--deltas", "X,Y")
+                   for part in args.deltas.split(";") if part.strip())
+    if not deltas:
+        raise _UsageError(f"--deltas expects 'X,Y;X,Y;...', got {args.deltas!r}")
     region = _load_region(args.bayes_region) if args.bayes_region else None
-    spec = SimSpec(methods, _parse_deltas(args.deltas), args.n, args.reps,
-                   args.seed, args.alpha, region,
+    spec = SimSpec(methods, deltas, args.n, args.reps, args.seed, args.alpha, region,
                    bayes_randomized=not args.derandomized_bayes)
     _emit(simulate_power(spec).to_csv(), args.out)
     return 0
 
 
 def _cmd_sim_ecdf(args) -> int:
-    delta = _parse_pair(args.delta, "--delta")
+    delta = _floats(args.delta, "--delta", "X,Y")
     table = simulate_pvalue_ecdf(args.reps, delta, seed=args.seed)
     _emit(table.to_csv(), args.out)
     return 0
 
 
 def _cmd_sim_sobel(args) -> int:
-    try:
-        dxs = [float(v) for v in args.delta_x.split(",") if v.strip()]
-    except ValueError:
-        raise _UsageError(f"--delta-x expects numbers, got {args.delta_x!r}") from None
-    if not dxs:
-        raise _UsageError("--delta-x expects at least one value")
+    dxs = _floats(args.delta_x, "--delta-x", "X,...")
     table = sample_sobel_density(dxs, args.n, args.reps, args.seed)
     _emit(table.to_csv(), args.out)
     return 0
@@ -297,7 +279,7 @@ def _build_parser() -> _Parser:
     p_adj.add_argument("rule", choices=("bh", "bonferroni"))
     p_adj.add_argument("--q", type=float, required=True)
     p_adj.add_argument("--in", dest="infile", required=True,
-                       help="CSV with header 'p', one p-value per line")
+                       help="CSV with a header row and a 'p' column")
     p_adj.add_argument("--out")
     p_adj.set_defaults(func=_cmd_adjust)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import RejectionRegion2D, _statistic_pair
+from .regions import RejectionRegion2D, _statistics
 from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, std_normal_cdf,
                        std_normal_quantile)
 
@@ -158,7 +158,7 @@ def js_test(z, alpha: float) -> JsTestResult:
     raises ``ValueError``.
     """
     alpha = _alpha(alpha)
-    zx, zy = _statistic_pair(z)
+    zx, zy = _statistics(z, 2)
     threshold = _two_sided_cutoff(alpha)
     reject = abs(zx) > threshold and abs(zy) > threshold
     p = max(2.0 * std_normal_cdf(-abs(zx)), 2.0 * std_normal_cdf(-abs(zy)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import AlphaSpec, extended_breakpoints
-from .regions import _paint
+from .regions import _paint, _statistics, _unpack
 from .statmath import Interval, _alpha, _cdf_array, _count, _finite
 
 __all__ = [
@@ -218,25 +218,17 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     return region
 
 
-def _as_xyz(z) -> tuple[float, float, float]:
-    z1, z2, z3 = (float(v) for v in z)
-    return z1, z2, z3
-
-
 def rejects3(region: RejectionRegion3D, z) -> bool:
     """Open-box membership of (|z1|, |z2|, |z3|).
 
     A coordinate on a box's edge, including |z| = 0, lies outside that box;
     +-inf lies in the unbounded end band. NaN raises.
     """
-    u = tuple(abs(v) for v in _as_xyz(z))
-    if any(math.isnan(t) for t in u):
-        raise ValueError("test statistics must not be NaN")
     # Band i is (edges[i], edges[i+1]). A coordinate on the inner edge
     # edges[i+1] touches bands i and i+1, and lies inside a box only if one
     # box covers every grid cell the point touches.
     span = []
-    for t, inner in zip(u, region._inner):
+    for t, inner in zip(map(abs, _statistics(z, 3)), region._inner):
         if t == 0.0:
             return False
         i = bisect_left(inner, t)
@@ -252,7 +244,7 @@ def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
     With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is
     the contraction of the membership tensor with g_x, g_y and g_z.
     """
-    d = _finite("mean", _as_xyz(delta_star))
+    d = _finite("mean", _unpack(delta_star, 3, "mean"))
     gx, gy, gz = (np.diff(_cdf_array(e - mu)) - np.diff(_cdf_array(-e - mu))
                   for e, mu in zip(region._edges, d))
     return min(1.0, max(0.0, float((region._label > 0) @ gz @ gy @ gx)))

@@ -270,47 +270,57 @@ def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,
     return _pair(dx, dy, math.sqrt(var_x), math.sqrt(var_y), _count("n", n, 1))
 
 
-def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:
-    """Read a mediation dataset, reporting bad cells by row and column.
+def _read_columns(path, names) -> np.ndarray:
+    """Columns ``names`` of a headed UTF-8 CSV file (BOM allowed) as an n x len(names) array.
 
-    Row numbers in errors count data rows from 1 (the header is row 0).
+    Header names are stripped, other columns ignored and blank lines skipped.
+    Each name must appear once in the header, each row must have the header's
+    field count and each wanted cell must be a finite number; a DataError
+    names the file and the row (data rows count from 1) and column at fault.
     """
-    covariates = list(covariates)
-    wanted = [y, a, m, *covariates]
-    if len(set(wanted)) != len(wanted):
-        raise DataError(f"column roles overlap: {wanted}")
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{path}: empty file, expected a header row")
         header = [h.strip() for h in header]
-        missing = [c for c in wanted if c not in header]
+        missing = [c for c in names if c not in header]
         if missing:
             raise DataError(f"{path}: missing columns {missing}; header has {header}")
-        idx = {c: header.index(c) for c in wanted}
+        for c in names:
+            if header.count(c) > 1:
+                raise DataError(f"{path}: column {c!r} appears {header.count(c)} times "
+                                f"in the header {header}")
+        idx = [header.index(c) for c in names]
         rows = []
-        for rownum, rec in enumerate(reader, start=1):
+        for rec in reader:
+            if len(rec) <= 1 and not "".join(rec).strip():  # a blank line
+                continue
+            rownum = len(rows) + 1
             if len(rec) != len(header):
                 raise DataError(
                     f"{path}: row {rownum} has {len(rec)} fields, expected {len(header)}")
-            vals = []
-            for c in wanted:
-                cell = rec[idx[c]].strip()
+            row = []
+            for c, i in zip(names, idx):
+                cell = rec[i].strip()
                 try:
-                    v = float(cell)
+                    row.append(float(cell))
+                    fault = "" if math.isfinite(row[-1]) else "missing or non-finite"
                 except ValueError:
-                    raise DataError(
-                        f"{path}: row {rownum}, column {c!r}: "
-                        f"non-numeric value {cell!r}") from None
-                if not math.isfinite(v):
-                    raise DataError(
-                        f"{path}: row {rownum}, column {c!r}: "
-                        f"missing or non-finite value {cell!r}")
-                vals.append(v)
-            rows.append(vals)
+                    fault = "non-numeric"
+                if fault:
+                    raise DataError(f"{path}: row {rownum}, column {c!r}: {fault} value {cell!r}")
+            rows.append(row)
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
-    arr = np.asarray(rows, dtype=float)
-    return MediationDataset(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3:], tuple(covariates))
+    return np.array(rows)
+
+
+def load_csv(path, y: str, a: str, m: str, covariates=()) -> MediationDataset:
+    """Read a mediation dataset from a CSV file with a header row; the file
+    rules and errors are :func:`_read_columns`'s."""
+    wanted = [y, a, m, *covariates]
+    if len(set(wanted)) != len(wanted):
+        raise DataError(f"column roles overlap: {wanted}")
+    arr = _read_columns(path, wanted)
+    return MediationDataset(arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3:], tuple(wanted[3:]))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import _statistic_pair
+from .regions import _statistics
 from .statmath import _cdf_array
 
 __all__ = [
@@ -59,7 +59,7 @@ def minimax_pvalue(z) -> PvalueResult:
     most the joint-significance p-value everywhere. A coordinate at +-inf
     lies in the end band of every region; NaN raises ``ValueError``.
     """
-    zx, zy = _statistic_pair(z)
+    zx, zy = _statistics(z, 2)
     return PvalueResult(float(minimax_pvalue_batch([zx], [zy])[0]), "extended_minimax")
 
 

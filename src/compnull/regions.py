@@ -45,6 +45,9 @@ REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", 
 _MAX_BUCKETS = 4096
 # values per pass of rejection_prob_at_points and analytic_power_batch
 _CHUNK = 1 << 15
+# the most grid cells a region document or a cell/box list may ask for; the
+# largest grid the CLI builds, extended just above alpha = 1/1001, has 2002^2
+_MAX_GRID_CELLS = 1 << 23
 
 
 class RegionFormatError(ValueError):
@@ -114,19 +117,27 @@ class TestStatisticPair:
     provenance: EstimateProvenance | None = None
 
 
-def _as_xy(z) -> tuple[float, float]:
-    if isinstance(z, TestStatisticPair):
-        return float(z.zx), float(z.zy)
-    zx, zy = z
-    return float(zx), float(zy)
+def _unpack(values, count: int, name: str) -> tuple[float, ...]:
+    """``values`` as ``count`` floats; a TestStatisticPair gives (zx, zy).
+    Any other count raises ValueError naming ``name``."""
+    if isinstance(values, TestStatisticPair):
+        values = (values.zx, values.zy)
+    elif isinstance(values, np.ndarray):
+        values = values.tolist()
+    out = tuple(map(float, values))
+    if len(out) != count:
+        raise ValueError(f"{name} must hold {count} values, got {len(out)}")
+    return out
 
 
-def _statistic_pair(z) -> tuple[float, float]:
-    """``z`` as the two floats of a test statistic pair; NaN raises."""
-    zx, zy = _as_xy(z)
-    if math.isnan(zx) or math.isnan(zy):
-        raise ValueError("test statistics must not be NaN")
-    return zx, zy
+def _statistics(z, count: int) -> tuple[float, ...]:
+    """``z`` as ``count`` test statistics under the one NaN rule: NaN raises
+    ValueError, and +-inf is kept (it lies in an unbounded end band)."""
+    out = _unpack(z, count, "z")
+    for v in out:
+        if v != v:
+            raise ValueError("test statistics must not be NaN")
+    return out
 
 
 class RejectionRegion2D:
@@ -275,6 +286,7 @@ def _paint(edges, lo, hi):
     counts exactly. Returns the labels (0 off every box) and None, or
     ``(cell, a, b)``: the first cell two boxes share and the first two on it.
     """
+    _check_cell_count([len(e) - 1 for e in edges])
     i0, i1 = (np.array([np.searchsorted(e, v) for e, v in zip(edges, b)]) for b in (lo, hi))
     labels = np.arange(1, i0.shape[1] + 1)
     count = np.zeros([len(e) for e in edges], dtype=np.int64)
@@ -293,6 +305,13 @@ def _paint(edges, lo, hi):
     cell = np.argwhere(count > 1)[0]
     a, b = np.nonzero(np.all((i0 <= cell[:, None]) & (cell[:, None] < i1), axis=0))[0][:2]
     return label, (cell, a, b)
+
+
+def _check_cell_count(shape) -> None:
+    """Refuse a grid of more than _MAX_GRID_CELLS cells before it is allocated."""
+    if math.prod(shape) > _MAX_GRID_CELLS:
+        raise RegionValidationError(f"grid of {' x '.join(map(str, shape))} = "
+                                    f"{math.prod(shape)} cells exceeds the limit of {_MAX_GRID_CELLS}")
 
 
 def _checked_edges(edges, name: str) -> np.ndarray:
@@ -413,7 +432,7 @@ def rejection_prob_at_point(region: RejectionRegion2D, z) -> float:
     Grid cells are open, so points on any inner band edge return 0; a
     coordinate at +-inf lies in the unbounded end band. NaN raises.
     """
-    zx, zy = _statistic_pair(z)
+    zx, zy = _statistics(z, 2)
     return float(rejection_prob_at_points(region, zx, zy))
 
 
@@ -448,8 +467,8 @@ def _lookup(region: RejectionRegion2D, zx: np.ndarray, zy: np.ndarray) -> np.nda
 def analytic_power(region: RejectionRegion2D, delta_star) -> float:
     """Exact rejection probability at delta* = (dx, dy) under unit-variance
     normals; a NaN or infinite shift raises ValueError."""
-    dx, dy = _as_xy(delta_star)
-    return float(analytic_power_batch(region, np.array([[dx, dy]]))[0])
+    delta = _unpack(delta_star, 2, "delta_star")
+    return float(analytic_power_batch(region, np.array([delta]))[0])
 
 
 def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
@@ -526,15 +545,10 @@ def _dec_float(v, where: str) -> float:
     return float(v)
 
 
-def _dec_pair(v, where: str) -> tuple[float, float]:
-    if not isinstance(v, list) or len(v) != 2:
-        raise RegionFormatError(f"{where}: expected [lo, hi]")
-    return _dec_float(v[0], f"{where}[0]"), _dec_float(v[1], f"{where}[1]")
-
-
-def _dec_floats(v, where: str) -> list[float]:
-    if not isinstance(v, list):
-        raise RegionFormatError(f"{where}: expected a list")
+def _dec_floats(v, where: str, form: str = "") -> list[float]:
+    """A list of numbers; a ``form`` such as '[lo, hi]' fixes its length."""
+    if not isinstance(v, list) or form and len(v) != form.count(",") + 1:
+        raise RegionFormatError(f"{where}: expected {form or 'a list'}")
     # x == x is False only for NaN, which _dec_float rejects by name
     return [x if type(x) is float and x == x else _dec_float(x, f"{where}[{k}]")
             for k, x in enumerate(v)]
@@ -582,6 +596,7 @@ def _read_v2(doc: dict) -> RejectionRegion2D:
         if not 0.0 <= v <= 1.0:
             raise RegionValidationError(f"values[{k}]: grid value must lie in [0, 1], got {v!r}")
     shape = (max(len(x_edges) - 1, 0), max(len(y_edges) - 1, 0))
+    _check_cell_count(shape)
     index = _dec_runs(doc["runs"], len(values), shape[0] * shape[1])
     probs = np.array(values)[index].reshape(shape)
     try:
@@ -634,8 +649,8 @@ def _read_v1(doc: dict) -> RejectionRegion2D:
         for key in ("x", "y", "p"):
             if key not in c:
                 raise RegionFormatError(f"{where}.{key}: missing required field")
-        xlo, xhi = _dec_pair(c["x"], f"{where}.x")
-        ylo, yhi = _dec_pair(c["y"], f"{where}.y")
+        xlo, xhi = _dec_floats(c["x"], f"{where}.x", "[lo, hi]")
+        ylo, yhi = _dec_floats(c["y"], f"{where}.y", "[lo, hi]")
         pval = _dec_float(c["p"], f"{where}.p")
         try:
             cells.append(WeightedRect(Interval(xlo, xhi), Interval(ylo, yhi), pval))
@@ -651,13 +666,9 @@ def _read_v1(doc: dict) -> RejectionRegion2D:
         if "threshold" not in rule_doc:
             raise RegionFormatError("outside_rule.threshold: missing required field")
         threshold = _dec_float(rule_doc["threshold"], "outside_rule.threshold")
-        box_doc = rule_doc.get("box")
-        if box_doc is None:
-            box = None
-        else:
-            if not isinstance(box_doc, list) or len(box_doc) != 4:
-                raise RegionFormatError("outside_rule.box: expected [xlo, xhi, ylo, yhi] or null")
-            box = tuple(_dec_float(v, f"outside_rule.box[{k}]") for k, v in enumerate(box_doc))
+        box = rule_doc.get("box")
+        if box is not None:
+            box = _dec_floats(box, "outside_rule.box", "[xlo, xhi, ylo, yhi] or null")
         try:
             rule = OutsideRule(threshold, box)
         except ValueError as exc:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import minimax_pvalue_batch
-from .regions import RejectionRegion2D, rejection_prob_at_points
+from .regions import RejectionRegion2D, _unpack, rejection_prob_at_points
 from .statmath import _alpha, _cdf_array, _count, _finite, _two_sided_cutoff
 
 __all__ = [
@@ -97,8 +97,8 @@ class SimSpec:
         for m in methods:
             if m not in _METHODS:
                 raise ValueError(f"unknown method {m!r}; choose from {_METHODS}")
-        grid = tuple(_finite(f"delta_grid[{i}]", (dx, dy))
-                     for i, (dx, dy) in enumerate(self.delta_grid))
+        grid = tuple(_finite(f"delta_grid[{i}]", _unpack(d, 2, f"delta_grid[{i}]"))
+                     for i, d in enumerate(self.delta_grid))
         if not grid:
             raise ValueError("delta_grid must be non-empty")
         object.__setattr__(self, "delta_grid", grid)
@@ -276,7 +276,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0), *, seed: int = 0) -> 
     the joint-significance p-value.
     """
     reps = _count("reps", reps, 1)
-    dx, dy = _finite("delta_star", delta_star)
+    dx, dy = _finite("delta_star", _unpack(delta_star, 2, "delta_star"))
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
     z = gen.standard_normal((reps, 2))
     zx = z[:, 0] + dx

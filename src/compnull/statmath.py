@@ -14,6 +14,7 @@ have the same bits whatever scipy build is installed.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -238,9 +239,11 @@ def std_normal_quantile(p: float) -> float:
     return _ndtri(p)
 
 
+@functools.lru_cache(maxsize=1024)
 def _two_sided_cutoff(alpha: float) -> float:
     """|z| cutoff of the two-sided level-``alpha`` test, -ndtri(alpha/2): finite
-    wherever alpha/2 is nonzero, unlike the quantile of 1 - alpha/2."""
+    wherever alpha/2 is nonzero, unlike the quantile of 1 - alpha/2. Memoized:
+    a screen asks for the same few levels thousands of times."""
     if alpha / 2.0 == 0.0:
         raise ValueError(f"alpha={alpha!r} is too small: alpha/2 rounds to 0")
     return -_ndtri(alpha / 2.0)

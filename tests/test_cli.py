@@ -1,6 +1,7 @@
 """End-to-end command-line checks through cli_dispatch."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -163,6 +164,57 @@ def test_three_factor_usage_errors(capsys):
         assert code == 1
         assert out == ""
         assert err == f"error: alpha must lie in (0, 1), got {shown}\n"
+
+
+@pytest.mark.parametrize("text, form, want", [
+    ("1,-2.5", "X,Y", (1.0, -2.5)),
+    ("-inf, 0.5 ,2", "Z1,Z2,Z3", (-math.inf, 0.5, 2.0)),
+    ("0,,0.3,", "X,...", (0.0, 0.3)),
+    ("7", "X,...", (7.0,)),
+])
+def test_floats_reads_each_form(text, form, want):
+    assert compnull.cli._floats(text, "--v", form) == want
+
+
+@pytest.mark.parametrize("text, form, message", [
+    ("1", "X,Y", "--v expects 'X,Y', got '1'"),
+    ("1,2,3", "X,Y", "--v expects 'X,Y', got '1,2,3'"),
+    ("1,2", "Z1,Z2,Z3", "--v expects 'Z1,Z2,Z3', got '1,2'"),
+    (" , ", "X,...", "--v expects 'X,...', got ' , '"),
+    ("1,x", "X,Y", "--v expects numbers, got '1,x'"),
+    ("1,,3", "Z1,Z2,Z3", "--v expects numbers, got '1,,3'"),
+    ("zz", "X,...", "--v expects numbers, got 'zz'"),
+])
+def test_floats_names_the_form_it_expects(text, form, message):
+    with pytest.raises(compnull.cli._UsageError) as info:
+        compnull.cli._floats(text, "--v", form)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("test3", "--z", "1,2", "--alpha", "0.5"), "--z expects 'Z1,Z2,Z3', got '1,2'"),
+    (("simulate", "ecdf", "--reps", "4", "--delta", "1"), "--delta expects 'X,Y', got '1'"),
+    (("simulate", "power", "--reps", "4", "--seed", "1", "--deltas", "0,0; 1,2,3"),
+     "--deltas expects 'X,Y', got '1,2,3'"),
+    (("simulate", "power", "--reps", "4", "--seed", "1", "--deltas", " ; "),
+     "--deltas expects 'X,Y;X,Y;...', got ' ; '"),
+    (("simulate", "sobel-density", "--reps", "4", "--delta-x", ","),
+     "--delta-x expects 'X,...', got ','"),
+])
+def test_number_list_flags_exit_one_naming_the_form(capsys, argv, message):
+    assert _run(capsys, *argv) == (1, "", message + "\n")
+
+
+def test_oversized_region_document_exits_two(tmp_path, capsys):
+    edges = ["-inf", *range(3999), "inf"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"version": "region-v2", "alpha": 0.05, "kind": "custom",
+                                "x_edges": edges, "y_edges": edges, "values": [0.0],
+                                "runs": [[0, 4000 * 4000]]}))
+    code, out, err = _run(capsys, "test", "--zx", "1", "--zy", "1", "--region", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: grid of 4000 x 4000 = 16000000 cells exceeds the limit "
+                   "of 8388608\n")
 
 
 def test_three_factor_refuses_orders_above_the_limit(tmp_path, capsys):
@@ -354,9 +406,70 @@ def test_adjust_input_errors(tmp_path, capsys):
     bad.write_text("pval\n0.3\n")
     code, _, err = _run(capsys, "adjust", "bh", "--q", "0.05", "--in", str(bad))
     assert code == 2
-    assert "header 'p'" in err
+    assert "missing columns ['p']" in err
     assert _run(capsys, "adjust", "bh", "--q", "0.05",
                 "--in", str(tmp_path / "gone.csv"))[0] == 2
+
+
+@pytest.mark.parametrize("body, where", [
+    ("p\n0.2\n1.5\n", "row 2, column 'p': p-value must lie in [0, 1], got 1.5"),
+    ("p\n-0.0\n-1e-300\n", "row 2, column 'p': p-value must lie in [0, 1], got -1e-300"),
+    ("p\nnan\n", "row 1, column 'p': missing or non-finite value 'nan'"),
+    ("p\n0.2\n0.3\ninf\n", "row 3, column 'p': missing or non-finite value 'inf'"),
+    ("p\n0.2\nabc\n", "row 2, column 'p': non-numeric value 'abc'"),
+    ("p\n0.2\n\n\n0.3\n \n", None),
+    ("q,p\n1,0.2\n2\n", "row 2 has 1 fields, expected 2"),
+    ("p\n", "no data rows after the header"),
+    ("", "empty file, expected a header row"),
+    ("p,p\n0.1,0.2\n", "column 'p' appears 2 times in the header"),
+])
+def test_adjust_input_contract(tmp_path, capsys, body, where):
+    path = tmp_path / "p.csv"
+    path.write_text(body)
+    code, out, err = _run(capsys, "adjust", "bh", "--q", "0.5", "--in", str(path))
+    if where is None:  # blank and whitespace-only lines are skipped
+        assert (code, out, err) == (0, "p,reject\n0.2,true\n0.3,true\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {where}")
+
+
+def test_adjust_reads_the_p_column_among_others(tmp_path, capsys):
+    plain, wide = tmp_path / "plain.csv", tmp_path / "wide.csv"
+    pvals = [0.001, 0.3, 0.04, 1.0, 0.0]
+    plain.write_text("p\n" + "".join(f"{p!r}\n" for p in pvals))
+    wide.write_text("gene, p ,zx\n" + "".join(f"g{k},{p!r},nan\n" for k, p in enumerate(pvals)))
+    for rule in ("bh", "bonferroni"):
+        want = _run(capsys, "adjust", rule, "--q", "0.05", "--in", str(plain))
+        assert want[0] == 0
+        assert _run(capsys, "adjust", rule, "--q", "0.05", "--in", str(wide)) == want
+
+
+def test_adjust_and_fit_read_a_byte_order_mark(tmp_path, capsys):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text("p\n0.01\n0.2\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    want = _run(capsys, "adjust", "bh", "--q", "0.05", "--in", str(plain))
+    assert want[0] == 0
+    assert _run(capsys, "adjust", "bh", "--q", "0.05", "--in", str(bom)) == want
+
+    _write_fit_csv(plain)
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    argv = ("fit", "--y", "y", "--a", "a", "--m", "m", "--data")
+    want = _run(capsys, *argv, str(plain))
+    assert want[0] == 0
+    assert _run(capsys, *argv, str(bom)) == want
+
+
+def test_fit_refuses_a_column_named_twice(tmp_path, capsys):
+    _write_fit_csv(tmp_path / "d.csv")
+    lines = (tmp_path / "d.csv").read_text().splitlines()
+    (tmp_path / "twice.csv").write_text("".join(
+        f"{ln},{'m' if k == 0 else k}\n" for k, ln in enumerate(lines)))
+    code, out, err = _run(capsys, "fit", "--data", str(tmp_path / "twice.csv"),
+                          "--y", "y", "--a", "a", "--m", "m")
+    assert (code, out) == (2, "")
+    assert "column 'm' appears 2 times in the header" in err
 
 
 def _write_fit_csv(path, n=40, seed=23):

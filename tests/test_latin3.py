@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from compnull.latin3 import (
     square_from_json,
     square_to_json,
 )
+from compnull.regions import RegionValidationError
 from compnull.statmath import Interval, folded_interval_prob, std_normal_quantile
 
 # mpmath, 50 digits: band edges for alpha = 1/3
@@ -334,6 +336,32 @@ def test_non_finite_contract():
             d[axis] = bad
             with pytest.raises(ValueError, match="mean must be finite"):
                 analytic_power3(region, d)
+
+
+def test_triples_of_the_wrong_length_name_the_count():
+    region = build_latin_region(normalize_corner(cyclic_latin(3)).square, 1.0 / 3.0)
+    for z, got in (((0.5, 0.5), 2), ((0.5, 0.5, 0.5, 0.5), 4), (np.ones(4), 4)):
+        with pytest.raises(ValueError, match=f"^z must hold 3 values, got {got}$"):
+            rejects3(region, z)
+        with pytest.raises(ValueError, match=f"^mean must hold 3 values, got {got}$"):
+            analytic_power3(region, z)
+    # an array row and a generator are triples too
+    assert rejects3(region, np.array([0.7, 0.2, 1.5])) == rejects3(region, (0.7, 0.2, 1.5))
+    assert rejects3(region, (v for v in (0.7, 0.2, 1.5)))
+
+
+def test_grid_cap_refuses_hand_built_boxes_before_allocating():
+    # 130 disjoint diagonal boxes give each axis 0, inf and 260 edges: 261^3 = 17.8M cells
+    boxes = [(Interval(k, k + 0.5),) * 3 for k in range(1, 131)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegionValidationError, match=r"^grid of 261 x 261 x 261 = 17779581 "
+                                                        r"cells exceeds the limit"):
+            RejectionRegion3D(0.5, boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_overlap_names_both_boxes():

@@ -676,6 +676,38 @@ def test_load_csv_error_coordinates(tmp_path):
         load_csv(p, y="y", a="a", m="a")
 
 
+def test_load_csv_reads_bom_headers_blank_lines_and_extra_columns(tmp_path):
+    lines = [f"{i / 7.0},{i / 3.0},{(i * i) % 5 / 5.0}" for i in range(8)]
+    want = load_csv(_write(tmp_path / "plain.csv", "y,a,m\n" + "\n".join(lines) + "\n"),
+                    y="y", a="a", m="m")
+    # a UTF-8 byte-order mark, blank lines, a whitespace-only line and an unused column
+    p = tmp_path / "bom.csv"
+    p.write_text("\ufeffy,a,m,extra\n" + "\n\n".join(f"{ln},9" for ln in lines) + "\n  \n",
+                 encoding="utf-8")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbfy,")
+    got = load_csv(str(p), y="y", a="a", m="m")
+    for col in ("y", "a", "m"):
+        assert np.array_equal(getattr(got, col), getattr(want, col))
+
+
+def test_load_csv_rows_count_data_rows(tmp_path):
+    # blank lines are skipped and not counted
+    p = _write(tmp_path / "gap.csv", "y,a,m\n1,2,3\n\n4,x,6\n")
+    with pytest.raises(DataError, match=r"row 2, column 'a': non-numeric value 'x'$"):
+        load_csv(p, y="y", a="a", m="m")
+
+
+def test_load_csv_refuses_a_wanted_column_named_twice(tmp_path):
+    body = "y,a,m,y\n" + "".join(f"{i},{i * i},{i % 3},{-i}\n" for i in range(8))
+    p = _write(tmp_path / "twice.csv", body)
+    with pytest.raises(DataError, match=r"column 'y' appears 2 times in the header"):
+        load_csv(p, y="y", a="a", m="m")
+    # an unwanted column may repeat
+    p = _write(tmp_path / "extra.csv", "y,a,m,z,z\n" + "".join(
+        f"{i},{i * i},{i % 3},0,0\n" for i in range(8)))
+    assert load_csv(p, y="y", a="a", m="m").n == 8
+
+
 _SIGMA = [[4.0, 0.0], [0.0, 9.0]]
 
 

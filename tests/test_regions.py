@@ -13,8 +13,10 @@ from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidation
                       RejectionRegion2D, WeightedRect, analytic_power,
                       analytic_power_batch, build_extended_region, build_js_region,
                       build_minimax_region, deserialize, gaussian_interval_prob, js_test,
-                      rejection_prob_at_point, rejection_prob_at_points, serialize)
+                      minimax_pvalue, rejection_prob_at_point, rejection_prob_at_points,
+                      serialize)
 from compnull.regions import _CHUNK
+from compnull.regions import TestStatisticPair as StatisticPair  # not a test class
 from compnull.statmath import _cdf_array
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
@@ -342,6 +344,24 @@ def test_analytic_power_rejects_non_finite_shifts(bad):
         analytic_power_batch(region, deltas)
 
 
+def test_pairs_of_the_wrong_length_name_the_count():
+    region = build_minimax_region(0.05)
+    for z, got in (((1.0,), 1), ((1.0, 2.0, 3.0), 3), (np.ones(3), 3)):
+        for call in (lambda: rejection_prob_at_point(region, z), lambda: js_test(z, 0.05),
+                     lambda: minimax_pvalue(z)):
+            with pytest.raises(ValueError, match=f"^z must hold 2 values, got {got}$"):
+                call()
+        with pytest.raises(ValueError, match=f"^delta_star must hold 2 values, got {got}$"):
+            analytic_power(region, z)
+    # a statistic pair, an array and a list are pairs
+    pair = StatisticPair(2.5, -1.0)
+    for z in (pair, np.array([2.5, -1.0]), [2.5, -1.0]):
+        assert rejection_prob_at_point(region, z) == rejection_prob_at_point(region, (2.5, -1.0))
+        assert js_test(z, 0.05) == js_test((2.5, -1.0), 0.05)
+        assert minimax_pvalue(z) == minimax_pvalue((2.5, -1.0))
+        assert analytic_power(region, z) == analytic_power(region, (2.5, -1.0))
+
+
 @functools.cache
 def _band(lo, hi, mu):
     return gaussian_interval_prob(Interval(lo, hi), mu)
@@ -493,6 +513,38 @@ def test_deserialize_names_offending_field():
                                 "cells": [], "outside_rule": {"type": "none"}}))
     with pytest.raises(RegionFormatError, match="not valid JSON"):
         deserialize("{")
+
+
+def _refused_peak(build, match):
+    """The tracemalloc peak, in bytes, of a build refused by the grid cap."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(RegionValidationError, match=match):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_grid_cap_refuses_big_documents_before_allocating():
+    # 4000 x 4000 = 16M cells would take ~275 MB to expand
+    edges = ["-inf", *range(3999), "inf"]
+    v2 = json.dumps({"version": "region-v2", "alpha": 0.05, "kind": "custom",
+                     "x_edges": edges, "y_edges": edges, "values": [0.0],
+                     "runs": [[0, 4000 * 4000]]})
+    assert _refused_peak(lambda: deserialize(v2),
+                         r"^grid of 4000 x 4000 = 16000000 cells exceeds the limit of 8388608$"
+                         ) < 4 * 2**20
+    # 2000 disjoint diagonal cells compile to a 4001 x 4001 grid
+    v1 = _doc([{"x": [k, k + 0.5], "y": [k, k + 0.5], "p": 1} for k in range(2000)])
+    assert _refused_peak(lambda: deserialize(v1), "= 16008001 cells exceeds") < 4 * 2**20
+
+
+def test_grid_cap_admits_the_largest_cli_grid():
+    # just above alpha = 1/1001, the CLI's order limit, the extended grid is 2002 x 2002
+    region = build_extended_region(0.0009995)
+    assert region.probs.shape == (2002, 2002)
+    assert deserialize(serialize(region)) == region
 
 
 # -- region-v2: the grid as the document ---------------------------------------

@@ -194,6 +194,8 @@ def test_spec_validation(shipped_bayes_region):
                         (((0.0, 0.0), (0.0, -math.inf)), r"delta_grid\[1\]")):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SimSpec(**{**good, "delta_grid": grid})
+    with pytest.raises(ValueError, match=r"^delta_grid\[1\] must hold 2 values, got 3$"):
+        SimSpec(**{**good, "delta_grid": ((0.0, 0.0), (0.0, 0.0, 1.0))})
     for field in ("n", "reps"):
         for bad in (2.5, 10.0, True, "10"):
             with pytest.raises(ValueError, match=f"{field} must be an integer"):
@@ -330,6 +332,8 @@ def test_pvalue_ecdf_table():
         simulate_pvalue_ecdf(5.0)
     with pytest.raises(ValueError, match="delta_star must be finite"):
         simulate_pvalue_ecdf(5, (math.nan, 0.0))
+    with pytest.raises(ValueError, match="^delta_star must hold 2 values, got 1$"):
+        simulate_pvalue_ecdf(5, (0.0,))
     for bad in BAD_SEEDS:
         with pytest.raises(ValueError, match="seed must"):
             simulate_pvalue_ecdf(5, seed=bad)
