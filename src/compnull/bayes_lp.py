@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .regions import (Interval, RejectionRegion2D, WeightedRect, _js_outside,
-                      analytic_power_batch)
+from .regions import (_DEGENERATE, Interval, RejectionRegion2D, WeightedRect,
+                      _js_outside, analytic_power_batch)
 from .statmath import _alpha, _cdf_array, _count, _positive, _two_sided_cutoff
 
 __all__ = [
@@ -41,7 +41,7 @@ DEFAULT_PRIOR_SD = 2.0
 # constraint coefficients below this are numerically zero and dropped
 _COEFF_DROP = 1e-17
 _CELL_DROP = 1e-9
-_DEGENERATE = 1.0 - 1e-9
+_MAX_ORDER = 256  # the LP's memory grows as m^3: ~0.3 GB at m = 256
 
 
 # eq=False: ndarray fields have no truth value, so compare and hash by identity
@@ -172,10 +172,13 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
     i = -2m..2m (origin listed once): 8m+1 rows reaching twice the box
     half-width. Each row demands the in-box rejection mass at that point
     stay within alpha minus the mass of the fixed tail bands; a negative
-    remainder is diagnosed here as infeasibility, naming the point.
+    remainder is diagnosed here as infeasibility, naming the point. The
+    order m runs from 4 to 256.
     """
     alpha = _alpha(alpha)
     m = _count("m", m, 4)
+    if m > _MAX_ORDER:
+        raise ValueError(f"order m={m} exceeds the limit of {_MAX_ORDER}")
     prior_sd = _positive("prior_sd", prior_sd)
 
     b = 2.0 * _two_sided_cutoff(alpha)

@@ -19,17 +19,12 @@ from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects
                      square_from_json)
 from .mediation import DataError, _read_columns, load_csv, product_method_stats
 from .pvalues import benjamini_hochberg, bonferroni, minimax_pvalue
-from .regions import (RegionFormatError, RegionValidationError, deserialize,
-                      rejection_prob_at_point, serialize)
+from .regions import (RegionFormatError, RegionValidationError, _check_cell_count,
+                      deserialize, rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
-from .statmath import _alpha
 
 __all__ = ["cli_dispatch", "main"]
-
-_MAX_LATIN_ORDER = 200  # a Latin region's K^3 label tensor takes 64 MB at K = 200
-_MAX_GRID_ORDER = 1000  # a minimax/extended grid has (2*floor(1/alpha) + 2)^2 cells
-_MAX_LP_ORDER = 256  # the Bayes LP's memory grows as m^3: ~0.3 GB at m = 256
 
 
 class _UsageError(Exception):
@@ -86,16 +81,12 @@ def _floats(text: str, flag: str, form: str) -> tuple[float, ...]:
         raise _UsageError(f"{flag} expects numbers, got {text!r}") from None
 
 
-def _check_grid_order(alpha: float) -> None:
-    """Refuse a level whose minimax/extended grid exceeds _MAX_GRID_ORDER."""
-    if 1.0 / _alpha(alpha) >= _MAX_GRID_ORDER + 1:
-        raise ValueError(f"order floor(1/alpha) (alpha={alpha!r}) exceeds the limit of "
-                         f"{_MAX_GRID_ORDER}; alpha must be > 1/{_MAX_GRID_ORDER + 1}")
+def _names(text: str) -> list[str]:
+    """The comma-separated names of ``text``, stripped like CSV header names."""
+    return [name for name in map(str.strip, text.split(",")) if name]
 
 
 def _build_region(method: str, alpha: float):
-    if method in ("minimax", "extended"):
-        _check_grid_order(alpha)
     if method == "minimax":
         return build_minimax_region(alpha)
     if method == "extended":
@@ -145,9 +136,7 @@ def _cmd_test3(args) -> int:
     k = AlphaSpec.from_alpha(args.alpha).k
     if k is None:
         raise ValueError(f"alpha={args.alpha!r} must be 1/K for an integer order K")
-    if k > _MAX_LATIN_ORDER:
-        raise ValueError(f"order K={k:.6g} (alpha={args.alpha!r}) exceeds the limit of "
-                         f"{_MAX_LATIN_ORDER}; alpha must be >= {1 / _MAX_LATIN_ORDER!r}")
+    _check_cell_count((k, k, k))  # before a square is built or read
     if args.square == "cyclic":
         square = normalize_corner(cyclic_latin(k)).square
     else:
@@ -180,8 +169,6 @@ def _cmd_adjust(args) -> int:
 
 
 def _cmd_bayes_solve(args) -> int:
-    if args.m > _MAX_LP_ORDER:
-        raise ValueError(f"order m={args.m} exceeds the limit of {_MAX_LP_ORDER}")
     problem = build_lp(args.alpha, args.m, args.prior_sd)
     solution = solve_lp(problem)
     if solution.solver_status != "optimal":
@@ -193,7 +180,7 @@ def _cmd_bayes_solve(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    covars = [c for c in (args.covars.split(",") if args.covars else []) if c]
+    covars = _names(args.covars)
     data = load_csv(args.data, args.y, args.a, args.m, covars)
     model = "interaction" if args.interaction else "main_effects"
     fit, z = product_method_stats(data, model, args.a_prime, args.a_dblprime)
@@ -208,9 +195,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_sim_power(args) -> int:
-    methods = tuple(m for m in args.methods.split(",") if m)
-    if {"minimax", "extended"} & set(methods):
-        _check_grid_order(args.alpha)
+    methods = tuple(_names(args.methods))
     deltas = tuple(_floats(part.strip(), "--deltas", "X,Y")
                    for part in args.deltas.split(";") if part.strip())
     if not deltas:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import RejectionRegion2D, _statistics
+from .regions import RejectionRegion2D, _check_cell_count, _statistics
 from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, std_normal_cdf,
                        std_normal_quantile)
 
@@ -80,6 +80,8 @@ def extended_breakpoints(alpha: float) -> list[float]:
     k = _unit_order(alpha)
     if k is not None:
         return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
+    if 1.0 / alpha == math.inf:
+        raise ValueError(f"alpha={alpha!r} is too small: its ladder has unboundedly many bands")
     m = math.floor(1.0 / alpha)
     return [0.0] + [_two_sided_cutoff((m - j) * alpha) for j in range(m)] + [math.inf]
 
@@ -88,10 +90,13 @@ def _folded_region(alpha: float, kind: str) -> RejectionRegion2D:
     """Reject wherever |zx| and |zy| lie in the same band of the folded ladder.
 
     The grid edges are the ladder mirrored about 0, so of its 2n bands, band
-    i and its mirror 2n-1-i share the folded index |2(i-n)+1|.
+    i and its mirror 2n-1-i share the folded index |2(i-n)+1|. The grid
+    size is checked before the ladder is built.
     """
+    inv = 1.0 / alpha  # n is K at alpha = 1/K, else floor(1/alpha) + 1, or inf
+    n = _unit_order(alpha) or (math.floor(inv) + 1 if inv < math.inf else inv)
+    _check_cell_count((2 * n, 2 * n))
     ladder = np.array(extended_breakpoints(alpha))
-    n = len(ladder) - 1
     edges = np.concatenate((-ladder[:0:-1], ladder))
     fold = np.abs(2 * np.arange(-n, n) + 1)
     return RejectionRegion2D.from_grid(alpha, kind, edges, edges, np.equal.outer(fold, fold))
@@ -139,6 +144,8 @@ def origin_type1(alpha: float) -> float:
     <= alpha with equality exactly at unit fractions.
     """
     alpha = _alpha(alpha)
+    if 1.0 / alpha == math.inf:  # 1 - floor(1/alpha)*alpha < alpha: its square underflows
+        return alpha
     m = _unit_order(alpha) or math.floor(1.0 / alpha)
     return m * alpha * alpha + (1.0 - m * alpha) ** 2
 

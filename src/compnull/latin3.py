@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import AlphaSpec, extended_breakpoints
-from .regions import _paint, _statistics, _unpack
+from .regions import _check_cell_count, _paint, _statistics, _unpack
 from .statmath import Interval, _alpha, _cdf_array, _count, _finite
 
 __all__ = [
@@ -199,13 +199,15 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     used as given; apply normalize_corner first if consistency at large
     diagonal alternatives is wanted. Each box is one cell of the ladder's
     band tensor, which is written directly (cell (i, j, A_ij) gets label
-    (i - 1) K + j), not compiled from the boxes.
+    (i - 1) K + j), not compiled from the boxes. The K^3 tensor is held to
+    the grid-cell limit of :class:`RejectionRegion3D`, so K <= 203.
     """
     spec = AlphaSpec.from_alpha(alpha)
     if spec.k != a.k:
         raise ValueError(
             f"alpha={spec.alpha!r} must be the reciprocal of the square's order {a.k}")
     k = a.k
+    _check_cell_count((k, k, k))
     c = extended_breakpoints(spec.alpha)
     bands = [Interval(c[i], c[i + 1]) for i in range(k)]
     boxes = tuple((bands[i], bands[j], bands[s - 1])

@@ -45,9 +45,11 @@ REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", 
 _MAX_BUCKETS = 4096
 # values per pass of rejection_prob_at_points and analytic_power_batch
 _CHUNK = 1 << 15
-# the most grid cells a region document or a cell/box list may ask for; the
-# largest grid the CLI builds, extended just above alpha = 1/1001, has 2002^2
+# the one limit on grid size, checked before any grid is allocated: 2-D
+# regions up to 2896^2 cells (minimax K <= 1448), Latin tensors up to 203^3
 _MAX_GRID_CELLS = 1 << 23
+# a cell rejecting with at least this probability counts as a sure rejection
+_DEGENERATE = 1.0 - 1e-9
 
 
 class RegionFormatError(ValueError):
@@ -180,9 +182,10 @@ class RejectionRegion2D:
         self.outside_rule = None
         x_edges = _checked_edges(x_edges, "x_edges")
         y_edges = _checked_edges(y_edges, "y_edges")
+        shape = (len(x_edges) - 1, len(y_edges) - 1)
+        _check_cell_count(shape)
         # + 0.0 copies and turns -0.0 into 0.0
         probs = np.asarray(probs, dtype=float) + 0.0
-        shape = (len(x_edges) - 1, len(y_edges) - 1)
         if probs.shape != shape:
             raise ValueError(f"probs: expected shape {shape}, got {probs.shape}")
         if not np.all((probs >= 0.0) & (probs <= 1.0)):

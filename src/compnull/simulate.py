@@ -24,7 +24,7 @@ import numpy as np
 
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import minimax_pvalue_batch
-from .regions import RejectionRegion2D, _unpack, rejection_prob_at_points
+from .regions import _DEGENERATE, RejectionRegion2D, _unpack, rejection_prob_at_points
 from .statmath import _alpha, _cdf_array, _count, _finite, _two_sided_cutoff
 
 __all__ = [
@@ -44,7 +44,6 @@ _METHODS = ("minimax", "extended", "bayes", "js", "sobel")
 _BLOCK = 4096
 # blocks per task: enough draws per numpy call that threads do not queue on the GIL
 _TASK_BLOCKS = 8
-_DEGENERATE = 1.0 - 1e-9
 
 
 def worker_count() -> int:

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import compnull.bayes_lp
 import compnull.cli
 from compnull.cli import cli_dispatch, main
 from compnull.latin3 import cyclic_latin, square_to_json
@@ -218,17 +219,16 @@ def test_oversized_region_document_exits_two(tmp_path, capsys):
 
 
 def test_three_factor_refuses_orders_above_the_limit(tmp_path, capsys):
-    # K = 201 is refused before any square is built or read, so a missing
-    # square file is never opened
-    alpha = 1.0 / 201
-    want = (f"error: order K=201 (alpha={alpha!r}) exceeds the limit of 200; "
-            "alpha must be >= 0.005\n")
+    # K = 204 is refused by the grid-cell limit before any square is built or
+    # read, so a missing square file is never opened
+    alpha = 1.0 / 204
+    want = "error: grid of 204 x 204 x 204 = 8489664 cells exceeds the limit of 8388608\n"
     for square in ("cyclic", str(tmp_path / "missing.json")):
         code, out, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(alpha),
                               "--square", square)
-        assert (code, out, err) == (1, "", want)
-    code, out, _ = _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.005")
-    assert code == 0 and json.loads(out)["order"] == 200
+        assert (code, out, err) == (2, "", want)
+    code, out, _ = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(1.0 / 203))
+    assert code == 0 and json.loads(out)["order"] == 203
 
 
 @pytest.mark.parametrize("alpha", ["0.4", "0.3", "1e-320"])
@@ -238,31 +238,40 @@ def test_three_factor_refuses_non_unit_levels(capsys, alpha):
     assert err == f"error: alpha={float(alpha)!r} must be 1/K for an integer order K\n"
 
 
-_GRID_COMMANDS = [("test", "--zx", "1", "--zy", "1", "--method", "minimax"),
-                  ("test", "--zx", "1", "--zy", "1", "--method", "extended"),
-                  ("region", "build", "--method", "minimax"),
-                  ("region", "build", "--method", "extended"),
-                  ("simulate", "power", "--methods", "js,extended", "--reps", "10",
-                   "--seed", "1")]
+_GRID_COMMANDS = {"test-minimax": ("test", "--zx", "1", "--zy", "1", "--method", "minimax"),
+                  "test-extended": ("test", "--zx", "1", "--zy", "1", "--method", "extended"),
+                  "build-minimax": ("region", "build", "--method", "minimax"),
+                  "build-extended": ("region", "build", "--method", "extended"),
+                  "simulate-extended": ("simulate", "power", "--methods", "js,extended",
+                                        "--reps", "10", "--seed", "1")}
+# K = 1449 is the first unit fraction over the grid-cell limit, and 1e-4 is
+# 1/10000; 1e-320 is no unit fraction, and its 1/alpha overflows
+_OVER_LIMIT = [pytest.param(name, alpha, cells, id=f"{name}-{alpha}")
+               for name in _GRID_COMMANDS
+               for alpha, cells in ((repr(1 / 1449), "2898 x 2898 = 8398404"),
+                                    ("0.0001", "20000 x 20000 = 400000000"),
+                                    ("1e-320", "inf x inf = inf"))
+               if "extended" in name or alpha != "1e-320"]
 
 
-@pytest.mark.parametrize("alpha", ["0.000999", "1e-320"])
-@pytest.mark.parametrize("command", _GRID_COMMANDS)
-def test_grid_methods_refuse_orders_above_the_limit(capsys, command, alpha):
-    # refused before any grid is built, even where floor(1/alpha) would overflow
-    code, out, err = _run(capsys, *command, "--alpha", alpha)
-    assert (code, out) == (1, "")
-    assert err == (f"error: order floor(1/alpha) (alpha={float(alpha)!r}) exceeds the "
-                   "limit of 1000; alpha must be > 1/1001\n")
+@pytest.mark.parametrize("name, alpha, cells", _OVER_LIMIT)
+def test_grid_methods_refuse_orders_above_the_limit(capsys, name, alpha, cells):
+    # refused by the library's grid-cell limit before any grid is built
+    code, out, err = _run(capsys, *_GRID_COMMANDS[name], "--alpha", alpha)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid of {cells} cells exceeds the limit of 8388608\n"
 
 
 def test_grid_methods_accept_the_limit_order(capsys):
-    for method in ("minimax", "extended"):
+    # K = 1448 and, off unit fractions, floor(1/alpha) = 1447 give 2896 x 2896 grids
+    for method, alpha in (("minimax", 1 / 1448), ("extended", 1 / 1448),
+                          ("extended", 1 / 1447.5)):
         code, out, _ = _run(capsys, "test", "--zx", "1", "--zy", "1", "--method", method,
-                            "--alpha", "0.001")
+                            "--alpha", repr(alpha))
         assert code == 0 and json.loads(out)["reject"] is True
+    # the joint-significance test builds no grid, so no level is too small for it
     code, out, _ = _run(capsys, "simulate", "power", "--methods", "js", "--reps", "10",
-                        "--seed", "1", "--alpha", "0.000999")
+                        "--seed", "1", "--alpha", "0.0001")
     assert code == 0 and out.startswith("delta_x,")
 
 
@@ -538,6 +547,27 @@ def test_fit_names_collinear_columns(tmp_path, capsys):
     assert "collinear columns: m" in err
 
 
+def test_fit_strips_covariate_names(tmp_path, capsys):
+    data = _write_fit_csv(tmp_path / "d.csv")
+    rows = zip(data.y.tolist(), data.a.tolist(), data.m.tolist(),
+               np.linspace(-1.0, 1.0, 40).tolist(), [k % 2 for k in range(40)])
+    (tmp_path / "c.csv").write_text("y,a,m,age,sex\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows))
+    argv = ["fit", "--data", str(tmp_path / "c.csv"), "--y", "y", "--a", "a", "--m", "m"]
+    code, out, err = _run(capsys, *argv, "--covars", "age,sex")
+    assert (code, err) == (0, "")
+    for covars in ("age, sex", " age ,sex ,"):
+        assert _run(capsys, *argv, "--covars", covars) == (0, out, "")
+
+
+def test_simulate_power_strips_method_names(capsys):
+    argv = ["simulate", "power", "--deltas", "0,0", "--reps", "100", "--seed", "3"]
+    code, out, err = _run(capsys, *argv, "--methods", "minimax, js")
+    assert (code, err) == (0, "")
+    assert out == _run(capsys, *argv, "--methods", "minimax,js")[1]
+    assert [row.split(",")[2] for row in out.splitlines()[1:]] == ["minimax", "js"]
+
+
 def test_simulate_power_outputs_are_stable(tmp_path, capsys):
     argv = ["simulate", "power", "--methods", "minimax,js", "--deltas",
             "0,0;0.3,0.3", "--n", "20", "--reps", "3000", "--seed", "11"]
@@ -621,14 +651,14 @@ def test_bayes_solve_usage_error(capsys):
 
 
 def test_bayes_solve_refuses_orders_above_the_limit(capsys, monkeypatch):
-    # m = 257 is refused before the LP is built; m = 256 goes on to build it
-    def no_build(*args):
-        raise AssertionError("build_lp was called")
+    # build_lp refuses m = 257 before its ladder is laid out; m = 256 goes on to lay it
+    def no_ladder(*args):
+        raise AssertionError("the LP ladder was built")
 
-    monkeypatch.setattr(compnull.cli, "build_lp", no_build)
+    monkeypatch.setattr(compnull.bayes_lp, "_ladder", no_ladder)
     code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "257")
     assert (code, out, err) == (1, "", "error: order m=257 exceeds the limit of 256\n")
-    with pytest.raises(AssertionError, match="build_lp was called"):
+    with pytest.raises(AssertionError, match="the LP ladder was built"):
         cli_dispatch(["bayes", "solve", "--alpha", "0.05", "--m", "256"])
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from compnull import (AlphaSpec, Interval, OutsideRule, RejectionRegion2D, WeightedRect,
+from compnull import (AlphaSpec, Interval, OutsideRule, RegionValidationError,
+                      RejectionRegion2D, WeightedRect,
                       analytic_power, build_extended_region, build_js_region,
                       build_latin_region, build_lp, build_minimax_region, cyclic_latin,
                       extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
@@ -220,6 +221,18 @@ def test_origin_type1_values_and_gap():
     for bad in (0.0, 1.0, -1.0):
         with pytest.raises(ValueError):
             origin_type1(bad)
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 5e-324])
+def test_levels_whose_inverse_overflows_raise_no_overflow_error(alpha):
+    # 1/alpha is inf, so floor(1/alpha) cannot be taken; 1 - floor(1/alpha)*alpha
+    # lies below alpha, so its square underflows and the origin size is alpha
+    assert origin_type1(alpha) == alpha
+    with pytest.raises(ValueError, match=f"^alpha={alpha!r} is too small: its ladder has "
+                                         "unboundedly many bands$"):
+        extended_breakpoints(alpha)
+    with pytest.raises(RegionValidationError, match=r"^grid of inf x inf = inf cells"):
+        build_extended_region(alpha)
 
 
 def test_js_region_and_test_agree():

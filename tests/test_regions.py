@@ -15,8 +15,11 @@ from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidation
                       build_minimax_region, deserialize, gaussian_interval_prob, js_test,
                       minimax_pvalue, rejection_prob_at_point, rejection_prob_at_points,
                       serialize)
+from compnull.bayes_lp import build_lp
+from compnull.latin3 import build_latin_region, cyclic_latin
 from compnull.regions import _CHUNK
 from compnull.regions import TestStatisticPair as StatisticPair  # not a test class
+from compnull.simulate import SimSpec, simulate_power
 from compnull.statmath import _cdf_array
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
@@ -515,11 +518,11 @@ def test_deserialize_names_offending_field():
         deserialize("{")
 
 
-def _refused_peak(build, match):
-    """The tracemalloc peak, in bytes, of a build refused by the grid cap."""
+def _refused_peak(build, match, error=RegionValidationError):
+    """The tracemalloc peak, in bytes, of a build refused by a size limit."""
     tracemalloc.start()
     try:
-        with pytest.raises(RegionValidationError, match=match):
+        with pytest.raises(error, match=match):
             build()
         return tracemalloc.get_traced_memory()[1]
     finally:
@@ -540,11 +543,41 @@ def test_grid_cap_refuses_big_documents_before_allocating():
     assert _refused_peak(lambda: deserialize(v1), "= 16008001 cells exceeds") < 4 * 2**20
 
 
-def test_grid_cap_admits_the_largest_cli_grid():
-    # just above alpha = 1/1001, the CLI's order limit, the extended grid is 2002 x 2002
-    region = build_extended_region(0.0009995)
-    assert region.probs.shape == (2002, 2002)
+_EDGES_2899 = np.concatenate(([-math.inf], np.arange(2897.0), [math.inf]))
+_OVER_CAP = "2898 x 2898 = 8398404 cells exceeds"
+
+
+@pytest.mark.parametrize("build, match, error", [
+    pytest.param(lambda: build_minimax_region(1 / 1449), _OVER_CAP, RegionValidationError,
+                 id="minimax-K1449"),
+    pytest.param(lambda: build_extended_region(1e-4), "20000 x 20000 = 400000000 cells",
+                 RegionValidationError, id="extended-1e-4"),
+    pytest.param(lambda: build_extended_region(1e-320), "inf x inf = inf cells",
+                 RegionValidationError, id="extended-1e-320"),
+    pytest.param(functools.partial(build_latin_region, cyclic_latin(204), 1 / 204),
+                 "204 x 204 x 204 = 8489664 cells", RegionValidationError, id="latin-K204"),
+    # a broadcast view takes no memory, so only a copy of probs would show
+    pytest.param(lambda: RejectionRegion2D.from_grid(
+        0.05, "custom", _EDGES_2899, _EDGES_2899, np.broadcast_to(0.0, (2898, 2898))),
+        _OVER_CAP, RegionValidationError, id="from_grid-2899-edges"),
+    pytest.param(lambda: simulate_power(SimSpec(("extended",), ((0.0, 0.0),), 50, 10, 1, 1e-4)),
+                 "20000 x 20000", RegionValidationError, id="simulate_power-extended-1e-4"),
+    pytest.param(lambda: build_lp(0.05, 257), r"^order m=257 exceeds the limit of 256$",
+                 ValueError, id="build_lp-m257"),
+])
+def test_constructors_refuse_the_first_size_over_the_limit(build, match, error):
+    assert _refused_peak(build, match, error) < 4 * 2**20
+
+
+def test_grid_cap_admits_the_largest_grids():
+    # K = 1448 gives 2896^2 = 8386816 cells, the largest square grid within 2^23
+    region = build_minimax_region(1 / 1448)
+    assert region.probs.shape == (2896, 2896)
     assert deserialize(serialize(region)) == region
+    # off unit fractions the grid has 2 floor(1/alpha) + 2 bands a side
+    assert build_extended_region(1 / 1447.5).probs.shape == (2896, 2896)
+    # 203^3 = 8365427 labels; 204^3 is over the cap
+    assert build_latin_region(cyclic_latin(203), 1 / 203)._label.shape == (203, 203, 203)
 
 
 # -- region-v2: the grid as the document ---------------------------------------
