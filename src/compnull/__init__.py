@@ -14,10 +14,9 @@ from .regions import (FORMAT_VERSION, EstimateProvenance, OutsideRule,
                       TestStatisticPair, WeightedRect, analytic_power,
                       analytic_power_batch, deserialize, rejection_prob_at_point,
                       rejection_prob_at_points, serialize)
-from .closed_form import (AlphaSpec, JsTestResult, SobelTestResult,
-                          build_extended_region, build_js_region,
-                          build_minimax_region, extended_breakpoints, js_test,
-                          origin_type1, sobel_test)
+from .closed_form import (JsTestResult, SobelTestResult, build_extended_region,
+                          build_js_region, build_minimax_region, extended_breakpoints,
+                          js_test, origin_type1, sobel_test)
 from .pvalues import (PvalueResult, benjamini_hochberg, bonferroni, minimax_pvalue,
                       minimax_pvalue_batch)
 from .latin3 import (CornerNormalization, LatinSquare, RejectionRegion3D,
@@ -43,7 +42,7 @@ __all__ = [
     "RegionValidationError", "RejectionRegion2D", "TestStatisticPair",
     "WeightedRect", "analytic_power", "analytic_power_batch", "deserialize",
     "rejection_prob_at_point", "rejection_prob_at_points", "serialize",
-    "AlphaSpec", "JsTestResult", "SobelTestResult", "build_extended_region",
+    "JsTestResult", "SobelTestResult", "build_extended_region",
     "build_js_region", "build_minimax_region", "extended_breakpoints", "js_test",
     "origin_type1", "sobel_test",
     "PvalueResult", "benjamini_hochberg", "bonferroni",

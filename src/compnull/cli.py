@@ -13,16 +13,16 @@ import math
 import sys
 
 from .bayes_lp import DEFAULT_PRIOR_SD, assemble_bayes_region, build_lp, solve_lp
-from .closed_form import (AlphaSpec, build_extended_region, build_js_region,
-                          build_minimax_region, js_test)
-from .latin3 import (build_latin_region, cyclic_latin, normalize_corner, rejects3,
-                     square_from_json)
+from .closed_form import build_extended_region, build_js_region, build_minimax_region, js_test
+from .latin3 import (_latin_order, build_latin_region, cyclic_latin, normalize_corner,
+                     rejects3, square_from_json)
 from .mediation import DataError, _read_columns, load_csv, product_method_stats
 from .pvalues import benjamini_hochberg, bonferroni, minimax_pvalue
-from .regions import (RegionFormatError, RegionValidationError, _check_cell_count,
-                      deserialize, rejection_prob_at_point, serialize)
+from .regions import (_DEGENERATE, RegionFormatError, RegionValidationError, deserialize,
+                      rejection_prob_at_point, serialize)
 from .simulate import (SimSpec, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
+from .statmath import _alpha
 
 __all__ = ["cli_dispatch", "main"]
 
@@ -110,33 +110,30 @@ def _load_region(path: str):
 def _cmd_test(args) -> int:
     if args.region is not None:
         region = _load_region(args.region)
-        method = region.kind
+        alpha, method = region.alpha, region.kind
     else:
         if args.alpha is None:
             raise _UsageError("test: --alpha is required without --region")
-        region = _build_region(args.method, args.alpha)
-        method = args.method
+        alpha, method = _alpha(args.alpha), args.method
+        region = None if method == "js" else _build_region(method, alpha)  # js_test needs no grid
     z = (args.zx, args.zy)
-    payload = {"alpha": region.alpha, "method": method,
+    payload = {"alpha": alpha, "method": method,
                "zx": _echo(args.zx), "zy": _echo(args.zy)}
-    if method == "js":
-        res = js_test(z, region.alpha)
+    if region is None:
+        res = js_test(z, alpha)
         payload["reject"] = res.reject
         payload["p_value"] = res.p_value
     else:
         prob = rejection_prob_at_point(region, z)
         payload["rejection_probability"] = prob
-        payload["reject"] = prob == 1.0
+        payload["reject"] = prob >= _DEGENERATE
     _emit(_json(payload), args.out)
     return 0
 
 
 def _cmd_test3(args) -> int:
     z = _floats(args.z, "--z", "Z1,Z2,Z3")
-    k = AlphaSpec.from_alpha(args.alpha).k
-    if k is None:
-        raise ValueError(f"alpha={args.alpha!r} must be 1/K for an integer order K")
-    _check_cell_count((k, k, k))  # before a square is built or read
+    _, k = _latin_order(args.alpha)  # before a square is built or read
     if args.square == "cyclic":
         square = normalize_corner(cyclic_latin(k)).square
     else:

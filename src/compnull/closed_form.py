@@ -18,7 +18,6 @@ from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, st
                        std_normal_quantile)
 
 __all__ = [
-    "AlphaSpec",
     "build_minimax_region",
     "build_extended_region",
     "build_js_region",
@@ -33,27 +32,6 @@ __all__ = [
 _UNIT_FRACTION_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class AlphaSpec:
-    """A test level with unit-fraction detection.
-
-    ``k`` is the integer with alpha ~= 1/k when alpha is a unit fraction
-    (within 1e-9 of an integer reciprocal), else None.
-    """
-
-    alpha: float
-    k: int | None
-
-    @classmethod
-    def from_alpha(cls, alpha: float) -> "AlphaSpec":
-        alpha = _alpha(alpha)
-        return cls(alpha, _unit_order(alpha))
-
-    @property
-    def unit_fraction(self) -> bool:
-        return self.k is not None
-
-
 def _unit_order(alpha: float) -> int | None:
     """K when 1/alpha lies within 1e-9 of the integer K, else None."""
     inv = 1.0 / alpha
@@ -61,6 +39,25 @@ def _unit_order(alpha: float) -> int | None:
         return None
     k = round(inv)
     return k if abs(inv - k) <= _UNIT_FRACTION_TOL else None
+
+
+def _band_count(alpha: float, k: int | None) -> int | float:
+    """Bands of the folded ladder at alpha of unit order k: K at alpha = 1/K,
+    else floor(1/alpha) + 1, and inf where 1/alpha overflows."""
+    if k is not None:
+        return k
+    inv = 1.0 / alpha
+    return math.floor(inv) + 1 if inv < math.inf else inv
+
+
+def _folded_ladder(alpha: float, k: int | None) -> list[float]:
+    """:func:`extended_breakpoints` at a checked alpha of unit order k; the
+    mirrored 2n x 2n grid is held to the cell limit before any quantile."""
+    n = _band_count(alpha, k)
+    _check_cell_count((2 * n, 2 * n))
+    if k is not None:
+        return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
+    return [0.0] + [_two_sided_cutoff((n - 1 - j) * alpha) for j in range(n - 1)] + [math.inf]
 
 
 def extended_breakpoints(alpha: float) -> list[float]:
@@ -72,37 +69,30 @@ def extended_breakpoints(alpha: float) -> list[float]:
     fractions the breakpoints are two-sided cutoffs at levels (m-j)*alpha. At a
     unit fraction 1/K the k-th breakpoint is the (K+k)/(2K) normal quantile,
     whose argument is exact, so the minimax region and the Latin-square
-    boxes share this ladder bit for bit.
+    boxes share this ladder bit for bit. A ladder of n bands whose mirrored
+    2n x 2n grid exceeds the grid-cell limit raises RegionValidationError
+    before it is built.
     """
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha!r}")
-    k = _unit_order(alpha)
-    if k is not None:
-        return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
-    if 1.0 / alpha == math.inf:
-        raise ValueError(f"alpha={alpha!r} is too small: its ladder has unboundedly many bands")
-    m = math.floor(1.0 / alpha)
-    return [0.0] + [_two_sided_cutoff((m - j) * alpha) for j in range(m)] + [math.inf]
+    return _folded_ladder(alpha, _unit_order(alpha))
 
 
-def _folded_region(alpha: float, kind: str) -> RejectionRegion2D:
+def _folded_region(alpha: float, k: int | None, kind: str) -> RejectionRegion2D:
     """Reject wherever |zx| and |zy| lie in the same band of the folded ladder.
 
     The grid edges are the ladder mirrored about 0, so of its 2n bands, band
-    i and its mirror 2n-1-i share the folded index |2(i-n)+1|. The grid
-    size is checked before the ladder is built.
+    i and its mirror 2n-1-i share the folded index |2(i-n)+1|.
     """
-    inv = 1.0 / alpha  # n is K at alpha = 1/K, else floor(1/alpha) + 1, or inf
-    n = _unit_order(alpha) or (math.floor(inv) + 1 if inv < math.inf else inv)
-    _check_cell_count((2 * n, 2 * n))
-    ladder = np.array(extended_breakpoints(alpha))
+    ladder = np.array(_folded_ladder(alpha, k))
+    n = len(ladder) - 1
     edges = np.concatenate((-ladder[:0:-1], ladder))
     fold = np.abs(2 * np.arange(-n, n) + 1)
     return RejectionRegion2D.from_grid(alpha, kind, edges, edges, np.equal.outer(fold, fold))
 
 
-def build_minimax_region(alpha) -> RejectionRegion2D:
+def build_minimax_region(alpha: float) -> RejectionRegion2D:
     """Minimax-optimal rejection region for a unit-fraction level.
 
     The region is the union over k = 1..2K of the diagonal squares
@@ -110,12 +100,13 @@ def build_minimax_region(alpha) -> RejectionRegion2D:
     (-a_k, -a_{k-1}), where a_j is the j/(2K) standard-normal quantile
     (the mirrored ladder of :func:`extended_breakpoints`).
     """
-    spec = alpha if isinstance(alpha, AlphaSpec) else AlphaSpec.from_alpha(alpha)
-    if not spec.unit_fraction:
+    alpha = _alpha(alpha)
+    k = _unit_order(alpha)
+    if k is None:
         raise ValueError(
-            f"alpha={spec.alpha!r} is not a unit fraction 1/K; "
+            f"alpha={alpha!r} is not a unit fraction 1/K; "
             "use build_extended_region for arbitrary levels")
-    return _folded_region(spec.alpha, "minimax")
+    return _folded_region(alpha, k, "minimax")
 
 
 def build_extended_region(alpha: float) -> RejectionRegion2D:
@@ -124,7 +115,8 @@ def build_extended_region(alpha: float) -> RejectionRegion2D:
     Four quadrant families of squares between consecutive folded breakpoints;
     at unit-fraction alpha its grid is that of build_minimax_region(alpha).
     """
-    return _folded_region(_alpha(alpha), "extended")
+    alpha = _alpha(alpha)
+    return _folded_region(alpha, _unit_order(alpha), "extended")
 
 
 def build_js_region(alpha: float) -> RejectionRegion2D:
@@ -144,9 +136,11 @@ def origin_type1(alpha: float) -> float:
     <= alpha with equality exactly at unit fractions.
     """
     alpha = _alpha(alpha)
-    if 1.0 / alpha == math.inf:  # 1 - floor(1/alpha)*alpha < alpha: its square underflows
+    k = _unit_order(alpha)
+    n = _band_count(alpha, k)
+    if n == math.inf:  # 1 - floor(1/alpha)*alpha < alpha: its square underflows
         return alpha
-    m = _unit_order(alpha) or math.floor(1.0 / alpha)
+    m = k or n - 1  # the bands of mass alpha; the inner band holds the rest
     return m * alpha * alpha + (1.0 - m * alpha) ** 2
 
 

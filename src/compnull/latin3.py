@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import AlphaSpec, extended_breakpoints
+from .closed_form import _folded_ladder, _unit_order
 from .regions import _check_cell_count, _paint, _statistics, _unpack
 from .statmath import Interval, _alpha, _cdf_array, _count, _finite
 
@@ -190,6 +190,18 @@ class RejectionRegion3D:
         return f"RejectionRegion3D(alpha={self.alpha!r}, boxes=<{len(self.boxes)}>)"
 
 
+def _latin_order(alpha) -> tuple[float, int]:
+    """``alpha`` as a level and the order K of its Latin region: alpha must be
+    1/K, and the K^3 tensor within the grid-cell limit (so K <= 203). Checked
+    before a square is built or read."""
+    alpha = _alpha(alpha)
+    k = _unit_order(alpha)
+    if k is None:
+        raise ValueError(f"alpha={alpha!r} must be 1/K for an integer order K")
+    _check_cell_count((k, k, k))
+    return alpha, k
+
+
 def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     """Region of K^2 boxes (c_{i-1},c_i) x (c_{j-1},c_j) x (c_{A_ij-1},c_{A_ij}).
 
@@ -202,20 +214,17 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     (i - 1) K + j), not compiled from the boxes. The K^3 tensor is held to
     the grid-cell limit of :class:`RejectionRegion3D`, so K <= 203.
     """
-    spec = AlphaSpec.from_alpha(alpha)
-    if spec.k != a.k:
-        raise ValueError(
-            f"alpha={spec.alpha!r} must be the reciprocal of the square's order {a.k}")
-    k = a.k
-    _check_cell_count((k, k, k))
-    c = extended_breakpoints(spec.alpha)
+    alpha, k = _latin_order(alpha)
+    if k != a.k:
+        raise ValueError(f"alpha={alpha!r} must be the reciprocal of the square's order {a.k}")
+    c = _folded_ladder(alpha, k)
     bands = [Interval(c[i], c[i + 1]) for i in range(k)]
     boxes = tuple((bands[i], bands[j], bands[s - 1])
                   for i, row in enumerate(a.grid) for j, s in enumerate(row))
     label = np.zeros((k * k, k), dtype=np.int64)
     label[np.arange(k * k), np.ravel(a.grid) - 1] = np.arange(1, k * k + 1)
     region = RejectionRegion3D.__new__(RejectionRegion3D)
-    region.alpha, region.boxes = spec.alpha, boxes
+    region.alpha, region.boxes = alpha, boxes
     region._set_tensor((np.array(c),) * 3, label.reshape(k, k, k))
     return region
 

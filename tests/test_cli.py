@@ -13,7 +13,7 @@ import compnull.cli
 from compnull.cli import cli_dispatch, main
 from compnull.latin3 import cyclic_latin, square_to_json
 from compnull.mediation import MediationDataset, product_method_stats
-from compnull.regions import deserialize
+from compnull.regions import _DEGENERATE, RejectionRegion2D, deserialize, serialize
 from compnull.statmath import std_normal_quantile
 
 
@@ -103,6 +103,38 @@ def test_js_at_tiny_levels(capsys):
                           "--zx", "40", "--zy", "40")
     assert (code, out) == (1, "")
     assert err == "error: alpha=5e-324 is too small: alpha/2 rounds to 0\n"
+
+
+def test_js_decision_builds_no_grid(capsys, monkeypatch):
+    # js_test needs only the level; the 3 x 3 region is built for documents alone
+    def refuse(alpha):
+        raise AssertionError("test --method js built a region")
+    monkeypatch.setattr(compnull.cli, "build_js_region", refuse)
+    code, out, _ = _run(capsys, "test", "--zx", "3", "--zy", "-3", "--alpha", "0.05",
+                        "--method", "js")
+    assert code == 0 and json.loads(out)["reject"] is True
+    code, out, err = _run(capsys, "test", "--zx", "3", "--zy", "3", "--alpha", "1.5",
+                          "--method", "js")
+    assert (code, out, err) == (1, "", "error: alpha must lie in (0, 1), got 1.5\n")
+
+
+def test_decision_counts_a_sure_cell_as_a_rejection(tmp_path, capsys, shipped_bayes_region):
+    # reject is the library's one sure-rejection rule, p >= 1 - 1e-9, the rule
+    # simulate_power and derandomized Bayes assembly apply: a 1 - 5e-10 cell
+    # rejects, and a 0.5 cell reports its chance without rejecting
+    edges = [-math.inf, 0.0, 1.0, math.inf]
+    probs = [[0.0, 0.0, 0.0], [0.0, 1.0 - 5e-10, 0.5], [0.0, 0.0, 0.0]]
+    path = tmp_path / "near_one.region.json"
+    path.write_text(serialize(RejectionRegion2D.from_grid(0.05, "custom", edges, edges, probs)))
+    for zy, prob, reject in (("0.5", 1.0 - 5e-10, True), ("2", 0.5, False)):
+        code, out, _ = _run(capsys, "test", "--zx", "0.5", "--zy", zy, "--region", str(path))
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["rejection_probability"], doc["reject"]) == (prob, reject)
+    # the shipped Bayes region has no value in [1 - 1e-9, 1), so its
+    # decisions are those of the former rule, p == 1
+    p = shipped_bayes_region.probs
+    assert p[p < 1.0].max() < _DEGENERATE
 
 
 def test_region_round_trip_matches_direct_decision(tmp_path, capsys):

@@ -2,18 +2,21 @@
 
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from compnull import (AlphaSpec, Interval, OutsideRule, RegionValidationError,
+from compnull import (Interval, OutsideRule, RegionValidationError,
                       RejectionRegion2D, WeightedRect,
                       analytic_power, build_extended_region, build_js_region,
                       build_latin_region, build_lp, build_minimax_region, cyclic_latin,
                       extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
                       rejection_prob_at_point, rejection_prob_at_points, serialize,
                       sobel_test, std_normal_cdf, std_normal_quantile)
+from compnull.closed_form import _unit_order
 
 Q_08 = 0.84162123357291421
 Q_5_7 = 0.56594882193286305
@@ -22,17 +25,21 @@ SOBEL_Z = 0.89442719099991588       # 10*0.02/sqrt(0.05)
 SOBEL_P = 0.37109336952269757
 
 
-def test_alpha_spec_unit_fraction_detection():
-    spec = AlphaSpec.from_alpha(0.05)
-    assert spec.unit_fraction and spec.k == 20
-    assert AlphaSpec.from_alpha(1.0 / 3.0).k == 3
-    assert not AlphaSpec.from_alpha(0.3).unit_fraction
-    # detection tolerance is 1e-9 on 1/alpha
-    assert AlphaSpec.from_alpha(1.0 / (7.0 + 4e-10)).unit_fraction
-    assert not AlphaSpec.from_alpha(1.0 / 7.1).unit_fraction
+def test_unit_fraction_detection():
+    # detection tolerance is 1e-9 on 1/alpha; the minimax builder takes
+    # exactly the levels detected as 1/K, and builds 2K x 2K bands there
+    for alpha, k in ((0.05, 20), (1.0 / 3.0, 3), (1.0 / (7.0 + 4e-10), 7),
+                     (0.3, None), (1.0 / 7.1, None)):
+        assert _unit_order(alpha) == k, alpha
+        if k is None:
+            with pytest.raises(ValueError, match="is not a unit fraction 1/K"):
+                build_minimax_region(alpha)
+        else:
+            assert build_minimax_region(alpha).probs.shape == (2 * k, 2 * k)
+            assert len(extended_breakpoints(alpha)) == k + 1
     for bad in (0.0, 1.0, -0.2, math.nan):
         with pytest.raises(ValueError):
-            AlphaSpec.from_alpha(bad)
+            build_minimax_region(bad)
 
 
 def test_minimax_region_cell_count_and_origin():
@@ -228,11 +235,40 @@ def test_levels_whose_inverse_overflows_raise_no_overflow_error(alpha):
     # 1/alpha is inf, so floor(1/alpha) cannot be taken; 1 - floor(1/alpha)*alpha
     # lies below alpha, so its square underflows and the origin size is alpha
     assert origin_type1(alpha) == alpha
-    with pytest.raises(ValueError, match=f"^alpha={alpha!r} is too small: its ladder has "
-                                         "unboundedly many bands$"):
-        extended_breakpoints(alpha)
-    with pytest.raises(RegionValidationError, match=r"^grid of inf x inf = inf cells"):
-        build_extended_region(alpha)
+    for build in (extended_breakpoints, build_extended_region):
+        with pytest.raises(RegionValidationError,
+                           match=r"^grid of inf x inf = inf cells exceeds the limit of 8388608$"):
+            build(alpha)
+
+
+def test_oversized_ladders_are_refused_before_they_are_built():
+    # the band count n is checked on the mirrored 2n x 2n grid before any
+    # quantile is computed: K = 1449 is the first unit fraction over the
+    # limit, 1e-7 = 1/10^7 asks for 10^7 bands and 2.2e-308 for ~4.5e307
+    for alpha, cells in ((1 / 1449, "2898 x 2898 = 8398404"),
+                         (1e-7, "20000000 x 20000000 = 400000000000000"),
+                         (2.2e-308, None)):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(RegionValidationError, match="^grid of ") as err:
+                extended_breakpoints(alpha)
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1.0 and peak < 4 << 20, (alpha, seconds, peak)
+        assert str(err.value).endswith(" cells exceeds the limit of 8388608")
+        if cells is not None:
+            assert str(err.value).startswith(f"grid of {cells} cells")
+    # in the limit, the ladder is the one it was, bit for bit
+    k = 1448
+    assert extended_breakpoints(1 / k) == [0.0] + [std_normal_quantile((k + j) / (2 * k))
+                                                  for j in range(1, k + 1)]
+    m = math.floor(1 / 0.0007)
+    assert extended_breakpoints(0.0007) == [0.0] + [-ndtri((m - j) * 0.0007 / 2.0)
+                                                   for j in range(m)] + [math.inf]
+    assert extended_breakpoints(1.0) == [0.0, math.inf]
 
 
 def test_js_region_and_test_agree():
@@ -348,7 +384,7 @@ def test_interval_reuse_in_cells():
 # copy of the breakpoint ladder.
 
 def _oracle_minimax(alpha):
-    k = AlphaSpec.from_alpha(alpha).k
+    k = _unit_order(alpha)
     k2 = 2 * k
     ladder = [0.0] * (k2 + 1)
     for j in range(k, k2 + 1):
@@ -400,7 +436,7 @@ def test_grid_builders_match_cell_list_oracles():
         assert serialize(build_minimax_region(1.0 / k)) == serialize(_oracle_minimax(1.0 / k)), k
     rng = np.random.default_rng(20261018)
     levels = [a for a in rng.uniform(0.001, 0.999, size=1000)
-              if not AlphaSpec.from_alpha(a).unit_fraction]
+              if _unit_order(a) is None]
     assert len(levels) == 1000
     for alpha in levels + [0.07, 0.3, 0.13, 0.04872, 0.75, 41.0 / 840.0]:
         assert serialize(build_extended_region(alpha)) == serialize(_oracle_extended(alpha)), alpha

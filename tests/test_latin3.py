@@ -109,6 +109,18 @@ def test_build_region_order_two():
         build_latin_region(cyclic_latin(2), 0.0)
 
 
+def test_level_is_checked_as_in_test3():
+    # the level checks of compnull test3, in its order: alpha = 1/K, then the
+    # K^3 tensor limit; only then is K compared with the square's order
+    with pytest.raises(ValueError, match=r"^alpha=0.4 must be 1/K for an integer order K$"):
+        build_latin_region(cyclic_latin(2), 0.4)
+    with pytest.raises(RegionValidationError, match=r"^grid of 204 x 204 x 204 = 8489664 "):
+        build_latin_region(cyclic_latin(2), 1 / 204)
+    with pytest.raises(ValueError, match=r"^alpha=0.3333333333333333 must be the reciprocal "
+                                         r"of the square's order 2$"):
+        build_latin_region(cyclic_latin(2), 1 / 3)
+
+
 def test_band_edges_order_three():
     region = build_latin_region(cyclic_latin(3), 1.0 / 3.0)
     edges = sorted({b[0].lo for b in region.boxes} | {b[0].hi for b in region.boxes})

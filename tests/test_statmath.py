@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from compnull import (AlphaSpec, Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
+from compnull import (Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
                       build_extended_region, build_js_region, build_latin_region, build_lp,
-                      cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
+                      build_minimax_region, cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
                       origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
 from compnull.statmath import _cdf_array, _two_sided_cutoff
 
@@ -172,7 +172,7 @@ def test_folded_interval_prob():
 def test_every_level_check_gives_one_message():
     checks = [
         lambda a: RejectionRegion2D(a, "custom", []),
-        AlphaSpec.from_alpha,
+        build_minimax_region,
         build_extended_region,
         build_js_region,
         origin_type1,
