@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .regions import (_DEGENERATE, Interval, RejectionRegion2D, WeightedRect,
-                      _js_outside, analytic_power_batch)
+                      _js_outside, _sorted_unique, analytic_power_batch)
 from .statmath import _alpha, _cdf_array, _count, _positive, _two_sided_cutoff
 
 __all__ = [
@@ -153,8 +153,8 @@ def _bayes_region(alpha: float, ladder: np.ndarray, p: np.ndarray, b: float) -> 
     kept = p != 0.0
     # ladder edge e bounds a kept band when band e-1 or band e is kept
     x_edges, y_edges = (
-        np.unique(np.concatenate((ladder[np.convolve(k, [1, 1]) > 0],
-                                  [-math.inf, -b, -t, t, b, math.inf])))
+        _sorted_unique(np.concatenate((ladder[np.convolve(k, [1, 1]) > 0],
+                                       [-math.inf, -b, -t, t, b, math.inf])))
         for k in (kept.any(axis=1), kept.any(axis=0)))
     # grid band -> ladder band + 1; 0 and 2m + 1 index the zero pad outside the box
     ix, iy = (np.searchsorted(ladder, e[:-1], side="right") for e in (x_edges, y_edges))
@@ -257,9 +257,11 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
     step the most infeasible basic row leaves for its violated bound, and a
     bound-flipping ratio test flips every boxed column whose breakpoint it
     passes before the column that enters. The basis inverse takes rank-1
-    updates and is rebuilt every ``_REFACTOR`` pivots; basic values and
-    reduced costs are recomputed from it each step. Returns (x, status,
-    iterations), x None unless the status is "optimal".
+    updates and is rebuilt every ``_REFACTOR`` pivots. The rhs residual of
+    the nonbasic columns and the reduced costs are updated per pivot, from
+    the columns that move and the pivot row, and recomputed from scratch at
+    each rebuild; the final basis is certified from fresh solves. Returns
+    (x, status, iterations), x None unless the status is "optimal".
     """
     k, n = a.shape
     full = np.hstack((a, np.eye(k)))
@@ -269,9 +271,13 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
     value = np.concatenate((np.ones(n), np.zeros(k)))
     basis = np.arange(n, n + k)
     binv = np.eye(k)
+    # rhs less the nonbasic columns at their values, so x_b = binv @ resid;
+    # the all-slack basis has zero duals, so the reduced costs start at cost
+    resid = rhs - a @ value[:n]
+    reduced = cost.copy()
     iterations = 0
     while True:
-        x_b = binv @ (rhs - a @ value[:n])
+        x_b = binv @ resid
         infeas = np.maximum(-x_b, x_b - upper[basis])
         r = int(np.argmax(infeas))
         if infeas[r] <= _LOOP_TOL:
@@ -283,30 +289,45 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
         # cost moves by step * alpha_r[j] for a dual step >= 0
         sign = 1.0 if x_b[r] < 0.0 else -1.0
         alpha_r = sign * (binv[r] @ full)
-        reduced = cost - (cost[basis] @ binv) @ full
         at_upper = value > 0.0
         nonbasic = np.ones(n + k, dtype=bool)
         nonbasic[basis] = False
         cand = np.flatnonzero(nonbasic & np.where(at_upper, alpha_r > _PIVOT_TOL,
                                                     alpha_r < -_PIVOT_TOL))
-        ratio = np.maximum(np.where(at_upper[cand], -reduced[cand], reduced[cand]), 0.0)
-        cand = cand[np.argsort(ratio / np.abs(alpha_r[cand]), kind="stable")]
+        step = np.maximum(np.where(at_upper[cand], -reduced[cand], reduced[cand]), 0.0)
+        step /= np.abs(alpha_r[cand])
+        order = np.argsort(step, kind="stable")
+        cand = cand[order]
         # the dual objective keeps rising while this slope stays positive
         slope = infeas[r] - np.cumsum(np.abs(alpha_r[cand]) * upper[cand])
         passed = np.flatnonzero(slope <= 0.0)
         if len(passed) == 0:
             return None, "infeasible", iterations
         flipped, q = cand[:passed[0]], cand[passed[0]]
-        value[flipped] = upper[flipped] - value[flipped]
+        reduced += step[order[passed[0]]] * alpha_r
+        if len(flipped):
+            # flipped columns are boxed, so structural; a @ change reads a in
+            # place, where a[:, flipped] would copy up to all of it
+            change = np.zeros(n)
+            change[flipped] = upper[flipped] - 2.0 * value[flipped]
+            resid -= a @ change
+            value[flipped] += change[flipped]
+        leaving = basis[r]
+        resid += full[:, q] * value[q]
         value[q] = 0.0
-        value[basis[r]] = 0.0 if sign > 0.0 else upper[basis[r]]
+        value[leaving] = 0.0 if sign > 0.0 else upper[leaving]
+        resid -= full[:, leaving] * value[leaving]
         column = binv @ full[:, q]
         pivot_row = binv[r] / column[r]
         binv -= np.outer(column, pivot_row)
         binv[r] = pivot_row
         basis[r] = q
+        reduced[basis] = 0.0
         if iterations % _REFACTOR == 0:
             binv = np.linalg.inv(full[:, basis])
+            resid = rhs - a @ value[:n]
+            reduced = cost - (cost[basis] @ binv) @ full
+            reduced[basis] = 0.0
 
     # certificate: fresh basic values within their bounds, and each reduced
     # cost signed for its column's bound

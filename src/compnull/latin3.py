@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_form import _folded_ladder, _unit_order
-from .regions import _check_cell_count, _paint, _statistics, _unpack
+from .regions import _check_cell_count, _paint, _sorted_unique, _statistics, _unpack
 from .statmath import Interval, _alpha, _cdf_array, _count, _finite
 
 __all__ = [
@@ -163,7 +163,7 @@ class RejectionRegion3D:
     def _compile(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
         lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in self.boxes]
                           ).reshape(-1, 3, 2).transpose(2, 1, 0)
-        edges = tuple(np.unique(np.concatenate(([0.0, math.inf], lo[a], hi[a])))
+        edges = tuple(_sorted_unique(np.concatenate(([0.0, math.inf], lo[a], hi[a])))
                       for a in range(3))
         label, overlap = _paint(edges, lo, hi)
         if overlap is not None:

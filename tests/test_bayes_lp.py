@@ -346,6 +346,19 @@ def test_solve_holds_every_row(alpha, m):
     assert abs(sol.objective_value - _folded_highs_objective(problem)) <= 1e-9
 
 
+@pytest.mark.parametrize("alpha, m", [(0.05, 12), (0.001, 10), (0.2, 40), (0.05, 65)])
+def test_incremental_updates_match_a_fresh_inverse_per_pivot(alpha, m, monkeypatch):
+    # the residual and reduced costs are updated per pivot; recomputing them
+    # from a fresh inverse at every pivot must reach the same optimum
+    problem = build_lp(alpha, m)
+    want = solve_lp(problem)
+    monkeypatch.setattr(bayes_lp, "_REFACTOR", 1)
+    got = solve_lp(problem)
+    assert got.solver_status == "optimal"
+    assert abs(got.objective_value - want.objective_value) <= 1e-12
+    assert _worst_row_excess(problem, got.m_r) <= 1e-12
+
+
 def test_solve_status_paths(solved12, monkeypatch):
     problem, _ = solved12
     rhs = problem.rhs.copy()

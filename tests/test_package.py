@@ -75,6 +75,28 @@ def test_import_leaves_lp_backends_unloaded(package_env):
     assert _run(code, package_env) == "[]"
 
 
+def test_design_path_leaves_numpy_ma_unloaded(package_env, shipped_bayes_paths):
+    # on numpy 2.x np.unique's hash path imports numpy.ma (~8 ms) on first
+    # use, so the LP, the region compilers and the CLI's LP solve avoid it
+    code = f"""
+import contextlib, io, sys
+from compnull import (Interval, RejectionRegion3D, assemble_bayes_region, build_lp,
+                      deserialize, serialize, solve_lp)
+from compnull.cli import cli_dispatch
+problem = build_lp(0.05, 12)
+region = assemble_bayes_region(problem, solve_lp(problem))
+assert deserialize(serialize(region)) == region
+with open({str(shipped_bayes_paths[1])!r}) as f:
+    assert deserialize(f.read()).kind == "bayes"
+band = Interval(1.0, 2.0)
+RejectionRegion3D(0.05, [(band, band, band), (Interval(0.0, 1.0), band, band)])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli_dispatch(["bayes", "solve", "--alpha", "0.05", "--m", "12"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    assert _run(code, package_env) == "False"
+
+
 # Digests of the cdf and quantile bits on fixed inputs, printed by a
 # subprocess and compared with those of this process.
 _BITS = """
