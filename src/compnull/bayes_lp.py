@@ -22,7 +22,7 @@ import numpy as np
 
 from .regions import (_DEGENERATE, Interval, RejectionRegion2D, WeightedRect,
                       _js_outside, _sorted_unique, analytic_power_batch)
-from .statmath import _alpha, _cdf_array, _count, _positive, _two_sided_cutoff
+from .statmath import _alpha, _band_masses, _count, _positive, _two_sided_cutoff
 
 __all__ = [
     "LpProblem",
@@ -183,9 +183,9 @@ def build_lp(alpha: float, m: int, prior_sd: float = DEFAULT_PRIOR_SD) -> LpProb
 
     b = 2.0 * _two_sided_cutoff(alpha)
     edges = _ladder(b, m)
-    band_weights = np.diff(_cdf_array(edges / math.hypot(1.0, prior_sd)))
+    band_weights = _band_masses(edges / math.hypot(1.0, prior_sd), 0.0)
     offsets = np.arange(-2 * m, 2 * m + 1, dtype=float) * (b / m)
-    band_masses = np.diff(_cdf_array(edges[None, :] - offsets[:, None]), axis=1)
+    band_masses = _band_masses(edges, offsets)
 
     null_grid = [(float(d), 0.0) for d in offsets]
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]

@@ -93,7 +93,6 @@ def _build_region(method: str, alpha: float):
         return build_extended_region(alpha)
     if method == "js":
         return build_js_region(alpha)
-    raise _UsageError(f"unknown region method {method!r}")
 
 
 def _cmd_region_build(args) -> int:
@@ -334,10 +333,7 @@ def cli_dispatch(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1
-    except (RegionFormatError, RegionValidationError, DataError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (RegionFormatError, RegionValidationError, DataError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except ValueError as exc:
@@ -345,5 +341,4 @@ def cli_dispatch(argv=None) -> int:
         return 1
 
 
-def main(argv=None) -> int:
-    return cli_dispatch(argv)
+main = cli_dispatch

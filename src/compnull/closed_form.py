@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import RejectionRegion2D, _check_cell_count, _statistics
-from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, std_normal_cdf,
+from .regions import RejectionRegion2D, _check_cell_count, _js_outside, _statistics
+from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, _two_sided_p,
                        std_normal_quantile)
 
 __all__ = [
@@ -123,10 +123,9 @@ def build_js_region(alpha: float) -> RejectionRegion2D:
     """Joint-significance region: reject iff both |z| exceed the two-sided cutoff."""
     alpha = _alpha(alpha)
     t = _two_sided_cutoff(alpha)
-    edges = [-math.inf, -t, t, math.inf]
-    tails = np.array([1.0, 0.0, 1.0])
+    edges = np.array([-math.inf, -t, t, math.inf])
     return RejectionRegion2D.from_grid(alpha, "joint_significance", edges, edges,
-                                       np.outer(tails, tails))
+                                       _js_outside(edges, edges, t, None))
 
 
 def origin_type1(alpha: float) -> float:
@@ -162,8 +161,7 @@ def js_test(z, alpha: float) -> JsTestResult:
     zx, zy = _statistics(z, 2)
     threshold = _two_sided_cutoff(alpha)
     reject = abs(zx) > threshold and abs(zy) > threshold
-    p = max(2.0 * std_normal_cdf(-abs(zx)), 2.0 * std_normal_cdf(-abs(zy)))
-    return JsTestResult(reject, min(1.0, p), threshold)
+    return JsTestResult(reject, float(max(_two_sided_p(zx), _two_sided_p(zy))), threshold)
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,7 @@ def sobel_test(delta_x_hat: float, delta_y_hat: float, se_x: float, se_y: float,
     if denom == 0.0:
         return SobelTestResult(0.0, 1.0, False, True)
     stat = math.sqrt(n) * dx * dy / denom
-    p = min(1.0, 2.0 * std_normal_cdf(-abs(stat)))
+    if stat != stat:  # both the product and its standard error overflow
+        raise ValueError(f"the Sobel statistic of {dx!r}*{dy!r} overflows")
     reject = abs(stat) > _two_sided_cutoff(alpha)
-    return SobelTestResult(stat, p, reject, False)
+    return SobelTestResult(stat, float(_two_sided_p(stat)), reject, False)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .closed_form import _folded_ladder, _unit_order
 from .regions import _check_cell_count, _paint, _sorted_unique, _statistics, _unpack
-from .statmath import Interval, _alpha, _cdf_array, _count, _finite
+from .statmath import Interval, _alpha, _band_masses, _count, _finite
 
 __all__ = [
     "LatinSquare",
@@ -256,8 +256,7 @@ def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
     the contraction of the membership tensor with g_x, g_y and g_z.
     """
     d = _finite("mean", _unpack(delta_star, 3, "mean"))
-    gx, gy, gz = (np.diff(_cdf_array(e - mu)) - np.diff(_cdf_array(-e - mu))
-                  for e, mu in zip(region._edges, d))
+    gx, gy, gz = (_band_masses(e, mu, folded=True) for e, mu in zip(region._edges, d))
     return min(1.0, max(0.0, float((region._label > 0) @ gz @ gy @ gx)))
 
 

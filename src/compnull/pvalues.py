@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import _statistics
-from .statmath import _cdf_array
+from .statmath import _two_sided_p
 
 __all__ = [
     "PvalueResult",
@@ -74,7 +74,7 @@ def minimax_pvalue_batch(zx, zy) -> np.ndarray:
         raise ValueError("zx and zy must be 1-d arrays of equal length")
     valid = (u > 0.0) & (v > 0.0)
     # Two-sided p-values, zeroed on the pairs scored 1 so no NaN reaches the sum.
-    p2 = np.where(valid, 2.0 * _cdf_array(-np.stack([u, v])), 0.0)
+    p2 = np.where(valid, _two_sided_p(np.stack([u, v])), 0.0)
     return np.where(valid, _generalized(p2.min(axis=0), p2.max(axis=0)), 1.0)
 
 

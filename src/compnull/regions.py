@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statmath import Interval, _alpha, _cdf_array
+from .statmath import Interval, _alpha, _band_masses
 
 __all__ = [
     "FORMAT_VERSION",
@@ -70,7 +70,7 @@ class WeightedRect:
 
     def __post_init__(self) -> None:
         p = float(self.p)
-        if math.isnan(p) or not 0.0 <= p <= 1.0:
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"cell probability must lie in [0, 1], got {p!r}")
         object.__setattr__(self, "p", p)
 
@@ -503,13 +503,13 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     if bad.size:
         k = int(bad[0])
         raise ValueError(f"shifts must be finite, got {tuple(deltas[k].tolist())!r} at row {k}")
-    x_edges, y_edges = region.x_edges[None, :], region.y_edges[None, :]
+    x_edges, y_edges = region.x_edges, region.y_edges
     rows = max(1, _CHUNK // max(x_edges.size, y_edges.size))
     out = np.empty(len(deltas))
     for lo in range(0, len(deltas), rows):
         d = deltas[lo:lo + rows]
-        gx = np.diff(_cdf_array(x_edges - d[:, :1]), axis=1)
-        gy = np.diff(_cdf_array(y_edges - d[:, 1:]), axis=1)
+        gx = _band_masses(x_edges, d[:, 0])
+        gy = _band_masses(y_edges, d[:, 1])  # its own statement: the last gx is freed first
         out[lo:lo + rows] = ((gx @ region.probs) * gy).sum(axis=1)
     return np.clip(out, 0.0, 1.0, out=out)
 

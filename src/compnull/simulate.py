@@ -25,7 +25,7 @@ import numpy as np
 from .closed_form import build_extended_region, build_minimax_region
 from .pvalues import minimax_pvalue_batch
 from .regions import _DEGENERATE, RejectionRegion2D, _unpack, rejection_prob_at_points
-from .statmath import _alpha, _cdf_array, _count, _finite, _two_sided_cutoff
+from .statmath import _alpha, _count, _finite, _two_sided_cutoff, _two_sided_p
 
 __all__ = [
     "SimSpec",
@@ -281,8 +281,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0), *, seed: int = 0) -> 
     zx = z[:, 0] + dx
     zy = z[:, 1] + dy
     phat = minimax_pvalue_batch(zx, zy)
-    pjs = np.minimum(1.0, np.maximum(2.0 * _cdf_array(-np.abs(zx)),
-                                     2.0 * _cdf_array(-np.abs(zy))))
+    pjs = np.maximum(_two_sided_p(zx), _two_sided_p(zy))
     return EcdfTable((("extended_minimax", np.sort(phat)), ("js", np.sort(pjs))))
 
 

@@ -4,12 +4,12 @@ Every rejection region, closed-form power, and LP coefficient in this
 package reduces to standard-normal cdf and quantile evaluations on
 intervals, so these functions are the numerical anchor of the whole
 library. The cdf is ``scipy.special.ndtr``, loaded from its own extension
-module without the ``scipy.special`` package (see :func:`_load_ndtr`); the
-scalar cdf and the array cdf used by the batch paths call that one ufunc,
-so they agree bit for bit. The quantile is :func:`_ndtri`, a port of
-Cephes ``ndtri`` (the code behind ``scipy.special.ndtri``) that performs
-the same IEEE operations in the same order, so quantiles and region edges
-have the same bits whatever scipy build is installed.
+module without the ``scipy.special`` package (see :func:`_load_ndtr`). The
+scalar cdf and the batch rules :func:`_band_masses` and :func:`_two_sided_p`
+call that one ufunc, so they agree bit for bit. The quantile is
+:func:`_ndtri`, a port of Cephes ``ndtri`` (the code behind
+``scipy.special.ndtri``) with the same IEEE operations in the same order,
+so quantiles and region edges have the same bits whatever scipy is installed.
 """
 
 from __future__ import annotations
@@ -140,6 +140,19 @@ def _cdf_array(x: np.ndarray) -> np.ndarray:
     return _ndtr(np.asarray(x, dtype=float))
 
 
+def _band_masses(edges, shifts, folded: bool = False) -> np.ndarray:
+    """N(d, 1) mass of each band (edges[i], edges[i+1]), a row per shift d (1-d for
+    a scalar d); ``folded``: the mass of |Z| on edges from 0, band plus mirror."""
+    e, d = np.asarray(edges, dtype=float), np.asarray(shifts, dtype=float)[..., None]
+    g = np.diff(_ndtr(e - d))
+    return g - np.diff(_ndtr(-e - d)) if folded else g
+
+
+def _two_sided_p(z):
+    """Two-sided normal p-value 2*Phi(-|z|) of a float or an array; NaN gives NaN."""
+    return 2.0 * _ndtr(-abs(z))
+
+
 _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _SQRT_2PI = 2.50662827463100050242
 
@@ -252,13 +265,12 @@ def _two_sided_cutoff(alpha: float) -> float:
 def gaussian_interval_prob(interval: Interval, mu: float) -> float:
     """P(Z in interval) for Z ~ N(mu, 1), clamped to [0, 1]."""
     (mu,) = _finite("mean", (mu,))
-    p = std_normal_cdf(interval.hi - mu) - std_normal_cdf(interval.lo - mu)
-    return min(1.0, max(0.0, p))
+    return min(1.0, max(0.0, float(_band_masses((interval.lo, interval.hi), mu)[0])))
 
 
 def folded_interval_prob(interval: Interval, mu: float) -> float:
     """P(|Z| in interval) for Z ~ N(mu, 1); requires interval.lo >= 0."""
     if interval.lo < 0.0:
         raise ValueError(f"folded interval requires lo >= 0, got lo={interval.lo!r}")
-    p = gaussian_interval_prob(interval, mu) + gaussian_interval_prob(interval.mirrored(), mu)
-    return min(1.0, max(0.0, p))
+    (mu,) = _finite("mean", (mu,))
+    return min(1.0, max(0.0, float(_band_masses((interval.lo, interval.hi), mu, folded=True)[0])))

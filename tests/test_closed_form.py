@@ -359,6 +359,8 @@ def test_sobel_degenerate_input():
     ((1.0, 1.0, 1.0, 1.0, 2.5), "n must be an integer, got 2.5"),
     ((1.0, 1.0, 1.0, 1.0, True), "n must be an integer, got True"),
     ((1.0, 1.0, 1.0, 1.0, 0), "n must be >= 1, got 0"),
+    # the product and its standard error both overflow, so Z = inf/inf
+    ((1e200, 1e200, 1e200, 1e200, 10), "the Sobel statistic of 1e+200*1e+200 overflows"),
 ])
 def test_sobel_input_contract(args, message):
     with pytest.raises(ValueError) as err:

@@ -1,20 +1,23 @@
 """Normal-distribution primitives against frozen high-precision references.
 
 Reference constants come from tests/oracles/compute_references.py (mpmath at
-50 digits); they are frozen here so the suite never depends on mpmath.
+50 digits) and are frozen here; the band-mass test, which spans many shifts,
+computes its oracle with mpmath (a test dependency) at 40 digits.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from compnull import (Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
                       build_extended_region, build_js_region, build_latin_region, build_lp,
-                      build_minimax_region, cyclic_latin, folded_interval_prob, gaussian_interval_prob, js_test,
+                      build_minimax_region, cyclic_latin, extended_breakpoints,
+                      folded_interval_prob, gaussian_interval_prob, js_test,
                       origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
-from compnull.statmath import _cdf_array, _two_sided_cutoff
+from compnull.statmath import _band_masses, _cdf_array, _two_sided_cutoff
 
 Q_975 = 1.9599639845400542
 Q_995 = 2.5758293035489008
@@ -167,6 +170,32 @@ def test_folded_interval_prob():
     assert folded_interval_prob(Interval(0.0, math.inf), 1.7) == 1.0
     with pytest.raises(ValueError):
         folded_interval_prob(Interval(-0.5, 1.0), 0.0)
+
+
+def _mp_band_masses(edges, d, folded):
+    """N(d, 1) band masses of the float edges, exact to 40 digits."""
+    with mpmath.workdps(40):
+        cdf = [mpmath.ncdf(mpmath.mpf(e) - mpmath.mpf(d)) for e in edges]
+        masses = [hi - lo for lo, hi in zip(cdf, cdf[1:])]
+        if folded:
+            cdf = [mpmath.ncdf(-mpmath.mpf(e) - mpmath.mpf(d)) for e in edges]
+            masses = [m + lo - hi for m, lo, hi in zip(masses, cdf, cdf[1:])]
+        return [float(m) for m in masses]
+
+
+@pytest.mark.parametrize("folded", [False, True])
+def test_band_masses_match_mpmath(folded):
+    if folded:  # the folded ladder of the level-1/20 extended region, from 0 to inf
+        edges = np.array(extended_breakpoints(1.0 / 20.0))
+    else:
+        edges = np.array([-math.inf, -6.0, -2.5, -0.3, 0.0, 0.7, 1.96, 3.0, 8.5, math.inf])
+    shifts = np.array([0.0, 0.3, -0.3, 5.0, -5.0, 38.0, -38.0])
+    got = _band_masses(edges, shifts, folded=folded)
+    assert got.shape == (len(shifts), len(edges) - 1)
+    for row, d in zip(got, shifts.tolist()):
+        assert np.abs(row - _mp_band_masses(edges.tolist(), d, folded)).max() <= 1e-15
+        # a scalar shift gives the same row as a 1-d array
+        assert _band_masses(edges, d, folded=folded).tobytes() == row.tobytes()
 
 
 def test_every_level_check_gives_one_message():
