@@ -7,56 +7,20 @@ generalized p-values with BH/Bonferroni adjustments, regression front ends
 that produce the test statistics from data, and Monte Carlo harnesses.
 """
 
-from .statmath import (Interval, folded_interval_prob, gaussian_interval_prob,
-                       std_normal_cdf, std_normal_quantile)
-from .regions import (FORMAT_VERSION, EstimateProvenance, OutsideRule,
-                      RegionFormatError, RegionValidationError, RejectionRegion2D,
-                      TestStatisticPair, WeightedRect, analytic_power,
-                      analytic_power_batch, deserialize, rejection_prob_at_point,
-                      rejection_prob_at_points, serialize)
-from .closed_form import (JsTestResult, SobelTestResult, build_extended_region,
-                          build_js_region, build_minimax_region, extended_breakpoints,
-                          js_test, origin_type1, sobel_test)
-from .pvalues import (PvalueResult, benjamini_hochberg, bonferroni, minimax_pvalue,
-                      minimax_pvalue_batch)
-from .latin3 import (CornerNormalization, LatinSquare, RejectionRegion3D,
-                     analytic_power3, build_latin_region, conjugate, cyclic_latin,
-                     is_totally_symmetric, normalize_corner, rejects3,
-                     square_from_json, square_to_json)
-from .bayes_lp import (ConstraintRow, LpProblem, LpSolution, assemble_bayes_region,
-                       build_lp, candidate_objective, js_restricted_candidate,
-                       solve_lp)
-from .mediation import (DataError, FitResult, MediationDataset, OlsFit, fit_ols,
-                        load_csv, product_method_stats, standardize_pair)
-from .simulate import (DensityTable, EcdfTable, SimResult, SimRow, SimSpec,
-                       sample_product_statistic, sample_sobel_density,
-                       simulate_power, simulate_pvalue_ecdf, worker_count)
-from .cli import cli_dispatch, main
+from .statmath import *
+from .regions import *
+from .closed_form import *
+from .pvalues import *
+from .latin3 import *
+from .bayes_lp import *
+from .mediation import *
+from .simulate import *
+from .cli import *
+from . import bayes_lp, cli, closed_form, latin3, mediation, pvalues, regions, simulate, statmath
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Interval", "folded_interval_prob", "gaussian_interval_prob",
-    "std_normal_cdf", "std_normal_quantile",
-    "FORMAT_VERSION", "EstimateProvenance", "OutsideRule", "RegionFormatError",
-    "RegionValidationError", "RejectionRegion2D", "TestStatisticPair",
-    "WeightedRect", "analytic_power", "analytic_power_batch", "deserialize",
-    "rejection_prob_at_point", "rejection_prob_at_points", "serialize",
-    "JsTestResult", "SobelTestResult", "build_extended_region",
-    "build_js_region", "build_minimax_region", "extended_breakpoints", "js_test",
-    "origin_type1", "sobel_test",
-    "PvalueResult", "benjamini_hochberg", "bonferroni",
-    "minimax_pvalue", "minimax_pvalue_batch",
-    "CornerNormalization", "LatinSquare", "RejectionRegion3D", "analytic_power3",
-    "build_latin_region", "conjugate", "cyclic_latin", "is_totally_symmetric",
-    "normalize_corner", "rejects3", "square_from_json", "square_to_json",
-    "ConstraintRow", "LpProblem", "LpSolution", "assemble_bayes_region",
-    "build_lp", "candidate_objective", "js_restricted_candidate", "solve_lp",
-    "DataError", "FitResult", "MediationDataset", "OlsFit", "fit_ols", "load_csv",
-    "product_method_stats", "standardize_pair",
-    "DensityTable", "EcdfTable", "SimResult", "SimRow", "SimSpec",
-    "sample_product_statistic", "sample_sobel_density", "simulate_power",
-    "simulate_pvalue_ecdf", "worker_count",
-    "cli_dispatch", "main",
-    "__version__",
-]
+# The package exports every module's public names, as each module lists them.
+__all__ = [name for module in (statmath, regions, closed_form, pvalues, latin3, bayes_lp,
+                               mediation, simulate, cli)
+           for name in module.__all__] + ["__version__"]

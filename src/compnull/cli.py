@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each ``_cmd_*`` returns its document: a dict, written as JSON, or text.
+``cli_dispatch`` alone writes it: to stdout, ending it with a newline if
+it has none, or byte for byte to the ``--out`` file.
+
 Exit codes: 0 success, 1 usage problem, 2 data problem (unreadable or
 malformed files, degenerate datasets, failed solves).
 """
@@ -45,20 +49,6 @@ class _Parser(argparse.ArgumentParser):
         return super()._parse_optional(arg_string)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, allow_nan=False)
-
-
 def _echo(value: float) -> float | str:
     """An input value for standard JSON: +-inf become "inf"/"-inf"."""
     return value if math.isfinite(value) else repr(value)
@@ -86,19 +76,13 @@ def _names(text: str) -> list[str]:
     return [name for name in map(str.strip, text.split(",")) if name]
 
 
-def _build_region(method: str, alpha: float):
-    if method == "minimax":
-        return build_minimax_region(alpha)
-    if method == "extended":
-        return build_extended_region(alpha)
-    if method == "js":
-        return build_js_region(alpha)
+# The --method names and their region builders.
+_BUILDERS = {"minimax": build_minimax_region, "extended": build_extended_region,
+             "js": build_js_region}
 
 
-def _cmd_region_build(args) -> int:
-    region = _build_region(args.method, args.alpha)
-    _emit(serialize(region), args.out)
-    return 0
+def _cmd_region_build(args) -> str:
+    return serialize(_BUILDERS[args.method](args.alpha))
 
 
 def _load_region(path: str):
@@ -106,7 +90,7 @@ def _load_region(path: str):
         return deserialize(fh.read())
 
 
-def _cmd_test(args) -> int:
+def _cmd_test(args) -> dict:
     if args.region is not None:
         region = _load_region(args.region)
         alpha, method = region.alpha, region.kind
@@ -114,7 +98,7 @@ def _cmd_test(args) -> int:
         if args.alpha is None:
             raise _UsageError("test: --alpha is required without --region")
         alpha, method = _alpha(args.alpha), args.method
-        region = None if method == "js" else _build_region(method, alpha)  # js_test needs no grid
+        region = None if method == "js" else _BUILDERS[method](alpha)  # js_test needs no grid
     z = (args.zx, args.zy)
     payload = {"alpha": alpha, "method": method,
                "zx": _echo(args.zx), "zy": _echo(args.zy)}
@@ -126,11 +110,10 @@ def _cmd_test(args) -> int:
         prob = rejection_prob_at_point(region, z)
         payload["rejection_probability"] = prob
         payload["reject"] = prob >= _DEGENERATE
-    _emit(_json(payload), args.out)
-    return 0
+    return payload
 
 
-def _cmd_test3(args) -> int:
+def _cmd_test3(args) -> dict:
     z = _floats(args.z, "--z", "Z1,Z2,Z3")
     _, k = _latin_order(args.alpha)  # before a square is built or read
     if args.square == "cyclic":
@@ -139,19 +122,16 @@ def _cmd_test3(args) -> int:
         with open(args.square) as fh:
             square = square_from_json(fh.read())
     region = build_latin_region(square, args.alpha)
-    payload = {"alpha": args.alpha, "z": [_echo(v) for v in z],
-               "reject": rejects3(region, z), "order": square.k}
-    _emit(_json(payload), args.out)
-    return 0
+    return {"alpha": args.alpha, "z": [_echo(v) for v in z],
+            "reject": rejects3(region, z), "order": square.k}
 
 
-def _cmd_pvalue(args) -> int:
+def _cmd_pvalue(args) -> dict:
     res = minimax_pvalue((args.zx, args.zy))
-    _emit(_json({"p": res.p, "method": res.method}), args.out)
-    return 0
+    return {"p": res.p, "method": res.method}
 
 
-def _cmd_adjust(args) -> int:
+def _cmd_adjust(args) -> str:
     pvals = _read_columns(args.infile, ["p"])[:, 0].tolist()
     for row, p in enumerate(pvals, start=1):
         if not 0.0 <= p <= 1.0:
@@ -160,37 +140,31 @@ def _cmd_adjust(args) -> int:
     decisions = (benjamini_hochberg if args.rule == "bh" else bonferroni)(pvals, args.q)
     rows = ["p,reject"]
     rows += [f"{p!r},{'true' if d else 'false'}" for p, d in zip(pvals, decisions)]
-    _emit("\n".join(rows) + "\n", args.out)
-    return 0
+    return "\n".join(rows) + "\n"
 
 
-def _cmd_bayes_solve(args) -> int:
+def _cmd_bayes_solve(args) -> str:
     problem = build_lp(args.alpha, args.m, args.prior_sd)
     solution = solve_lp(problem)
     if solution.solver_status != "optimal":
-        sys.stderr.write(f"solver finished with status {solution.solver_status}\n")
-        return 2
-    region = assemble_bayes_region(problem, solution, derandomize=args.derandomize)
-    _emit(serialize(region), args.out)
-    return 0
+        raise DataError(f"solver finished with status {solution.solver_status}")
+    return serialize(assemble_bayes_region(problem, solution, derandomize=args.derandomize))
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> dict:
     covars = _names(args.covars)
     data = load_csv(args.data, args.y, args.a, args.m, covars)
     model = "interaction" if args.interaction else "main_effects"
     fit, z = product_method_stats(data, model, args.a_prime, args.a_dblprime)
-    payload = {
+    return {
         "delta_x_hat": fit.delta_x_hat, "delta_y_hat": fit.delta_y_hat,
         "se_x": fit.se_x, "se_y": fit.se_y, "n": fit.n, "model": fit.model,
         "a_prime": fit.a_prime, "a_dblprime": fit.a_dblprime,
         "zx": z.zx, "zy": z.zy,
     }
-    _emit(_json(payload), args.out)
-    return 0
 
 
-def _cmd_sim_power(args) -> int:
+def _cmd_sim_power(args) -> str:
     methods = tuple(_names(args.methods))
     deltas = tuple(_floats(part.strip(), "--deltas", "X,Y")
                    for part in args.deltas.split(";") if part.strip())
@@ -199,22 +173,17 @@ def _cmd_sim_power(args) -> int:
     region = _load_region(args.bayes_region) if args.bayes_region else None
     spec = SimSpec(methods, deltas, args.n, args.reps, args.seed, args.alpha, region,
                    bayes_randomized=not args.derandomized_bayes)
-    _emit(simulate_power(spec).to_csv(), args.out)
-    return 0
+    return simulate_power(spec).to_csv()
 
 
-def _cmd_sim_ecdf(args) -> int:
+def _cmd_sim_ecdf(args) -> str:
     delta = _floats(args.delta, "--delta", "X,Y")
-    table = simulate_pvalue_ecdf(args.reps, delta, seed=args.seed)
-    _emit(table.to_csv(), args.out)
-    return 0
+    return simulate_pvalue_ecdf(args.reps, delta, seed=args.seed).to_csv()
 
 
-def _cmd_sim_sobel(args) -> int:
+def _cmd_sim_sobel(args) -> str:
     dxs = _floats(args.delta_x, "--delta-x", "X,...")
-    table = sample_sobel_density(dxs, args.n, args.reps, args.seed)
-    _emit(table.to_csv(), args.out)
-    return 0
+    return sample_sobel_density(dxs, args.n, args.reps, args.seed).to_csv()
 
 
 @functools.cache
@@ -222,59 +191,55 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="compnull",
                      description="Optimal tests of a product-of-coefficients null.")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)  # the --out option of every leaf command
+    out.add_argument("--out")
 
     p_region = sub.add_parser("region", help="region document utilities")
     region_sub = p_region.add_subparsers(dest="region_command", required=True)
-    p_rb = region_sub.add_parser("build", help="construct and serialize a region")
+    p_rb = region_sub.add_parser("build", parents=[out],
+                                 help="construct and serialize a region")
     p_rb.add_argument("--alpha", type=float, required=True)
-    p_rb.add_argument("--method", choices=("minimax", "extended", "js"),
-                      default="minimax")
-    p_rb.add_argument("--out")
+    p_rb.add_argument("--method", choices=_BUILDERS, default="minimax")
     p_rb.set_defaults(func=_cmd_region_build)
 
-    p_test = sub.add_parser("test", help="two-coordinate decision at a point")
+    p_test = sub.add_parser("test", parents=[out], help="two-coordinate decision at a point")
     p_test.add_argument("--zx", type=float, required=True)
     p_test.add_argument("--zy", type=float, required=True)
     p_test.add_argument("--alpha", type=float)
-    p_test.add_argument("--method", choices=("minimax", "extended", "js"),
-                        default="minimax")
+    p_test.add_argument("--method", choices=_BUILDERS, default="minimax")
     p_test.add_argument("--region", help="region document built earlier")
-    p_test.add_argument("--out")
     p_test.set_defaults(func=_cmd_test)
 
-    p_t3 = sub.add_parser("test3", help="three-coordinate decision at a point")
+    p_t3 = sub.add_parser("test3", parents=[out], help="three-coordinate decision at a point")
     p_t3.add_argument("--z", required=True, help="Z1,Z2,Z3")
     p_t3.add_argument("--alpha", type=float, required=True)
     p_t3.add_argument("--square", default="cyclic",
                       help="'cyclic' or a square JSON file")
-    p_t3.add_argument("--out")
     p_t3.set_defaults(func=_cmd_test3)
 
-    p_pv = sub.add_parser("pvalue", help="generalized p-value of a point")
+    p_pv = sub.add_parser("pvalue", parents=[out], help="generalized p-value of a point")
     p_pv.add_argument("--zx", type=float, required=True)
     p_pv.add_argument("--zy", type=float, required=True)
-    p_pv.add_argument("--out")
     p_pv.set_defaults(func=_cmd_pvalue)
 
-    p_adj = sub.add_parser("adjust", help="multiple-testing adjustment")
+    p_adj = sub.add_parser("adjust", parents=[out], help="multiple-testing adjustment")
     p_adj.add_argument("rule", choices=("bh", "bonferroni"))
     p_adj.add_argument("--q", type=float, required=True)
     p_adj.add_argument("--in", dest="infile", required=True,
                        help="CSV with a header row and a 'p' column")
-    p_adj.add_argument("--out")
     p_adj.set_defaults(func=_cmd_adjust)
 
     p_bayes = sub.add_parser("bayes", help="Bayes-risk LP utilities")
     bayes_sub = p_bayes.add_subparsers(dest="bayes_command", required=True)
-    p_bs = bayes_sub.add_parser("solve", help="build, solve, and persist a region")
+    p_bs = bayes_sub.add_parser("solve", parents=[out],
+                                help="build, solve, and persist a region")
     p_bs.add_argument("--alpha", type=float, required=True)
     p_bs.add_argument("--m", type=int, required=True)
     p_bs.add_argument("--prior-sd", type=float, default=DEFAULT_PRIOR_SD)
     p_bs.add_argument("--derandomize", action="store_true")
-    p_bs.add_argument("--out")
     p_bs.set_defaults(func=_cmd_bayes_solve)
 
-    p_fit = sub.add_parser("fit", help="fit mediation regressions from CSV")
+    p_fit = sub.add_parser("fit", parents=[out], help="fit mediation regressions from CSV")
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--y", required=True)
     p_fit.add_argument("--a", required=True)
@@ -283,13 +248,12 @@ def _build_parser() -> _Parser:
     p_fit.add_argument("--interaction", action="store_true")
     p_fit.add_argument("--a-prime", type=float, default=1.0)
     p_fit.add_argument("--a-dblprime", type=float, default=0.0)
-    p_fit.add_argument("--out")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo harnesses")
     sim_sub = p_sim.add_subparsers(dest="sim_command", required=True)
 
-    p_sp = sim_sub.add_parser("power", help="rejection-rate curves")
+    p_sp = sim_sub.add_parser("power", parents=[out], help="rejection-rate curves")
     p_sp.add_argument("--methods", default="minimax,js")
     p_sp.add_argument("--deltas", default="0,0", help="'X,Y;X,Y;...'")
     p_sp.add_argument("--alpha", type=float, default=0.05)
@@ -298,22 +262,19 @@ def _build_parser() -> _Parser:
     p_sp.add_argument("--seed", type=int, required=True)
     p_sp.add_argument("--bayes-region", help="region document for the bayes method")
     p_sp.add_argument("--derandomized-bayes", action="store_true")
-    p_sp.add_argument("--out")
     p_sp.set_defaults(func=_cmd_sim_power)
 
-    p_se = sim_sub.add_parser("ecdf", help="p-value ECDF table")
+    p_se = sim_sub.add_parser("ecdf", parents=[out], help="p-value ECDF table")
     p_se.add_argument("--reps", type=int, required=True)
     p_se.add_argument("--delta", default="0,0")
     p_se.add_argument("--seed", type=int, default=0)
-    p_se.add_argument("--out")
     p_se.set_defaults(func=_cmd_sim_ecdf)
 
-    p_sd = sim_sub.add_parser("sobel-density", help="product-statistic samples")
+    p_sd = sim_sub.add_parser("sobel-density", parents=[out], help="product-statistic samples")
     p_sd.add_argument("--delta-x", required=True, help="comma-separated means")
     p_sd.add_argument("--n", type=int, default=100)
     p_sd.add_argument("--reps", type=int, required=True)
     p_sd.add_argument("--seed", type=int, default=0)
-    p_sd.add_argument("--out")
     p_sd.set_defaults(func=_cmd_sim_sobel)
 
     return parser
@@ -329,7 +290,14 @@ def cli_dispatch(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        doc = args.func(args)
+        text = doc if isinstance(doc, str) else json.dumps(doc, sort_keys=True, allow_nan=False)
+        if args.out is None:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        return 0
     except _UsageError as exc:
         sys.stderr.write(f"{exc}\n")
         return 1

@@ -68,6 +68,11 @@ def _seed(value) -> int:
     return int(value)
 
 
+def _generator(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of SeedSequence(seed, spawn_key=key); no key is SeedSequence(seed)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+
+
 @dataclass(frozen=True)
 class SimSpec:
     """Power-simulation request.
@@ -189,8 +194,7 @@ def _power_task(spec: SimSpec, evals, point_index: int, blocks: range) -> dict[s
     for bi in blocks:
         lo = bi * _BLOCK - first
         part = slice(lo, min(lo + _BLOCK, size))
-        ss = np.random.SeedSequence(spec.seed, spawn_key=(point_index, bi))
-        gen = np.random.Generator(np.random.Philox(ss))
+        gen = _generator(spec.seed, point_index, bi)
         gen.standard_normal(out=z[0, part])
         gen.standard_normal(out=z[1, part])
         if aux is not None:
@@ -276,7 +280,7 @@ def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0), *, seed: int = 0) -> 
     """
     reps = _count("reps", reps, 1)
     dx, dy = _finite("delta_star", _unpack(delta_star, 2, "delta_star"))
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(_seed(seed))))
+    gen = _generator(_seed(seed))
     z = gen.standard_normal((reps, 2))
     zx = z[:, 0] + dx
     zy = z[:, 1] + dy
@@ -309,8 +313,7 @@ class DensityTable:
 def _t_statistics(delta_x: float, n: int, reps: int, seed: int, point: int) -> tuple:
     """t-statistics sqrt(n)*mean/sd of both coordinates for reps samples of
     n pairs with means (delta_x, 0), drawn from the sufficient statistics."""
-    ss = np.random.SeedSequence(seed, spawn_key=(point,))
-    gen = np.random.Generator(np.random.Philox(ss))
+    gen = _generator(seed, point)
     z = gen.standard_normal((2, reps))
     z[0] += math.sqrt(n) * delta_x
     z /= np.sqrt(gen.chisquare(n - 1, size=(2, reps)) / (n - 1))

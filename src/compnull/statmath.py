@@ -42,11 +42,14 @@ def _load_ndtr():
     ``numpy.f2py``, ``numpy.testing`` and the ``_ufuncs`` extension, which
     starts scipy's own OpenBLAS; ``ndtr`` lives in the ``_special_ufuncs``
     extension, which needs none of them. An entry already in ``sys.modules``
-    is reused; otherwise the extension is loaded from its file and
-    registered under its real name, so a later ``import scipy.special``
-    reuses it and ``scipy.special.ndtr`` is this same ufunc. Not safe while
-    another thread is importing ``scipy.special`` at the same moment. A
-    scipy without that extension falls back to the package import.
+    is reused; otherwise the extension is loaded from its file and then
+    dropped from ``sys.modules``, where loading puts it before its parent
+    package exists. A later ``import scipy.special`` then loads it as the
+    package's submodule, binding ``scipy.special._special_ufuncs``, and as
+    CPython keeps one copy of a single-phase extension's contents,
+    ``scipy.special.ndtr`` is this same ufunc. Not safe while another thread
+    is importing ``scipy.special`` at the same moment. A scipy without that
+    extension falls back to the package import.
     """
     try:
         if _NDTR_MODULE in sys.modules:
@@ -58,7 +61,7 @@ def _load_ndtr():
             spec = importlib.util.spec_from_file_location(_NDTR_MODULE, path)
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            sys.modules[_NDTR_MODULE] = module
+            sys.modules.pop(_NDTR_MODULE, None)
         return module.ndtr
     except (ImportError, AttributeError):
         from scipy import special
@@ -133,11 +136,6 @@ def _positive(name: str, value) -> float:
     if not (math.isfinite(v) and v > 0.0):
         raise ValueError(f"{name} must be positive and finite, got {v!r}")
     return v
-
-
-def _cdf_array(x: np.ndarray) -> np.ndarray:
-    # The ufunc behind std_normal_cdf, so scalar and batch paths give the same bits.
-    return _ndtr(np.asarray(x, dtype=float))
 
 
 def _band_masses(edges, shifts, folded: bool = False) -> np.ndarray:

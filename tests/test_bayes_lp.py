@@ -24,7 +24,7 @@ from compnull.bayes_lp import (
 )
 from compnull.regions import (OutsideRule, RejectionRegion2D, WeightedRect, analytic_power,
                               analytic_power_batch, serialize)
-from compnull.statmath import Interval, _cdf_array, std_normal_cdf
+from compnull.statmath import Interval, _ndtr, std_normal_cdf
 
 # mpmath, 50 digits
 B_AT_005 = 3.9199279690801085          # twice the 0.025 upper-tail cutoff
@@ -90,7 +90,7 @@ def _prior_interval_weights(edges, prior_sd, grid_points):
     w = weights * half * np.exp(-0.5 * (t / prior_sd) ** 2) / (
         prior_sd * math.sqrt(2.0 * math.pi))
     # band x node matrix of P{N(t,1) in band}
-    g = _cdf_array(edges[1:, None] - t[None, :]) - _cdf_array(edges[:-1, None] - t[None, :])
+    g = _ndtr(edges[1:, None] - t[None, :]) - _ndtr(edges[:-1, None] - t[None, :])
     return g @ w
 
 
@@ -129,7 +129,7 @@ def _per_cell_rows(alpha, m):
     null_grid += [(0.0, float(d)) for d in offsets if d != 0.0]
     g_at = {}
     for d in offsets:
-        g_at[float(d)] = _cdf_array(edges[1:] - d) - _cdf_array(edges[:-1] - d)
+        g_at[float(d)] = _ndtr(edges[1:] - d) - _ndtr(edges[:-1] - d)
     g0 = g_at[0.0]
     rule_mass = analytic_power_batch(_outside_stub(alpha, b), np.array(null_grid))
     rows = []

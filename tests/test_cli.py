@@ -10,6 +10,7 @@ import pytest
 
 import compnull.bayes_lp
 import compnull.cli
+from compnull.bayes_lp import LpSolution
 from compnull.cli import cli_dispatch, main
 from compnull.latin3 import cyclic_latin, square_to_json
 from compnull.mediation import MediationDataset, product_method_stats
@@ -110,6 +111,7 @@ def test_js_decision_builds_no_grid(capsys, monkeypatch):
     def refuse(alpha):
         raise AssertionError("test --method js built a region")
     monkeypatch.setattr(compnull.cli, "build_js_region", refuse)
+    monkeypatch.setitem(compnull.cli._BUILDERS, "js", refuse)
     code, out, _ = _run(capsys, "test", "--zx", "3", "--zy", "-3", "--alpha", "0.05",
                         "--method", "js")
     assert code == 0 and json.loads(out)["reject"] is True
@@ -692,6 +694,44 @@ def test_bayes_solve_refuses_orders_above_the_limit(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: order m=257 exceeds the limit of 256\n")
     with pytest.raises(AssertionError, match="the LP ladder was built"):
         cli_dispatch(["bayes", "solve", "--alpha", "0.05", "--m", "256"])
+
+
+# One command line per leaf command; {dir} is a directory holding p.csv and d.csv.
+_LEAF_COMMANDS = [
+    ("region", "build", "--method", "js", "--alpha", "0.05"),
+    ("test", "--zx", "2.5", "--zy", "1.0", "--alpha", "0.05"),
+    ("test3", "--z", "1,2,3", "--alpha", "0.005"),
+    ("pvalue", "--zx", "2.5", "--zy", "1.0"),
+    ("adjust", "bh", "--q", "0.05", "--in", "{dir}/p.csv"),
+    ("bayes", "solve", "--alpha", "0.05", "--m", "8"),
+    ("fit", "--data", "{dir}/d.csv", "--y", "y", "--a", "a", "--m", "m"),
+    ("simulate", "power", "--reps", "300", "--seed", "1"),
+    ("simulate", "ecdf", "--reps", "20", "--seed", "1"),
+    ("simulate", "sobel-density", "--delta-x", "0,0.3", "--reps", "10", "--seed", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", _LEAF_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_out_file_is_the_document_stdout_prints(tmp_path, capsys, argv):
+    (tmp_path / "p.csv").write_text("p\n0.001\n0.04\n0.3\n")
+    _write_fit_csv(tmp_path / "d.csv")
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    code, out, err = _run(capsys, *argv)
+    assert (code, err) == (0, "") and out
+    path = tmp_path / "doc"
+    code, printed, err = _run(capsys, *argv, "--out", str(path))
+    assert (code, printed, err) == (0, "", "")
+    with open(path, newline="") as fh:
+        text = fh.read()
+    # CSV tables end with a newline of their own; stdout adds one to the other documents
+    assert out == text + ("" if argv[0] in ("adjust", "simulate") else "\n")
+
+
+def test_bayes_solve_reports_a_failed_solve_as_a_data_error(capsys, monkeypatch):
+    monkeypatch.setattr(compnull.cli, "solve_lp",
+                        lambda problem: LpSolution(np.zeros(3), 0.0, "infeasible"))
+    code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "8")
+    assert (code, out, err) == (2, "", "error: solver finished with status infeasible\n")
 
 
 def test_main_alias(capsys):

@@ -37,6 +37,23 @@ def test_exported_names_resolve():
     assert not hasattr(compnull.pvalues, "DEFAULT_RESOLUTION")
 
 
+def test_package_exports_every_module_list():
+    # one export list: each module's __all__, in the package's import order
+    modules = (compnull.statmath, compnull.regions, compnull.closed_form, compnull.pvalues,
+               compnull.latin3, compnull.bayes_lp, compnull.mediation, compnull.simulate,
+               compnull.cli)
+    union = [name for module in modules for name in module.__all__]
+    assert compnull.__all__ == union + ["__version__"]
+    assert len(set(compnull.__all__)) == len(compnull.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(compnull, name) is getattr(module, name)
+    assert {"REGION_KINDS", "DEFAULT_PRIOR_SD"} <= set(compnull.__all__)
+    # every package module except the entry point is listed
+    listed = {module.__name__.rsplit(".", 1)[1] for module in modules}
+    assert listed == {info.name for info in pkgutil.iter_modules(compnull.__path__)} - {"__main__"}
+
+
 def test_array_holders_compare_by_identity():
     # field-wise == on ndarray fields has no truth value, so these compare
     # and hash by identity
@@ -101,23 +118,25 @@ print("numpy.ma" in sys.modules)
 # subprocess and compared with those of this process.
 _BITS = """
 import hashlib, numpy as np
-from compnull.statmath import _cdf_array, std_normal_cdf, std_normal_quantile
+from compnull.statmath import _ndtr, std_normal_cdf, std_normal_quantile
 xs = np.linspace(-40.0, 40.0, 8001)
 ps = np.concatenate((np.linspace(0.0, 1.0, 8001), 10.0 ** -np.linspace(0.0, 320.0, 8001)))
-cdf = _cdf_array(xs).tobytes() + np.array([std_normal_cdf(x) for x in xs.tolist()]).tobytes()
+cdf = _ndtr(xs).tobytes() + np.array([std_normal_cdf(x) for x in xs.tolist()]).tobytes()
 q = np.array([std_normal_quantile(p) for p in ps.tolist()]).tobytes()
 print(hashlib.sha256(cdf).hexdigest(), hashlib.sha256(q).hexdigest())
 """
 
 
 def test_scipy_special_imported_later_reuses_the_ndtr_ufunc(package_env):
-    # compnull registers the extension it loads under its real name, so a
-    # later import of scipy.special (and scipy.stats on top of it) reuses it
+    # compnull leaves the extension it loads out of sys.modules, so a later
+    # import of scipy.special binds it as the package's submodule, and that
+    # import (and scipy.stats on top of it) shares compnull's ufunc
     code = _BITS + """
 import scipy.special, scipy.stats
 from compnull import statmath
 assert scipy.special.ndtr is statmath._ndtr
-assert scipy.special.ndtr(xs).tobytes() == _cdf_array(xs).tobytes()
+assert scipy.special._special_ufuncs.ndtr is statmath._ndtr
+assert scipy.special.ndtr(xs).tobytes() == _ndtr(xs).tobytes()
 assert scipy.special.ndtri(ps).tobytes() == q
 assert abs(scipy.stats.norm.ppf(0.975) - 1.959963984540054) < 1e-15
 print("ok")

@@ -20,7 +20,7 @@ from compnull.latin3 import build_latin_region, cyclic_latin
 from compnull.regions import _CHUNK
 from compnull.regions import TestStatisticPair as StatisticPair  # not a test class
 from compnull.simulate import SimSpec, simulate_power
-from compnull.statmath import _cdf_array
+from compnull.statmath import _ndtr
 
 Q_08 = 0.84162123357291421   # quantile(4/5)
 Q_5_7 = 0.56594882193286305  # quantile(5/7)
@@ -294,8 +294,8 @@ def test_batch_power_matches_scalar():
 
 def _unblocked_power(region, deltas):
     """Exact power with all shifts in one pass, the oracle for the blocked kernel."""
-    gx = np.diff(_cdf_array(region.x_edges[None, :] - deltas[:, :1]), axis=1)
-    gy = np.diff(_cdf_array(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
+    gx = np.diff(_ndtr(region.x_edges[None, :] - deltas[:, :1]), axis=1)
+    gy = np.diff(_ndtr(region.y_edges[None, :] - deltas[:, 1:]), axis=1)
     return np.clip(((gx @ region.probs) * gy).sum(axis=1), 0.0, 1.0)
 
 

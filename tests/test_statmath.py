@@ -17,7 +17,7 @@ from compnull import (Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
                       build_minimax_region, cyclic_latin, extended_breakpoints,
                       folded_interval_prob, gaussian_interval_prob, js_test,
                       origin_type1, sobel_test, std_normal_cdf, std_normal_quantile)
-from compnull.statmath import _band_masses, _cdf_array, _two_sided_cutoff
+from compnull.statmath import _band_masses, _ndtr, _two_sided_cutoff
 
 Q_975 = 1.9599639845400542
 Q_995 = 2.5758293035489008
@@ -55,7 +55,7 @@ def test_scalar_and_array_cdf_agree_bitwise():
     xs = np.concatenate((np.linspace(-40.0, 40.0, 80_001),
                          np.random.default_rng(7).uniform(-40.0, 40.0, 20_000)))
     scalar = np.array([std_normal_cdf(x) for x in xs.tolist()])
-    assert scalar.tobytes() == _cdf_array(xs).tobytes()
+    assert scalar.tobytes() == _ndtr(xs).tobytes()
 
 
 def test_quantile_on_the_ladder_within_four_ulps():
