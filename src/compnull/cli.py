@@ -17,14 +17,14 @@ import math
 import sys
 
 from .bayes_lp import DEFAULT_PRIOR_SD, assemble_bayes_region, build_lp, solve_lp
-from .closed_form import build_extended_region, build_js_region, build_minimax_region, js_test
+from .closed_form import _BUILDERS, js_test
 from .latin3 import (_latin_order, build_latin_region, cyclic_latin, normalize_corner,
                      rejects3, square_from_json)
 from .mediation import DataError, _read_columns, load_csv, product_method_stats
 from .pvalues import benjamini_hochberg, bonferroni, minimax_pvalue
 from .regions import (_DEGENERATE, RegionFormatError, RegionValidationError, deserialize,
                       rejection_prob_at_point, serialize)
-from .simulate import (SimSpec, sample_sobel_density, simulate_power,
+from .simulate import (SimSpec, _csv, sample_sobel_density, simulate_power,
                        simulate_pvalue_ecdf)
 from .statmath import _alpha
 
@@ -74,11 +74,6 @@ def _floats(text: str, flag: str, form: str) -> tuple[float, ...]:
 def _names(text: str) -> list[str]:
     """The comma-separated names of ``text``, stripped like CSV header names."""
     return [name for name in map(str.strip, text.split(",")) if name]
-
-
-# The --method names and their region builders.
-_BUILDERS = {"minimax": build_minimax_region, "extended": build_extended_region,
-             "js": build_js_region}
 
 
 def _cmd_region_build(args) -> str:
@@ -138,9 +133,8 @@ def _cmd_adjust(args) -> str:
             raise DataError(f"{args.infile}: row {row}, column 'p': "
                             f"p-value must lie in [0, 1], got {p!r}")
     decisions = (benjamini_hochberg if args.rule == "bh" else bonferroni)(pvals, args.q)
-    rows = ["p,reject"]
-    rows += [f"{p!r},{'true' if d else 'false'}" for p, d in zip(pvals, decisions)]
-    return "\n".join(rows) + "\n"
+    return _csv("p,reject", (f"{p!r},{'true' if d else 'false'}"
+                             for p, d in zip(pvals, decisions)))
 
 
 def _cmd_bayes_solve(args) -> str:

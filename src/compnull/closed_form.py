@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import RejectionRegion2D, _check_cell_count, _js_outside, _statistics
-from .statmath import (_alpha, _count, _finite, _positive, _two_sided_cutoff, _two_sided_p,
-                       std_normal_quantile)
+from .statmath import (_alpha, _finite, _positive, _sample_size, _two_sided_cutoff,
+                       _two_sided_p, std_normal_quantile)
 
 __all__ = [
     "build_minimax_region",
@@ -128,6 +128,11 @@ def build_js_region(alpha: float) -> RejectionRegion2D:
                                        _js_outside(edges, edges, t, None))
 
 
+# The region builders by name: the CLI's --method choices and simulate_power's regions
+_BUILDERS = {"minimax": build_minimax_region, "extended": build_extended_region,
+             "js": build_js_region}
+
+
 def origin_type1(alpha: float) -> float:
     """Exact type-1 error of the extended region at delta* = (0, 0).
 
@@ -141,6 +146,23 @@ def origin_type1(alpha: float) -> float:
         return alpha
     m = k or n - 1  # the bands of mass alpha; the inner band holds the rest
     return m * alpha * alpha + (1.0 - m * alpha) ** 2
+
+
+def _js_rejects(zx, zy, t):
+    """The joint-significance decision |zx| > t and |zy| > t, for floats or arrays."""
+    return (abs(zx) > t) & (abs(zy) > t)
+
+
+def _sobel(zx, zy):
+    """Sobel statistic zx*zy/hypot(zx, zy) of z- or t-statistics (floats or arrays) on the
+    extended reals, as min(|zx|, |zy|)/sqrt(1 + r**2) with r = min/max and the sign of
+    zx*zy: it never overflows, is 0 where either z is 0 and sign(zx)*zy at zx = +-inf."""
+    s = np.minimum(np.abs(zx), np.abs(zy))
+    with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, where |zx| = |zy| and r = 1
+        r = np.fmin(s / np.maximum(np.abs(zx), np.abs(zy)), 1.0)
+    s = np.copysign(s, zx)
+    s /= np.copysign(np.sqrt(r * r + 1.0), zy)  # in place: a power-study chunk holds fewer arrays
+    return s
 
 
 @dataclass(frozen=True)
@@ -160,8 +182,8 @@ def js_test(z, alpha: float) -> JsTestResult:
     alpha = _alpha(alpha)
     zx, zy = _statistics(z, 2)
     threshold = _two_sided_cutoff(alpha)
-    reject = abs(zx) > threshold and abs(zy) > threshold
-    return JsTestResult(reject, float(max(_two_sided_p(zx), _two_sided_p(zy))), threshold)
+    return JsTestResult(_js_rejects(zx, zy, threshold),
+                        float(max(_two_sided_p(zx), _two_sided_p(zy))), threshold)
 
 
 @dataclass(frozen=True)
@@ -177,20 +199,17 @@ def sobel_test(delta_x_hat: float, delta_y_hat: float, se_x: float, se_y: float,
     """Delta-method (Sobel) test of the product of the two estimates.
 
     ``se_x``/``se_y`` are on the sqrt(n)-scale: the standard deviations of
-    sqrt(n)*(estimate - truth). Z = sqrt(n)*dx*dy / sqrt(dy^2 se_x^2 +
-    dx^2 se_y^2). Both estimates zero makes the denominator vanish; that
-    degenerate case reports Z=0, p=1 with a flag instead of an error. The
-    estimates must be finite, the SEs positive and finite, and n an integer.
+    sqrt(n)*(estimate - truth). The estimates are standardized first, zx =
+    sqrt(n)*dx/se_x and zy = sqrt(n)*dy/se_y, and Z = zx*zy/hypot(zx, zy)
+    (:func:`_sobel`), so Z depends only on those ratios, not on the scale of
+    the estimates. Both estimates zero is the degenerate case: Z=0, p=1 with
+    a flag instead of an error. The estimates must be finite, the SEs
+    positive and finite, and n an integer.
     """
     alpha = _alpha(alpha)
     (dx,), (dy,) = _finite("delta_x_hat", (delta_x_hat,)), _finite("delta_y_hat", (delta_y_hat,))
     se_x, se_y = _positive("se_x", se_x), _positive("se_y", se_y)
-    n = _count("n", n, 1)
-    denom = math.hypot(dy * se_x, dx * se_y)
-    if denom == 0.0:
-        return SobelTestResult(0.0, 1.0, False, True)
-    stat = math.sqrt(n) * dx * dy / denom
-    if stat != stat:  # both the product and its standard error overflow
-        raise ValueError(f"the Sobel statistic of {dx!r}*{dy!r} overflows")
+    root_n = math.sqrt(_sample_size(n, 1))
+    stat = float(_sobel(root_n * dx / se_x, root_n * dy / se_y))
     reject = abs(stat) > _two_sided_cutoff(alpha)
-    return SobelTestResult(stat, float(_two_sided_p(stat)), reject, False)
+    return SobelTestResult(stat, float(_two_sided_p(stat)), reject, dx == dy == 0.0)

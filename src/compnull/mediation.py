@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .regions import EstimateProvenance, TestStatisticPair
-from .statmath import _count, _finite, _positive
+from .statmath import _finite, _positive, _sample_size
 
 __all__ = [
     "DataError",
@@ -267,7 +267,7 @@ def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,
         raise ValueError(
             "sigma must be diagonal; refusing to whiten correlated estimates")
     var_x, var_y = _positive("sigma[0][0]", s[0, 0]), _positive("sigma[1][1]", s[1, 1])
-    return _pair(dx, dy, math.sqrt(var_x), math.sqrt(var_y), _count("n", n, 1))
+    return _pair(dx, dy, math.sqrt(var_x), math.sqrt(var_y), _sample_size(n, 1))
 
 
 def _read_columns(path, names) -> np.ndarray:

@@ -216,9 +216,12 @@ class RejectionRegion2D:
         return ((self.alpha, self.kind) == (other.alpha, other.kind)
                 and all(np.array_equal(a, b) for a, b in zip(self._grid(), other._grid())))
 
+    def _grid_key(self) -> tuple[bytes, ...]:
+        """The grid's bytes, equal for equal grids: the grid holds no -0.0 (see _set_grid)."""
+        return tuple(a.tobytes() for a in self._grid())
+
     def __hash__(self):
-        # the grid holds no -0.0 (see _set_grid), so equal grids have equal bytes
-        return hash((self.alpha, self.kind) + tuple(a.tobytes() for a in self._grid()))
+        return hash((self.alpha, self.kind) + self._grid_key())
 
     def __repr__(self):
         nx, ny = self.probs.shape

@@ -8,8 +8,8 @@ Reproducibility scheme: replicates are split into fixed-size blocks; block
 (point_index, block_index) draws from a counter-based generator seeded by
 SeedSequence(seed, spawn_key=(point_index, block_index)). A task takes up to
 _TASK_BLOCKS consecutive blocks of one point and looks their draws up
-together; tasks are merged by exact integer counts, so results are
-identical for any worker count, including serial runs.
+together; tasks run on one thread pool and are merged by exact integer counts, so
+results are identical for any worker count, one included.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
-from .closed_form import build_extended_region, build_minimax_region
+from .closed_form import _BUILDERS, _js_rejects, _sobel
 from .pvalues import minimax_pvalue_batch
 from .regions import _DEGENERATE, RejectionRegion2D, _unpack, rejection_prob_at_points
-from .statmath import _alpha, _count, _finite, _two_sided_cutoff, _two_sided_p
+from .statmath import _alpha, _count, _finite, _sample_size, _two_sided_cutoff, _two_sided_p
 
 __all__ = [
     "SimSpec",
@@ -80,8 +79,8 @@ class SimSpec:
     A replicate stands for ``n`` i.i.d. normal pairs with mean delta and
     identity covariance. The methods read only ``sqrt(n)*mean``, which is drawn
     from its exact law ``N(sqrt(n)*delta, I)``, and all share the same draws.
-    Shifts must be finite, ``n`` and ``reps`` positive integers and ``seed``
-    an integer in [0, 2**64).
+    Shifts must be finite, ``n`` and ``reps`` positive integers (``n`` at
+    most the largest float) and ``seed`` an integer in [0, 2**64).
     """
 
     methods: tuple[str, ...]
@@ -106,7 +105,7 @@ class SimSpec:
         if not grid:
             raise ValueError("delta_grid must be non-empty")
         object.__setattr__(self, "delta_grid", grid)
-        object.__setattr__(self, "n", _count("n", self.n, 1))
+        object.__setattr__(self, "n", _sample_size(self.n, 1))
         object.__setattr__(self, "reps", _count("reps", self.reps, 1))
         object.__setattr__(self, "seed", _seed(self.seed))
         object.__setattr__(self, "alpha", _alpha(self.alpha))
@@ -127,7 +126,14 @@ class SimRow:
     seed: int
 
 
-_POWER_HEADER = "delta_x,delta_y,method,alpha,n,reps,reject_rate,mc_se,seed"
+def _csv(header: str, lines) -> str:
+    """A CSV document: the header, then each of ``lines``, every one ending in a newline."""
+    return "\n".join((header, *lines, ""))
+
+
+def _first(entries, key) -> np.ndarray:
+    """The array of the first entry keyed ``key`` (keys may repeat); KeyError if none."""
+    return dict(reversed(entries))[key]
 
 
 @dataclass(frozen=True)
@@ -135,12 +141,9 @@ class SimResult:
     rows: tuple[SimRow, ...]
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write(_POWER_HEADER + "\n")
-        for r in self.rows:
-            buf.write(f"{r.delta_x!r},{r.delta_y!r},{r.method},{r.alpha!r},"
-                      f"{r.n},{r.reps},{r.reject_rate!r},{r.mc_se!r},{r.seed}\n")
-        return buf.getvalue()
+        return _csv("delta_x,delta_y,method,alpha,n,reps,reject_rate,mc_se,seed",
+                    (f"{r.delta_x!r},{r.delta_y!r},{r.method},{r.alpha!r},"
+                     f"{r.n},{r.reps},{r.reject_rate!r},{r.mc_se!r},{r.seed}" for r in self.rows))
 
 
 def _method_evaluators(spec: SimSpec):
@@ -150,32 +153,17 @@ def _method_evaluators(spec: SimSpec):
     region, so the two share one lookup (minimax and extended at 1/K).
     """
     evals = {}
-    regions = []
+    regions = {}  # by grid alone: == would also compare kind and alpha
     for name in spec.methods:
         if name in ("js", "sobel"):  # a statistic against the two-sided cutoff
             evals[name] = (name, _two_sided_cutoff(spec.alpha), None)
             continue
-        if name == "minimax":
-            region, randomized = build_minimax_region(spec.alpha), True
-        elif name == "extended":
-            region, randomized = build_extended_region(spec.alpha), True
-        else:
+        if name == "bayes":
             region, randomized = spec.bayes_region, spec.bayes_randomized
-        # == would also compare kind and alpha
-        for earlier in regions:
-            if all(np.array_equal(u, v) for u, v in zip(earlier._grid(), region._grid())):
-                region = earlier
-                break
         else:
-            regions.append(region)
-        evals[name] = ("region", region, randomized)
+            region, randomized = _BUILDERS[name](spec.alpha), True
+        evals[name] = ("region", regions.setdefault(region._grid_key(), region), randomized)
     return evals
-
-
-def _sobel(zx: np.ndarray, zy: np.ndarray) -> np.ndarray:
-    """Product-ratio statistic zx*zy/hypot(zx, zy) of z- or t-statistics; 0 at (0, 0)."""
-    denom = np.hypot(zx, zy)
-    return np.divide(zx * zy, denom, out=np.zeros_like(denom), where=denom > 0.0)
 
 
 def _power_task(spec: SimSpec, evals, point_index: int, blocks: range) -> dict[str, int]:
@@ -212,7 +200,7 @@ def _power_task(spec: SimSpec, evals, point_index: int, blocks: range) -> dict[s
             probs = lookups[id(obj)]
             rej = aux < probs if randomized else probs >= _DEGENERATE
         elif kind == "js":
-            rej = (np.abs(zx) > obj) & (np.abs(zy) > obj)
+            rej = _js_rejects(zx, zy, obj)
         else:
             rej = np.abs(_sobel(zx, zy)) > obj
         counts[name] = int(np.count_nonzero(rej))
@@ -228,15 +216,10 @@ def simulate_power(spec: SimSpec) -> SimResult:
              for b in range(0, n_blocks, _TASK_BLOCKS)]
 
     totals = [dict.fromkeys(spec.methods, 0) for _ in spec.delta_grid]
-    workers = worker_count()
-    if workers == 1 or len(tasks) == 1:
-        results = [_power_task(spec, evals, *t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda t: _power_task(spec, evals, *t), tasks))
-    for (pi, _), counts in zip(tasks, results):
-        for name, c in counts.items():
-            totals[pi][name] += c
+    with ThreadPoolExecutor(max_workers=min(worker_count(), len(tasks))) as pool:
+        for (pi, _), counts in zip(tasks, pool.map(lambda t: _power_task(spec, evals, *t), tasks)):
+            for name, c in counts.items():
+                totals[pi][name] += c
 
     rows = []
     for pi, (dx, dy) in enumerate(spec.delta_grid):
@@ -256,19 +239,13 @@ class EcdfTable:
     entries: tuple[tuple[str, np.ndarray], ...]
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("method,p_value,ecdf\n")
-        for method, sorted_p in self.entries:
-            reps = len(sorted_p)
-            for i, p in enumerate(sorted_p, start=1):
-                buf.write(f"{method},{float(p)!r},{i / reps!r}\n")
-        return buf.getvalue()
+        return _csv("method,p_value,ecdf",
+                    (f"{method},{float(p)!r},{i / len(sorted_p)!r}"
+                     for method, sorted_p in self.entries
+                     for i, p in enumerate(sorted_p, start=1)))
 
     def pvalues(self, method: str) -> np.ndarray:
-        for name, arr in self.entries:
-            if name == method:
-                return arr
-        raise KeyError(method)
+        return _first(self.entries, method)
 
 
 def simulate_pvalue_ecdf(reps: int, delta_star=(0.0, 0.0), *, seed: int = 0) -> EcdfTable:
@@ -296,18 +273,11 @@ class DensityTable:
     entries: tuple[tuple[float, np.ndarray], ...]
 
     def to_csv(self) -> str:
-        buf = StringIO()
-        buf.write("delta_x,sample\n")
-        for dx, samples in self.entries:
-            for s in samples:
-                buf.write(f"{dx!r},{float(s)!r}\n")
-        return buf.getvalue()
+        return _csv("delta_x,sample", (f"{dx!r},{float(s)!r}"
+                                       for dx, samples in self.entries for s in samples))
 
     def samples(self, delta_x: float) -> np.ndarray:
-        for dx, arr in self.entries:
-            if dx == delta_x:
-                return arr
-        raise KeyError(delta_x)
+        return _first(self.entries, delta_x)
 
 
 def _t_statistics(delta_x: float, n: int, reps: int, seed: int, point: int) -> tuple:
@@ -316,7 +286,8 @@ def _t_statistics(delta_x: float, n: int, reps: int, seed: int, point: int) -> t
     gen = _generator(seed, point)
     z = gen.standard_normal((2, reps))
     z[0] += math.sqrt(n) * delta_x
-    z /= np.sqrt(gen.chisquare(n - 1, size=(2, reps)) / (n - 1))
+    with np.errstate(over="ignore"):  # a t-statistic past the float range is inf
+        z /= np.sqrt(gen.chisquare(n - 1, size=(2, reps)) / (n - 1))
     return z[0], z[1]
 
 
@@ -326,7 +297,7 @@ def sample_sobel_density(delta_x_list, n: int, reps: int, seed: int = 0) -> Dens
     For each delta_x: reps samples of n pairs with means (delta_x, 0), and
     the standardized product statistic of their sample means and SDs.
     """
-    n, reps, seed = _count("n", n, 2), _count("reps", reps, 1), _seed(seed)
+    n, reps, seed = _sample_size(n, 2), _count("reps", reps, 1), _seed(seed)
     return DensityTable(tuple(
         (dx, _sobel(*_t_statistics(dx, n, reps, seed, pi)))
         for pi, dx in enumerate(_finite("delta_x_list", delta_x_list))))
@@ -337,6 +308,6 @@ def sample_product_statistic(delta_x: float, n: int, reps: int, seed: int = 0,
     """Rescaled product estimates n*dx_hat*dy_hat/(s_x*s_y), same design as
     sample_sobel_density; near the double null this approaches the law of a
     product of two independent standard normals."""
-    n, reps, seed = _count("n", n, 2), _count("reps", reps, 1), _seed(seed)
+    n, reps, seed = _sample_size(n, 2), _count("reps", reps, 1), _seed(seed)
     tx, ty = _t_statistics(_finite("delta_x", (delta_x,))[0], n, reps, seed, 0)
     return tx * ty

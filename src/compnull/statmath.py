@@ -92,10 +92,6 @@ class Interval:
         """Open-interval membership: lo < x < hi."""
         return self.lo < x < self.hi
 
-    def mirrored(self) -> "Interval":
-        """The reflection (-hi, -lo)."""
-        return Interval(-self.hi, -self.lo)
-
 
 def std_normal_cdf(x: float) -> float:
     """Standard normal cdf (``scipy.special.ndtr``); 0.0 below about -37.7."""
@@ -120,6 +116,15 @@ def _count(name: str, value, least: int) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
     return int(value)
+
+
+def _sample_size(value, least: int) -> int:
+    """``value`` as a sample size n: an int of at least ``least`` whose sqrt(n) is a float."""
+    n = _count("n", value, least)
+    if n > sys.float_info.max:
+        raise ValueError(f"n must be at most {sys.float_info.max!r}, "
+                         f"got a {n.bit_length()}-bit integer")
+    return n
 
 
 def _finite(name: str, values) -> tuple[float, ...]:

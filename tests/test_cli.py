@@ -10,6 +10,7 @@ import pytest
 
 import compnull.bayes_lp
 import compnull.cli
+import compnull.closed_form
 from compnull.bayes_lp import LpSolution
 from compnull.cli import cli_dispatch, main
 from compnull.latin3 import cyclic_latin, square_to_json
@@ -110,8 +111,7 @@ def test_js_decision_builds_no_grid(capsys, monkeypatch):
     # js_test needs only the level; the 3 x 3 region is built for documents alone
     def refuse(alpha):
         raise AssertionError("test --method js built a region")
-    monkeypatch.setattr(compnull.cli, "build_js_region", refuse)
-    monkeypatch.setitem(compnull.cli._BUILDERS, "js", refuse)
+    monkeypatch.setitem(compnull.closed_form._BUILDERS, "js", refuse)
     code, out, _ = _run(capsys, "test", "--zx", "3", "--zy", "-3", "--alpha", "0.05",
                         "--method", "js")
     assert code == 0 and json.loads(out)["reject"] is True
@@ -420,6 +420,14 @@ def test_simulate_refuses_non_finite_shifts(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field} must be finite")
+
+
+@pytest.mark.parametrize("command", [("power", "--seed", "1"), ("sobel-density", "--delta-x", "0")])
+def test_simulate_refuses_an_n_whose_root_overflows(capsys, command):
+    # sqrt(n) of a 401-digit n is no float; this used to end in an OverflowError traceback
+    code, out, err = _run(capsys, "simulate", *command, "--reps", "10", "--n", "1" + "0" * 400)
+    assert (code, out) == (1, "")
+    assert err == "error: n must be at most 1.7976931348623157e+308, got a 1329-bit integer\n"
 
 
 def test_adjust_golden(tmp_path, capsys):

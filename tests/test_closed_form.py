@@ -4,6 +4,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from compnull import (Interval, OutsideRule, RegionValidationError,
                       extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
                       rejection_prob_at_point, rejection_prob_at_points, serialize,
                       sobel_test, std_normal_cdf, std_normal_quantile)
-from compnull.closed_form import _unit_order
+from compnull.closed_form import _js_rejects, _sobel, _unit_order
+from compnull.statmath import _two_sided_cutoff
 
 Q_08 = 0.84162123357291421
 Q_5_7 = 0.56594882193286305
@@ -359,13 +361,54 @@ def test_sobel_degenerate_input():
     ((1.0, 1.0, 1.0, 1.0, 2.5), "n must be an integer, got 2.5"),
     ((1.0, 1.0, 1.0, 1.0, True), "n must be an integer, got True"),
     ((1.0, 1.0, 1.0, 1.0, 0), "n must be >= 1, got 0"),
-    # the product and its standard error both overflow, so Z = inf/inf
-    ((1e200, 1e200, 1e200, 1e200, 10), "the Sobel statistic of 1e+200*1e+200 overflows"),
 ])
 def test_sobel_input_contract(args, message):
     with pytest.raises(ValueError) as err:
         sobel_test(*args)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-170, 1e200])
+def test_sobel_depends_only_on_z_ratios(scale):
+    # the estimates are standardized first, so neither their product nor its
+    # standard error under- or overflows: at 1e-200 and 1e-170 the products
+    # dy*se_x used to underflow to 0, a degenerate Z = 0, and at 1e200 both overflowed
+    unit = sobel_test(1.0, 1.0, 1.0, 1.0, 10)
+    res = sobel_test(scale, scale, scale, scale, 10)
+    assert res.statistic == pytest.approx(unit.statistic, rel=1e-15, abs=0.0)
+    assert res.p_value == pytest.approx(unit.p_value, rel=1e-15, abs=0.0)
+    assert res.reject and unit.reject and not res.degenerate
+    # a z-ratio past the float range is inf, where Z is the other z-ratio
+    res = sobel_test(1e300, -0.2, 1e-10, 1.0, 100)
+    assert res.statistic == -2.0 and not res.degenerate
+
+
+def test_sobel_statistic_on_the_extended_reals():
+    inf = math.inf
+    cases = [((inf, 2.0), 2.0), ((-inf, 2.0), -2.0), ((2.0, -inf), -2.0), ((-3.0, -inf), 3.0),
+             ((inf, inf), inf), ((inf, -inf), -inf), ((-inf, -inf), inf),
+             ((0.0, 3.0), 0.0), ((-2.0, 0.0), 0.0), ((0.0, 0.0), 0.0), ((0.0, inf), 0.0),
+             ((1e200, 1e200), 1e200 / math.sqrt(2.0)), ((-1e300, 1e-300), -1e-300),
+             ((1e-310, 1.0), 1e-310)]
+    zx, zy = np.array([z for z, _ in cases]).T
+    want = [w for _, w in cases]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for (x, y), w in cases:
+            assert _sobel(x, y) == pytest.approx(w, rel=1e-15, abs=0.0), (x, y)
+        assert _sobel(zx, zy).tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_js_rejects_matches_js_test():
+    # the one JS decision, on the cutoff, either side of it, at 0 and at +-inf
+    t = _two_sided_cutoff(0.05)
+    values = [t, math.nextafter(t, math.inf), math.nextafter(t, -math.inf), 0.0, math.inf]
+    values += [-v for v in values]
+    zx, zy = np.array([(x, y) for x in values for y in values]).T
+    want = [js_test((x, y), 0.05).reject for x, y in zip(zx, zy)]
+    assert _js_rejects(zx, zy, t).tolist() == want
+    assert [_js_rejects(float(x), float(y), t) for x, y in zip(zx, zy)] == want
+    assert sum(want) == 16 and all(type(w) is bool for w in want)
 
 
 def test_sobel_accepts_numpy_integers():

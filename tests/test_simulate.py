@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -387,6 +388,31 @@ def test_sobel_density_csv_shape():
     dx, sample = lines[1].split(",")
     assert float(dx) == 0.2
     float(sample)
+
+
+def test_an_n_whose_root_overflows_is_refused():
+    huge = 10 ** 400  # sqrt(n) would raise OverflowError
+    message = "n must be at most 1.7976931348623157e+308, got a 1329-bit integer"
+    for call in (lambda: SimSpec(("js",), ((0.0, 0.0),), huge, 10, 1),
+                 lambda: sample_sobel_density([0.0], huge, 10),
+                 lambda: sample_product_statistic(0.0, huge, 10)):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_shifts_past_the_float_range_reject_surely(shipped_bayes_region):
+    # sqrt(n)*1e308 is inf at n = 50 and 1.4e308 at n = 2: every method rejects,
+    # the Sobel rule included (it used to be NaN there and never reject), with
+    # no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 50):
+            spec = SimSpec(simulate._METHODS, ((1e308, 1e308), (-1e308, 1e308)), n, 300, 5,
+                           bayes_region=shipped_bayes_region)
+            assert {row.reject_rate for row in simulate_power(spec).rows} == {1.0}, n
+        table = sample_sobel_density([1e308], 2, 50, seed=3)
+        assert np.isfinite(table.samples(1e308)).all()
 
 
 def test_sample_product_statistic():

@@ -141,7 +141,6 @@ def test_cdf_quantile_round_trip():
 def test_interval_validation():
     iv = Interval(-1.0, 2.5)
     assert iv.contains(0.0) and not iv.contains(-1.0) and not iv.contains(2.5)
-    assert iv.mirrored() == Interval(-2.5, 1.0)
     Interval(3.0, 3.0)  # degenerate allowed, contains nothing
     assert not Interval(3.0, 3.0).contains(3.0)
     with pytest.raises(ValueError):
