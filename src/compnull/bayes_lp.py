@@ -246,98 +246,157 @@ _CERT_TOL = 1e-12
 # a skipped ratio-test entry moves its reduced cost by at most this per unit
 # of dual step, well inside the certificate
 _PIVOT_TOL = 1e-13
+# candidates the ratio test sorts first; most pivots enter within them
+_RATIO_TOP = 64
+
+
+def _ratio_test(step, weight, slope):
+    """Bound-flipping ratio test over candidates listed in column order.
+
+    ``step`` holds each candidate's breakpoint and ``weight`` how much the
+    dual slope falls once it is passed; ``slope`` is the slope at step 0.
+    Taken in stable order of their steps, candidates are passed until the
+    slope reaches 0 or below. Only a prefix of that order is sorted: every
+    candidate whose step is at most the ``top``-th smallest, ties at that
+    bound included, so the prefix is exactly that of the full stable sort.
+    ``top`` starts at ``_RATIO_TOP`` and grows fourfold until the slope
+    crosses 0 within it. Returns the positions of the passed candidates, in
+    order, and of the entering one, or None when the slope stays positive
+    past every candidate.
+    """
+    top = _RATIO_TOP
+    while True:
+        if top >= len(step):
+            order = np.argsort(step, kind="stable")
+        else:
+            prefix = np.flatnonzero(step <= np.partition(step, top - 1)[top - 1])
+            order = prefix[np.argsort(step[prefix], kind="stable")]
+        passed = np.flatnonzero(slope - np.cumsum(weight[order]) <= 0.0)
+        if len(passed):
+            return order[:passed[0]], int(order[passed[0]])
+        if len(order) == len(step):
+            return None
+        top *= 4
+
+
+def _basic_matrix(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Columns ``basis`` of [a | I]: column j < n of a, else unit vector j - n."""
+    k, n = a.shape
+    out = np.zeros((k, len(basis)))
+    slack = basis >= n
+    out[:, ~slack] = a[:, basis[~slack]]
+    out[basis[slack] - n, np.flatnonzero(slack)] = 1.0
+    return out
 
 
 def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
     """Maximize gain @ x subject to a @ x <= rhs and 0 <= x <= 1, gain > 0.
 
     Bounded dual simplex on [a | I], the slack columns s >= 0 unbounded
-    above. Every x starts at its upper bound 1 with the slacks basic: with a
-    positive gain that basis is dual feasible, so no phase 1 is needed. Each
-    step the most infeasible basic row leaves for its violated bound, and a
-    bound-flipping ratio test flips every boxed column whose breakpoint it
+    above; the identity block is never built, since a slack column is a unit
+    vector and a nonbasic slack is always 0. Every x starts at its upper
+    bound 1 with the slacks basic: with a positive gain that basis is dual
+    feasible, so no phase 1 is needed. Each step the most infeasible basic
+    row leaves for its violated bound, and a bound-flipping ratio test
+    (:func:`_ratio_test`) flips every boxed column whose breakpoint it
     passes before the column that enters. The basis inverse takes rank-1
     updates and is rebuilt every ``_REFACTOR`` pivots. The rhs residual of
     the nonbasic columns and the reduced costs are updated per pivot, from
     the columns that move and the pivot row, and recomputed from scratch at
-    each rebuild; the final basis is certified from fresh solves. Returns
+    each rebuild. Once no row is infeasible the basis is certified from
+    fresh solves; a basis that fails after pivots since its last fresh
+    factorization is rebuilt from that factorization and the loop goes on,
+    and one that fails right after it raises ``RuntimeError``. Returns
     (x, status, iterations), x None unless the status is "optimal".
     """
     k, n = a.shape
-    full = np.hstack((a, np.eye(k)))
     cost = np.concatenate((-gain / gain.max(), np.zeros(k)))
     upper = np.concatenate((np.ones(n), np.full(k, np.inf)))
     # each nonbasic column's value, 0 or its upper bound; 0 on basic columns
     value = np.concatenate((np.ones(n), np.zeros(k)))
     basis = np.arange(n, n + k)
+    nonbasic = np.concatenate((np.ones(n, dtype=bool), np.zeros(k, dtype=bool)))
     binv = np.eye(k)
     # rhs less the nonbasic columns at their values, so x_b = binv @ resid;
     # the all-slack basis has zero duals, so the reduced costs start at cost
     resid = rhs - a @ value[:n]
     reduced = cost.copy()
-    iterations = 0
+    iterations = fresh = 0
     while True:
         x_b = binv @ resid
         infeas = np.maximum(-x_b, x_b - upper[basis])
         r = int(np.argmax(infeas))
         if infeas[r] <= _LOOP_TOL:
-            break
+            # certificate: fresh basic values within their bounds, and each
+            # reduced cost signed for its column's bound
+            basic_matrix = _basic_matrix(a, basis)
+            resid = rhs - a @ value[:n]
+            x_b = np.linalg.solve(basic_matrix, resid)
+            duals = np.linalg.solve(basic_matrix.T, cost[basis])
+            reduced = cost - np.concatenate((duals @ a, duals))
+            reduced[basis] = 0.0
+            if (np.max(np.maximum(-x_b, x_b - upper[basis])) <= _CERT_TOL
+                    and np.max(np.where(value > 0.0, reduced, -reduced)) <= _CERT_TOL):
+                break
+            if iterations == fresh:
+                raise RuntimeError("solver failed: the final basis is not certified optimal")
+            binv, fresh = np.linalg.inv(basic_matrix), iterations
+            continue
         if iterations == _MAX_ITERATIONS:
             return None, "iteration_limit", iterations
         iterations += 1
         # the leaving variable moves to its violated bound, and each reduced
         # cost moves by step * alpha_r[j] for a dual step >= 0
         sign = 1.0 if x_b[r] < 0.0 else -1.0
-        alpha_r = sign * (binv[r] @ full)
+        alpha_r = np.concatenate((binv[r] @ a, binv[r]))
+        alpha_r *= sign
         at_upper = value > 0.0
-        nonbasic = np.ones(n + k, dtype=bool)
-        nonbasic[basis] = False
         cand = np.flatnonzero(nonbasic & np.where(at_upper, alpha_r > _PIVOT_TOL,
                                                     alpha_r < -_PIVOT_TOL))
+        scale = np.abs(alpha_r[cand])
         step = np.maximum(np.where(at_upper[cand], -reduced[cand], reduced[cand]), 0.0)
-        step /= np.abs(alpha_r[cand])
-        order = np.argsort(step, kind="stable")
-        cand = cand[order]
-        # the dual objective keeps rising while this slope stays positive
-        slope = infeas[r] - np.cumsum(np.abs(alpha_r[cand]) * upper[cand])
-        passed = np.flatnonzero(slope <= 0.0)
-        if len(passed) == 0:
+        step /= scale
+        # the dual objective keeps rising while its slope stays positive
+        found = _ratio_test(step, scale * upper[cand], infeas[r])
+        if found is None:
             return None, "infeasible", iterations
-        flipped, q = cand[:passed[0]], cand[passed[0]]
-        reduced += step[order[passed[0]]] * alpha_r
+        flipped, q = cand[found[0]], int(cand[found[1]])
+        reduced += step[found[1]] * alpha_r
         if len(flipped):
-            # flipped columns are boxed, so structural; a @ change reads a in
-            # place, where a[:, flipped] would copy up to all of it
-            change = np.zeros(n)
-            change[flipped] = upper[flipped] - 2.0 * value[flipped]
-            resid -= a @ change
-            value[flipped] += change[flipped]
-        leaving = basis[r]
-        resid += full[:, q] * value[q]
+            # flipped columns are boxed, so structural; a gather copies a
+            # column per flip, so many flips read a in place instead
+            delta = upper[flipped] - 2.0 * value[flipped]
+            if 8 * len(flipped) < n:
+                resid -= a[:, flipped] @ delta
+            else:
+                change = np.zeros(n)
+                change[flipped] = delta
+                resid -= a @ change
+            value[flipped] += delta
+        # a nonbasic slack is 0, so only structural columns move the residual
+        leaving = int(basis[r])
+        if q < n:
+            resid += a[:, q] * value[q]
+            column = binv @ a[:, q]
+        else:
+            column = binv[:, q - n].copy()
         value[q] = 0.0
         value[leaving] = 0.0 if sign > 0.0 else upper[leaving]
-        resid -= full[:, leaving] * value[leaving]
-        column = binv @ full[:, q]
+        if leaving < n:
+            resid -= a[:, leaving] * value[leaving]
         pivot_row = binv[r] / column[r]
-        binv -= np.outer(column, pivot_row)
+        binv -= column[:, None] * pivot_row
         binv[r] = pivot_row
         basis[r] = q
+        nonbasic[q], nonbasic[leaving] = False, True
         reduced[basis] = 0.0
         if iterations % _REFACTOR == 0:
-            binv = np.linalg.inv(full[:, basis])
+            binv, fresh = np.linalg.inv(_basic_matrix(a, basis)), iterations
             resid = rhs - a @ value[:n]
-            reduced = cost - (cost[basis] @ binv) @ full
+            duals = cost[basis] @ binv
+            reduced = cost - np.concatenate((duals @ a, duals))
             reduced[basis] = 0.0
 
-    # certificate: fresh basic values within their bounds, and each reduced
-    # cost signed for its column's bound
-    basic_matrix = full[:, basis]
-    x_b = np.linalg.solve(basic_matrix, rhs - a @ value[:n])
-    reduced = cost - np.linalg.solve(basic_matrix.T, cost[basis]) @ full
-    reduced[basis] = 0.0
-    if (np.max(np.maximum(-x_b, x_b - upper[basis])) > _CERT_TOL
-            or np.max(np.where(value > 0.0, reduced, -reduced)) > _CERT_TOL):
-        raise RuntimeError("solver failed: the final basis is not certified optimal")
     value[basis] = x_b
     return value[:n], "optimal", iterations
 

@@ -139,7 +139,10 @@ def _cmd_adjust(args) -> str:
 
 def _cmd_bayes_solve(args) -> str:
     problem = build_lp(args.alpha, args.m, args.prior_sd)
-    solution = solve_lp(problem)
+    try:
+        solution = solve_lp(problem)
+    except RuntimeError as exc:
+        raise DataError(str(exc)) from exc
     if solution.solver_status != "optimal":
         raise DataError(f"solver finished with status {solution.solver_status}")
     return serialize(assemble_bayes_region(problem, solution, derandomize=args.derandomize))

@@ -65,8 +65,10 @@ class LatinSquare:
 
 
 def cyclic_latin(k: int) -> LatinSquare:
-    """The cyclic square A_{i,j} = ((i+j-2) mod K) + 1."""
+    """The cyclic square A_{i,j} = ((i+j-2) mod K) + 1; a K x K square over
+    the grid-cell limit is refused before it is built."""
     k = _count("order", k, 1)
+    _check_cell_count((k, k))
     return LatinSquare(k, tuple(
         tuple((i + j) % k + 1 for j in range(k)) for i in range(k)))
 

@@ -16,6 +16,7 @@ from compnull.bayes_lp import (
     _cell_orbits,
     _ladder,
     _orbit_sums,
+    _ratio_test,
     assemble_bayes_region,
     build_lp,
     candidate_objective,
@@ -357,6 +358,69 @@ def test_incremental_updates_match_a_fresh_inverse_per_pivot(alpha, m, monkeypat
     assert got.solver_status == "optimal"
     assert abs(got.objective_value - want.objective_value) <= 1e-12
     assert _worst_row_excess(problem, got.m_r) <= 1e-12
+
+
+def _full_ratio_test(step, weight, slope):
+    """The bound-flipping ratio test over a full stable sort of the steps:
+    the oracle of _ratio_test's partial sort."""
+    order = np.argsort(step, kind="stable")
+    passed = np.flatnonzero(slope - np.cumsum(weight[order]) <= 0.0)
+    if len(passed) == 0:
+        return None
+    return order[:passed[0]], int(order[passed[0]])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_ratio_test_matches_a_full_stable_sort(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 3001))
+    top = int(rng.choice([1, 4, 16, bayes_lp._RATIO_TOP]))
+    if seed % 4 == 3:
+        step = rng.exponential(size=size)
+    else:
+        # few distinct steps give many exact ties; step 0 is a degenerate pivot
+        step = rng.integers(0, rng.integers(1, 50), size) / 8.0
+    # more ties exactly at the first bound the partial sort takes
+    bound = np.partition(step, min(top, size) - 1)[min(top, size) - 1]
+    step[rng.choice(size, size // 10)] = bound
+    weight = rng.uniform(0.0, 1.0, size) * rng.choice([1e-3, 1.0])
+    slack = rng.random(size) < 0.05
+    finite = weight.sum()
+    slopes = [rng.uniform(0.0, 0.1) * finite, rng.uniform(0.5, 1.0) * finite,
+              finite * (1.0 + 1e-9) + 1e-12]
+    monkeypatch.setattr(bayes_lp, "_RATIO_TOP", top)
+    for weights in (weight, np.where(slack, np.inf, weight)):
+        for slope in slopes:
+            want = _full_ratio_test(step, weights, slope)
+            got = _ratio_test(step, weights, slope)
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None and got[1] == want[1]
+            assert np.array_equal(got[0], want[0]) and step[got[1]] == step[want[1]]
+    # a slope past every finite weight never reaches 0: the infeasible path
+    assert _ratio_test(step, weight, slopes[-1]) is None
+
+
+@pytest.mark.parametrize("alpha, m, pivots", [
+    (0.05, 65, 42), (0.001, 65, 54), (0.05, 16, 16), (0.001, 16, 21), (1 / 3, 7, 12),
+    (0.4, 8, 16), (0.2, 4, 8)])
+def test_solve_keeps_its_pivot_path(alpha, m, pivots):
+    # the pivot counts of the full stable sort over dense [a | I] columns;
+    # counts, not bits, so they do not depend on the BLAS build
+    assert solve_lp(build_lp(alpha, m)).iterations == pivots
+
+
+@pytest.mark.parametrize("m", [32, 64, 200])
+def test_half_level_certifies_after_a_fresh_factorization(m):
+    # at alpha = 0.5 the updated inverse drifts past the certificate (basic
+    # values out of bounds by 6.6e-11 at m = 32); the loop refactors and
+    # pivots on to a basis that certifies
+    problem = build_lp(0.5, m)
+    sol = solve_lp(problem)
+    assert sol.solver_status == "optimal"
+    assert _worst_row_excess(problem, sol.m_r) <= 1e-12
+    assert abs(sol.objective_value - _folded_highs_objective(problem)) <= 1e-9
 
 
 def test_solve_status_paths(solved12, monkeypatch):

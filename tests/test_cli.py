@@ -742,6 +742,21 @@ def test_bayes_solve_reports_a_failed_solve_as_a_data_error(capsys, monkeypatch)
     assert (code, out, err) == (2, "", "error: solver finished with status infeasible\n")
 
 
+def test_bayes_solve_certifies_at_half_level(tmp_path, capsys):
+    path = tmp_path / "half.region.json"
+    code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.5", "--m", "32",
+                          "--out", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert deserialize(path.read_text()).kind == "bayes"
+
+
+def test_bayes_solve_reports_an_uncertified_basis_as_a_data_error(capsys, monkeypatch):
+    monkeypatch.setattr(compnull.bayes_lp, "_CERT_TOL", -1.0)
+    code, out, err = _run(capsys, "bayes", "solve", "--alpha", "0.05", "--m", "8")
+    assert (code, out) == (2, "")
+    assert err == "error: solver failed: the final basis is not certified optimal\n"
+
+
 def test_main_alias(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -44,6 +45,23 @@ def test_cyclic_squares():
     assert big[7, 12] == (7 + 12 - 2) % 20 + 1
     with pytest.raises(ValueError, match="order"):
         cyclic_latin(0)
+
+
+@pytest.mark.parametrize("k, cells", [(10**400, "1" + "0" * 800), (2897, "8392609")],
+                         ids=["10**400", "2897"])
+def test_cyclic_square_over_the_grid_limit_is_refused_before_it_is_built(k, cells):
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(RegionValidationError, match=rf"= {cells} cells exceeds the limit"):
+            cyclic_latin(k)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0 and peak < 4 * 2**20
+    # the limit is on the K x K square; build_latin_region refuses K = 204 for its K^3 tensor
+    assert cyclic_latin(204).k == 204
 
 
 def test_square_validation():
