@@ -153,16 +153,30 @@ def _js_rejects(zx, zy, t):
     return (abs(zx) > t) & (abs(zy) > t)
 
 
-def _sobel(zx, zy):
-    """Sobel statistic zx*zy/hypot(zx, zy) of z- or t-statistics (floats or arrays) on the
-    extended reals, as min(|zx|, |zy|)/sqrt(1 + r**2) with r = min/max and the sign of
-    zx*zy: it never overflows, is 0 where either z is 0 and sign(zx)*zy at zx = +-inf."""
-    s = np.minimum(np.abs(zx), np.abs(zy))
+def _sobel_magnitude(zx, zy):
+    """|Z| of the Sobel statistic (floats or arrays) on the extended reals: min(|zx|,
+    |zy|)/sqrt(1 + r**2) with r = min/max. It never overflows and is 0 where either z is 0.
+    Three buffers, each pass after the first three in place: a power-study chunk
+    allocates less."""
+    shape = np.broadcast(zx, zy).shape
+    ax, ay = np.abs(zx, out=np.empty(shape)), np.abs(zy, out=np.empty(shape))
+    s = np.minimum(ax, ay, out=np.empty(shape))
+    r = np.maximum(ax, ay, out=ax)
     with np.errstate(invalid="ignore"):  # 0/0 and inf/inf, where |zx| = |zy| and r = 1
-        r = np.fmin(s / np.maximum(np.abs(zx), np.abs(zy)), 1.0)
-    s = np.copysign(s, zx)
-    s /= np.copysign(np.sqrt(r * r + 1.0), zy)  # in place: a power-study chunk holds fewer arrays
-    return s
+        np.divide(s, r, out=r)
+    np.fmin(r, 1.0, out=r)
+    np.multiply(r, r, out=r)
+    r += 1.0
+    s /= np.sqrt(r, out=r)
+    return s[()]  # a float for floats
+
+
+def _sobel(zx, zy):
+    """Sobel statistic zx*zy/hypot(zx, zy) of z- or t-statistics (floats or arrays): the
+    sign of zx*zy times :func:`_sobel_magnitude`, so sign(zx)*zy at zx = +-inf. IEEE
+    division is sign-symmetric, so these are the bits of dividing copysign(min, zx) by
+    copysign(sqrt(1 + r**2), zy)."""
+    return np.copysign(_sobel_magnitude(zx, zy), zx) * np.copysign(1.0, zy)
 
 
 @dataclass(frozen=True)

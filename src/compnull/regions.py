@@ -496,7 +496,8 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     With Gx[s, i] the N(dx_s, 1) mass of x-band i (Gy likewise), the power
     at shift s is the s-th row sum of (Gx @ probs) * Gy. Shifts are taken in
     blocks of about ``_CHUNK`` band masses, so the temporaries stay in cache
-    and memory does not grow with the number of shifts. A NaN or infinite
+    and memory does not grow with the number of shifts; each block's product
+    with Gy is formed in place. A NaN or infinite
     shift raises ValueError naming the first such row.
     """
     deltas = np.asarray(deltas, dtype=float)
@@ -511,9 +512,9 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     out = np.empty(len(deltas))
     for lo in range(0, len(deltas), rows):
         d = deltas[lo:lo + rows]
-        gx = _band_masses(x_edges, d[:, 0])
-        gy = _band_masses(y_edges, d[:, 1])  # its own statement: the last gx is freed first
-        out[lo:lo + rows] = ((gx @ region.probs) * gy).sum(axis=1)
+        g = _band_masses(x_edges, d[:, 0]) @ region.probs
+        g *= _band_masses(y_edges, d[:, 1])
+        g.sum(axis=1, out=out[lo:lo + rows])
     return np.clip(out, 0.0, 1.0, out=out)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _BUILDERS, _js_rejects, _sobel
+from .closed_form import _BUILDERS, _js_rejects, _sobel, _sobel_magnitude
 from .pvalues import minimax_pvalue_batch
 from .regions import _DEGENERATE, RejectionRegion2D, _unpack, rejection_prob_at_points
 from .statmath import _alpha, _count, _finite, _sample_size, _two_sided_cutoff, _two_sided_p
@@ -202,7 +202,7 @@ def _power_task(spec: SimSpec, evals, point_index: int, blocks: range) -> dict[s
         elif kind == "js":
             rej = _js_rejects(zx, zy, obj)
         else:
-            rej = np.abs(_sobel(zx, zy)) > obj
+            rej = _sobel_magnitude(zx, zy) > obj
         counts[name] = int(np.count_nonzero(rej))
     return counts
 

@@ -147,8 +147,21 @@ def _band_masses(edges, shifts, folded: bool = False) -> np.ndarray:
     """N(d, 1) mass of each band (edges[i], edges[i+1]), a row per shift d (1-d for
     a scalar d); ``folded``: the mass of |Z| on edges from 0, band plus mirror."""
     e, d = np.asarray(edges, dtype=float), np.asarray(shifts, dtype=float)[..., None]
-    g = np.diff(_ndtr(e - d))
-    return g - np.diff(_ndtr(-e - d)) if folded else g
+    return _cdf_steps(e, d, folded)
+
+
+def _cdf_steps(e: np.ndarray, d, folded: bool) -> np.ndarray:
+    """Phi(e[i+1] - d) - Phi(e[i] - d) along the last axis of e - d, less the same steps
+    of Phi(-e - d) when ``folded``: :func:`_band_masses` for a shift per row, and for a
+    shift per edge. Each cdf is taken in place and differenced by slicing, the bits of
+    np.diff with one array fewer."""
+    p = e - d
+    _ndtr(p, out=p)
+    g = p[..., 1:] - p[..., :-1]
+    if folded:
+        _ndtr(np.subtract(-e, d, out=p), out=p)
+        g -= p[..., 1:] - p[..., :-1]
+    return g
 
 
 def _two_sided_p(z):

@@ -187,6 +187,13 @@ def test_three_factor_square_file(tmp_path, capsys):
     assert doc["reject"] is True and doc["order"] == 2
 
 
+def test_three_factor_square_with_a_non_integer_symbol_is_refused(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text('{"order": 2, "grid": [[1, 2.9], [2, 1]]}')
+    assert _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.5", "--square", str(path)) == (
+        1, "", "error: invalid square document: symbol must be an integer, got 2.9\n")
+
+
 def test_three_factor_usage_errors(capsys):
     code, _, err = _run(capsys, "test3", "--z", "1,2", "--alpha", "0.5")
     assert code == 1

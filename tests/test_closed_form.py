@@ -17,7 +17,7 @@ from compnull import (Interval, OutsideRule, RegionValidationError,
                       extended_breakpoints, gaussian_interval_prob, js_test, origin_type1,
                       rejection_prob_at_point, rejection_prob_at_points, serialize,
                       sobel_test, std_normal_cdf, std_normal_quantile)
-from compnull.closed_form import _js_rejects, _sobel, _unit_order
+from compnull.closed_form import _js_rejects, _sobel, _sobel_magnitude, _unit_order
 from compnull.statmath import _two_sided_cutoff
 
 Q_08 = 0.84162123357291421
@@ -397,6 +397,32 @@ def test_sobel_statistic_on_the_extended_reals():
         for (x, y), w in cases:
             assert _sobel(x, y) == pytest.approx(w, rel=1e-15, abs=0.0), (x, y)
         assert _sobel(zx, zy).tolist() == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def _signed_quotient_sobel(zx, zy):
+    # the statistic as it was written before its sign and magnitude were split
+    s = np.minimum(np.abs(zx), np.abs(zy))
+    with np.errstate(invalid="ignore"):
+        r = np.fmin(s / np.maximum(np.abs(zx), np.abs(zy)), 1.0)
+    return np.copysign(s, zx) / np.copysign(np.sqrt(r * r + 1.0), zy)
+
+
+def test_sobel_magnitude_bits():
+    special = [0.0, -0.0, math.inf, -math.inf, 1e-320, -1e-320, 5e-324, 1e300, -1e300,
+               1.7976931348623157e308, 1.0, -1.0, 2.5, -2.5, 3.0, -3.0]
+    pairs = np.array([(x, y) for x in special for y in special]).T
+    gen = np.random.Generator(np.random.Philox(3100))
+    wide = gen.standard_normal((2, 20_000)) * np.exp(gen.uniform(-700.0, 700.0, (2, 20_000)))
+    equal = np.vstack((wide[0], -wide[0]))  # equal magnitudes, r = 1
+    zx, zy = np.hstack((pairs, wide, equal))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        magnitude, statistic = _sobel_magnitude(zx, zy), _sobel(zx, zy)
+        assert np.abs(statistic).tobytes() == magnitude.tobytes()
+        assert statistic.tobytes() == _signed_quotient_sobel(zx, zy).tobytes()
+        for x, y in pairs.T:
+            assert np.float64(_sobel(x, y)).tobytes() == _signed_quotient_sobel(x, y).tobytes()
+            assert np.float64(_sobel_magnitude(x, y)).tobytes() == np.abs(_sobel(x, y)).tobytes()
 
 
 def test_js_rejects_matches_js_test():

@@ -23,7 +23,7 @@ from compnull.latin3 import (
     square_to_json,
 )
 from compnull.regions import RegionValidationError
-from compnull.statmath import Interval, folded_interval_prob, std_normal_quantile
+from compnull.statmath import Interval, _band_masses, folded_interval_prob, std_normal_quantile
 
 # mpmath, 50 digits: band edges for alpha = 1/3
 C1_THIRD = 0.43072729929545749
@@ -75,6 +75,24 @@ def test_square_validation():
         LatinSquare(0, ())
     a = cyclic_latin(3)
     assert a[1, 1] == 1 and a[2, 3] == 1 and a[3, 2] == 1
+
+
+def test_non_integer_symbols_are_refused():
+    # each of these once loaded as the cyclic square of order 2, its symbols truncated by int()
+    for grid, shown in ((((1, 2.7), (2, 1.2)), "2.7"), (((True, 2), (2, 1)), "True"),
+                        (((1, "2"), (2, 1)), "'2'"), (((1, 2), (2, np.True_)), "np.True_")):
+        with pytest.raises(ValueError) as err:
+            LatinSquare(2, grid)
+        assert str(err.value) == f"symbol must be an integer, got {shown}"
+    with pytest.raises(ValueError) as err:
+        square_from_json('{"order": 2, "grid": [[1, 2.9], [2, 1]]}')
+    assert str(err.value) == "invalid square document: symbol must be an integer, got 2.9"
+    # numpy integers are symbols; the grid holds them as ints
+    square = LatinSquare(2, ((np.uint8(1), np.int64(2)), (2, np.uint64(1))))
+    assert square == cyclic_latin(2) and type(square.grid[1][1]) is int
+    # a symbol past int64 is out of range, not an overflow
+    with pytest.raises(ValueError, match="row 2 is not a permutation of 1..2"):
+        LatinSquare(2, ((1, 2), (2, 10**30)))
 
 
 def test_conjugate_identity_and_column_symbol_swap():
@@ -311,6 +329,13 @@ def _assert_power_matches_boxes(region, seed):
         assert abs(analytic_power3(region, d) - _box_power(region, d)) <= 1e-15, d
 
 
+def _reference_power3(region, d):
+    """The contraction analytic_power3 did before its one-pass form: each axis's folded
+    masses from its own _band_masses call and a fresh boolean membership."""
+    gx, gy, gz = (_band_masses(e, mu, folded=True) for e, mu in zip(region._edges, d))
+    return min(1.0, max(0.0, float((region._label > 0) @ gz @ gy @ gx)))
+
+
 def _gapped_region():
     # gaps between boxes, different edges on each axis, two boxes touching
     # along y = 1.0 and a zero-width box
@@ -467,3 +492,57 @@ def test_written_tensor_equals_compiled(k):
             assert written.dtype == ref.dtype and np.array_equal(written, ref)
             assert not written.flags.writeable
         assert region._inner == compiled._inner
+
+
+def _uneven_regions():
+    # hand-built regions whose three axes have different edge counts
+    iv = Interval
+    yield _gapped_region()
+    yield RejectionRegion3D(0.2, [(iv(0.5, 1.0), iv(0.0, np.inf), iv(0.3, 0.6))])
+    yield RejectionRegion3D(0.2, [
+        (iv(0.0, 0.1), iv(0.0, 2.0), iv(0.0, np.inf)),
+        (iv(0.1, 0.2), iv(0.5, 0.75), iv(0.0, 1.0)),
+        (iv(0.2, 0.3), iv(0.0, 0.5), iv(1.0, 1.5)),
+        (iv(0.3, 3.0), iv(2.0, 2.5), iv(0.0, 0.25)),
+    ])
+
+
+def test_power_bits_match_per_axis_reference():
+    regions = [build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
+               for k in (2, 3, 5, 20)]
+    regions += _uneven_regions()
+    assert all(len({e.size for e in r._edges}) > 1 for r in regions[4:])
+    rng = np.random.Generator(np.random.Philox(3030))
+    shifts = rng.normal(scale=2.5, size=(60, 3))
+    shifts[:12] = 0.0
+    shifts[:12, :2] = rng.uniform(-4.0, 4.0, size=(12, 2))
+    shifts[12:16] = [[40.0, -40.0, 0.5], [-1e-300, 0.0, 2.0], [8.0, 8.0, 8.0], [-0.0, 1.0, 1.0]]
+    for region in regions:
+        for d in shifts:
+            got = analytic_power3(region, d)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(_reference_power3(region, d)).tobytes()
+
+
+def test_power_keeps_its_membership_and_lookups_do_not_build_it():
+    k = 60
+    tensor = 8 * k ** 3  # bytes of one K^3 float tensor
+    tracemalloc.start()
+    try:
+        region = build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
+        built = tracemalloc.get_traced_memory()[1]  # the int64 label tensor and the boxes
+        assert rejects3(region, (1.0, 2.0, 3.0)) in (True, False)
+        tracemalloc.reset_peak()
+        first = analytic_power3(region, (0.5, 1.0, 1.5))
+        first_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        again = analytic_power3(region, (0.5, 1.0, 1.5))
+        later = analytic_power3(region, (2.0, 0.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert built < 1.5 * tensor  # no float membership beside the label tensor
+    assert first_peak >= tensor  # the first power call builds it once
+    assert peak < tensor / 16  # later calls reuse it
+    assert again == first and later == 1.0 / k

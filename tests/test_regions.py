@@ -1,6 +1,7 @@
 """Region data model: lookup, analytic power, serialization."""
 
 import functools
+import hashlib
 import json
 import math
 import tracemalloc
@@ -322,6 +323,21 @@ def test_blocked_power_matches_the_unblocked_formula(shipped_bayes_region):
             got = analytic_power_batch(region, deltas)
             want = _unblocked_power(region, deltas)
             assert got.shape == (n,) and got.tobytes() == want.tobytes(), (name, n)
+
+
+def test_power_bits_are_pinned(shipped_bayes_region):
+    # sha256 of the powers at 10k shifts, a tenth of them on the null axes, recorded when
+    # each block took its cdf, band masses and product in fresh arrays. The matmul's bits
+    # come from the BLAS kernel, which OpenBLAS picks per CPU
+    rng = np.random.default_rng(2030)
+    shifts = rng.uniform(-6.0, 6.0, size=(10_000, 2))
+    shifts[:1000:2, 0] = 0.0
+    shifts[1:1000:2, 1] = 0.0
+    digest = hashlib.sha256()
+    for region in (build_minimax_region(0.05), build_extended_region(0.07), build_js_region(0.05),
+                   shipped_bayes_region, build_minimax_region(1 / 300)):
+        digest.update(analytic_power_batch(region, shifts).tobytes())
+    assert digest.hexdigest() == "a1c39559c2b1b11c782fe051b44d60029fcc979c519266380991a96e705e7f3a"
 
 
 def test_blocked_power_memory_does_not_grow_with_the_shifts(shipped_bayes_region):

@@ -380,6 +380,13 @@ def test_sobel_density_table():
             sample_sobel_density([0.0], 10, 10, seed=bad)
 
 
+def test_sobel_density_output_is_pinned():
+    # sha256 of the CSV written when the statistic was one signed quotient
+    csv = sample_sobel_density([0.0, 0.3], 100, 500, seed=5).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == (
+        "25f677d658c674b8543dceca48f5da9b3ee817b142a193273fb27a9e1657249f")
+
+
 def test_sobel_density_csv_shape():
     table = sample_sobel_density([0.2], 50, 10, seed=1)
     lines = table.to_csv().strip().split("\n")
