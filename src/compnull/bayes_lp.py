@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .regions import (_DEGENERATE, Interval, RejectionRegion2D, WeightedRect,
-                      _js_outside, _sorted_unique, analytic_power_batch)
+from .regions import (_DEGENERATE, RejectionRegion2D, _CellView, _js_outside, _sorted_unique,
+                      analytic_power_batch)
 from .statmath import _alpha, _band_masses, _count, _positive, _two_sided_cutoff
 
 __all__ = [
@@ -40,7 +40,7 @@ DEFAULT_PRIOR_SD = 2.0
 
 # constraint coefficients below this are numerically zero and dropped
 _COEFF_DROP = 1e-17
-_CELL_DROP = 1e-9
+_CELL_DROP = 1e-9  # cells below this are dropped; m_r may stray this far outside [0, 1]
 _MAX_ORDER = 256  # the LP's memory grows as m^3: ~0.3 GB at m = 256
 
 
@@ -85,9 +85,10 @@ class LpProblem:
     the row at (0, d_s) the transpose. ``rhs`` is alpha minus the mass of
     the fixed tail bands, in ``null_grid`` order. Bounds 0 <= m_r <= 1 are
     implicit. ``cells`` and ``constraints``, the per-cell views kept for
-    counting, are derived on first access, then cached; each constraint row
-    holds two rows of ``band_masses`` (views, not copies), so the cached
-    rows cost no per-cell memory.
+    counting, are made on first access, then cached: ``cells`` is a read-only
+    sequence whose cells are built when read, and each constraint row holds
+    two rows of ``band_masses`` (views, not copies), so neither costs
+    per-cell memory.
     """
 
     edges: np.ndarray
@@ -101,11 +102,9 @@ class LpProblem:
     prior_sd: float
 
     @cached_property
-    def cells(self) -> tuple[WeightedRect, ...]:
+    def cells(self) -> _CellView:
         """Cell geometry shells in cell order; their p field is a placeholder."""
-        edges = self.edges.tolist()
-        bands = [Interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-        return tuple(WeightedRect(bx, by) for bx in bands for by in bands)
+        return _CellView(self.edges, self.edges)
 
     @cached_property
     def constraints(self) -> tuple[ConstraintRow, ...]:
@@ -453,10 +452,25 @@ def js_restricted_candidate(problem: LpProblem) -> np.ndarray:
 
 def candidate_objective(problem: LpProblem, m_r) -> float:
     """Bayes objective sum_r (1 - m_r)*c_r of any candidate assignment, c_r
-    the cell's prior mass: the in-box prior mass not rejected."""
+    the cell's prior mass: the in-box prior mass not rejected. ``m_r`` is
+    checked as by :func:`assemble_bayes_region`."""
     w = problem.band_weights
-    grid = np.asarray(m_r, dtype=float).reshape(len(w), len(w))
-    return float(w.sum() ** 2 - w @ grid @ w)
+    return float(w.sum() ** 2 - w @ _cell_grid(problem, m_r) @ w)
+
+
+def _cell_grid(problem: LpProblem, m_r) -> np.ndarray:
+    """A copy of ``m_r`` as the (2m, 2m) cell grid; a wrong length, NaN or an entry
+    more than _CELL_DROP outside [0, 1] raises ValueError naming the first bad cell."""
+    n = 2 * problem.m
+    p = np.array(m_r, dtype=float).reshape(-1)
+    if len(p) != n * n:
+        raise ValueError(f"m_r length {len(p)} does not match the {n * n} cells of the grid")
+    bad = np.flatnonzero(~((p >= -_CELL_DROP) & (p <= 1.0 + _CELL_DROP)))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(f"m_r[{k}] = {float(p[k])!r}: each cell probability must lie in "
+                         "[0, 1] (NaN is not allowed)")
+    return p.reshape(n, n)
 
 
 def assemble_bayes_region(problem: LpProblem, solution: LpSolution,
@@ -467,14 +481,12 @@ def assemble_bayes_region(problem: LpProblem, solution: LpSolution,
     the joint-significance behaviour beyond the box explicitly, so zeroed
     cells cannot shrink its extent. With ``derandomize`` every fractional
     cell is zeroed and near-one cells keep their solved probability, so the
-    derandomized region never rejects more than the randomized one.
+    derandomized region never rejects more than the randomized one. An
+    ``m_r`` of the wrong length, with NaN or with an entry more than 1e-9
+    outside [0, 1] raises ValueError naming the first bad cell.
     """
     if solution.solver_status != "optimal":
         raise ValueError(f"cannot assemble from a {solution.solver_status} solution")
-    n_bands = 2 * problem.m
-    if len(solution.m_r) != n_bands * n_bands:
-        raise ValueError("solution length does not match the cell grid")
-    p = np.minimum(np.asarray(solution.m_r, dtype=float), 1.0).reshape(n_bands, n_bands)
-    # NaN is kept, so from_grid refuses it
+    p = np.minimum(_cell_grid(problem, solution.m_r), 1.0)
     p[p < (_DEGENERATE if derandomize else _CELL_DROP)] = 0.0
     return _bayes_region(problem.alpha, problem.edges, p, problem.b)

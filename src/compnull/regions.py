@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,8 +156,8 @@ class RejectionRegion2D:
       thresholds +-t is a grid edge, so each grid cell lies wholly inside or
       outside each of them. A cell with p > 0 takes precedence over the rule.
     - :meth:`from_grid` takes the grid itself, as a region document stores
-      it. Its ``cells`` are derived on first access, one ``WeightedRect``
-      per nonzero grid cell, and its ``outside_rule`` is None.
+      it. Its ``cells`` are a read-only sequence of one ``WeightedRect`` per
+      nonzero grid cell, each built when read, and its ``outside_rule`` is None.
 
     Equality and hashing compare ``(alpha, kind, x_edges, y_edges, probs)``,
     so two cell lists that compile to the same grid are equal.
@@ -194,17 +195,11 @@ class RejectionRegion2D:
         return self
 
     @property
-    def cells(self) -> tuple[WeightedRect, ...]:
-        """The cells as given, or for a region built from its grid, one cell
-        per nonzero grid cell in row-major order (derived once, then cached)."""
+    def cells(self) -> Sequence[WeightedRect]:
+        """The cells as given, or for a region built from its grid, a read-only
+        sequence of its nonzero grid cells in row-major order, each built when read."""
         if self._cells is None:
-            xs = [Interval(lo, hi) for lo, hi in zip(self.x_edges[:-1].tolist(),
-                                                    self.x_edges[1:].tolist())]
-            ys = [Interval(lo, hi) for lo, hi in zip(self.y_edges[:-1].tolist(),
-                                                    self.y_edges[1:].tolist())]
-            i, j = np.nonzero(self.probs)
-            self._cells = tuple(WeightedRect(xs[a], ys[b], p) for a, b, p in
-                                zip(i.tolist(), j.tolist(), self.probs[i, j].tolist()))
+            self._cells = _CellView(self.x_edges, self.y_edges, self.probs)
         return self._cells
 
     def _grid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -281,6 +276,47 @@ class RejectionRegion2D:
 
         fires = _js_outside(x_edges, y_edges, t, box) if rule is not None else False
         return x_edges, y_edges, np.where(cell_p > 0.0, cell_p, fires)
+
+
+class _CellView(Sequence):
+    """Grid cells as a read-only sequence, each ``WeightedRect`` built when read:
+    with ``probs``, the nonzero grid cells in row-major order, else every cell
+    with p = 1.0. Indexing follows tuple's rules (a slice gives a tuple), and
+    equality and hashing agree with ``tuple(view)``."""
+
+    def __init__(self, x_edges: np.ndarray, y_edges: np.ndarray, probs=None) -> None:
+        self._xs, self._ys = ([Interval(lo, hi) for lo, hi in zip(e[:-1].tolist(), e[1:].tolist())]
+                              for e in (x_edges, y_edges))
+        # each cell's flat grid index (x-band flat // ny, y-band flat % ny) and p
+        if probs is None:
+            self._flat, self._p = range(len(self._xs) * len(self._ys)), None
+        else:
+            self._flat = np.flatnonzero(probs)
+            self._p = probs.ravel()[self._flat]
+
+    def __len__(self) -> int:
+        return len(self._flat)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(self.__getitem__, range(len(self))[k]))
+        k = range(len(self))[k]  # tuple's rules for negative, out-of-range and non-integer k
+        i, j = divmod(int(self._flat[k]), len(self._ys))
+        return WeightedRect(self._xs[i], self._ys[j], 1.0 if self._p is None else self._p[k])
+
+    def __iter__(self):
+        xs, ys = self._xs, self._ys
+        if self._p is None:
+            return (WeightedRect(x, y) for x in xs for y in ys)
+        i, j = np.divmod(self._flat, len(ys))
+        return (WeightedRect(xs[a], ys[b], p)
+                for a, b, p in zip(i.tolist(), j.tolist(), self._p.tolist()))
+
+    def __eq__(self, other):
+        return tuple(self) == tuple(other) if isinstance(other, (tuple, _CellView)) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -545,6 +546,44 @@ def test_assemble_rejects_bad_solutions(solved12):
     m_r[8 * 24 + 8] = math.nan
     with pytest.raises(ValueError, match="NaN"):
         assemble_bayes_region(problem, LpSolution(m_r, sol.objective_value, "optimal"))
+
+
+def test_assemble_refuses_out_of_range_cells():
+    problem = build_lp(0.1, 6)
+    with pytest.raises(ValueError, match=r"m_r\[0\] = -0\.5:.*\[0, 1\]"):
+        assemble_bayes_region(problem, LpSolution(np.full(144, -0.5), 0.1, "optimal"))
+    for k, v in ((77, 1.5), (143, 1.0 + 1e-8), (5, -1e-8), (9, math.inf), (0, -math.inf)):
+        m_r = np.full(144, 0.5)
+        m_r[k] = v
+        with pytest.raises(ValueError, match=rf"m_r\[{k}\] = {re.escape(repr(v))}:"):
+            assemble_bayes_region(problem, LpSolution(m_r, 0.1, "optimal"))
+    # entries within 1e-9 of [0, 1] are solver rounding: dropped below, clipped above
+    m_r = np.full(144, 0.5)
+    m_r[:3] = -1e-9, 1.0 + 1e-9, 1.0
+    region = assemble_bayes_region(problem, LpSolution(m_r, 0.1, "optimal"))
+    m_r[:3] = 0.0, 1.0, 1.0
+    assert region == assemble_bayes_region(problem, LpSolution(m_r, 0.1, "optimal"))
+
+
+def test_candidate_objective_checks_its_input():
+    problem = build_lp(0.1, 6)
+    with pytest.raises(ValueError, match="length 5 does not match the 144 cells"):
+        candidate_objective(problem, np.full(5, 0.5))
+    # an all-2.0 candidate used to score a negative risk, -0.847
+    with pytest.raises(ValueError, match=r"m_r\[0\] = 2\.0:"):
+        candidate_objective(problem, np.full(144, 2.0))
+    for k, v in ((30, -0.5), (143, math.inf)):
+        m_r = np.zeros(144)
+        m_r[k] = v
+        with pytest.raises(ValueError, match=rf"m_r\[{k}\] = {re.escape(repr(v))}:"):
+            candidate_objective(problem, m_r)
+    m_r = np.zeros(144)
+    m_r[40] = math.nan
+    with pytest.raises(ValueError, match=r"m_r\[40\] = nan:.*NaN"):
+        candidate_objective(problem, m_r)
+    # the solver's own output passes, and a grid-shaped candidate reads the same
+    cand = js_restricted_candidate(problem)
+    assert candidate_objective(problem, cand.reshape(12, 12)) == candidate_objective(problem, cand)
 
 
 @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -665,6 +666,107 @@ def test_region_equality_is_on_the_grid():
     assert a != RejectionRegion2D(0.1, "custom", a.cells)
     assert a != RejectionRegion2D(0.05, "bayes", a.cells)
     assert a != "region"
+
+
+def _bands(edges):
+    edges = np.asarray(edges).tolist()
+    return [Interval(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _grid_cells_tuple(region):
+    """The derived cells built eagerly, one per nonzero grid cell in row-major order."""
+    xs, ys = _bands(region.x_edges), _bands(region.y_edges)
+    i, j = np.nonzero(region.probs)
+    return tuple(WeightedRect(xs[a], ys[b], p)
+                 for a, b, p in zip(i.tolist(), j.tolist(), region.probs[i, j].tolist()))
+
+
+def _check_cell_view(view, want):
+    n = len(want)
+    assert len(view) == n
+    assert all(view[k] == want[k] for k in range(-n, n))
+    for k in (n, -n - 1, 10 ** 30):
+        with pytest.raises(IndexError):
+            view[k]
+    with pytest.raises(TypeError):
+        view[1.0]
+    for s in (slice(None), slice(None, None, -1), slice(3, 17, 4), slice(-5, None),
+              slice(n, None), slice(-n - 3, 2), slice(None, None, 7), slice(10, 2, -3)):
+        assert view[s] == want[s]
+    assert tuple(view) == want and list(iter(view)) == list(want)
+    assert view == want and want == view and not view != want
+    assert hash(view) == hash(want)
+    assert view != list(want) and pickle.loads(pickle.dumps(view)) == want
+    if n:
+        assert view != want[:-1]
+        assert view[-1] in view and view.index(view[-1]) == n - 1
+        changed = want[:-1] + (WeightedRect(want[-1].x, want[-1].y, 0.5 * want[-1].p),)
+        assert view != changed
+
+
+def _cells_built(monkeypatch, read) -> int:
+    """How many WeightedRect objects ``read()`` builds."""
+    built = []
+    post_init = WeightedRect.__post_init__
+
+    def counting(cell):
+        built.append(cell)
+        post_init(cell)
+
+    monkeypatch.setattr(WeightedRect, "__post_init__", counting)
+    read()
+    monkeypatch.undo()
+    return len(built)
+
+
+def _check_reads_build_only_what_they_return(monkeypatch, owner):
+    # counting and reading two cells of a fresh view builds those two cells
+    assert _cells_built(monkeypatch, lambda: (len(owner.cells), owner.cells[0],
+                                              owner.cells[-1])) == 2
+
+
+@pytest.mark.parametrize("name", ["minimax", "extended", "js", "fixture"])
+def test_grid_region_cells_are_a_lazy_tuple_like_view(name, shipped_bayes_paths, monkeypatch):
+    region = {"minimax": lambda: build_minimax_region(0.05),
+              "extended": lambda: build_extended_region(0.07),
+              "js": lambda: build_js_region(0.1),
+              "fixture": lambda: deserialize(shipped_bayes_paths[0].read_text())}[name]()
+    _check_reads_build_only_what_they_return(monkeypatch, region)
+    want = _grid_cells_tuple(region)
+    _check_cell_view(region.cells, want)
+    assert region.cells is region.cells
+    assert RejectionRegion2D(region.alpha, region.kind, region.cells) == region
+    # a region built from a cell list keeps the tuple it was given
+    rebuilt = RejectionRegion2D(region.alpha, region.kind, list(region.cells))
+    assert type(rebuilt.cells) is tuple and rebuilt.cells == want
+
+
+@pytest.mark.parametrize("m", [4, 12, 65])
+def test_lp_cells_are_a_lazy_tuple_like_view(m, monkeypatch):
+    problem = build_lp(0.05, m)
+    _check_reads_build_only_what_they_return(monkeypatch, problem)
+    bands = _bands(problem.edges)
+    want = tuple(WeightedRect(bx, by) for bx in bands for by in bands)
+    _check_cell_view(problem.cells, want)
+    assert problem.cells is problem.cells
+
+
+def test_cell_views_are_counted_without_building_cells(shipped_bayes_paths):
+    problem = build_lp(0.05, 65)
+    region = deserialize(shipped_bayes_paths[0].read_text())
+    for obj, count, limit in ((problem, 16900, 0.2e6), (region, 4951, 0.4e6)):
+        tracemalloc.start()
+        try:
+            assert len(obj.cells) == count
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # building every cell costs 1.80 MB for the LP and 0.86 MB for the fixture
+        assert peak < limit, (count, peak)
+    empty = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, math.inf],
+                                        [-math.inf, math.inf], [[0.0]])
+    _check_cell_view(empty.cells, ())
+    assert RejectionRegion2D(0.05, "custom", empty.cells) == empty
 
 
 def test_grid_region_derives_cells_once(shipped_bayes_paths):
