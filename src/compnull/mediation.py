@@ -30,13 +30,13 @@ __all__ = [
     "load_csv",
 ]
 
-_EPS = np.finfo(float).eps
+_EPS = math.ulp(1.0)
 _TINY = np.finfo(float).tiny
 
 
 @functools.cache
-def _lower(p: int) -> np.ndarray:
-    return np.tri(p, dtype=bool)
+def _default_names(k: int) -> tuple[str, ...]:
+    return tuple(f"c{i + 1}" for i in range(k))
 
 
 class DataError(ValueError):
@@ -56,10 +56,7 @@ class MediationDataset:
     covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        a = np.asarray(self.a, dtype=float)
-        m = np.asarray(self.m, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        y, a, m, c = [np.asarray(v, dtype=float) for v in (self.y, self.a, self.m, self.c)]
         for field, col in (("y", y), ("a", a), ("m", m)):
             if col.ndim != 1:
                 raise DataError(f"column {field!r} must be one-dimensional, got shape {col.shape}")
@@ -72,12 +69,13 @@ class MediationDataset:
             raise DataError(f"covariates 'c' must be n x k, got shape {c.shape}")
         if a.shape != (n,) or m.shape != (n,) or c.shape[0] != n:
             raise DataError("columns must have equal length")
-        names = self.covariate_names or tuple(f"c{i + 1}" for i in range(c.shape[1]))
+        names = self.covariate_names or _default_names(c.shape[1])
         if len(names) != c.shape[1]:
             raise DataError(f"got {len(names)} covariate names for {c.shape[1]} columns")
-        # A sum of squares is finite only if every entry is. vdot sets no
-        # overflow warning; past ~1e154 the columns are scanned one by one.
-        if not all(math.isfinite(np.vdot(v, v)) for v in (y, a, m, c)):
+        # A sum of squares is finite only if every entry is; neither vdot nor a Python float
+        # sum warns of overflow. Past ~1e153 the columns are scanned one by one.
+        if not math.isfinite(float(np.vdot(y, y)) + float(np.vdot(a, a))
+                             + float(np.vdot(m, m)) + float(np.vdot(c, c))):
             for name, col in (("y", y), ("a", a), ("m", m), *zip(names, c.T)):
                 if not np.isfinite(col).all():
                     raise DataError(f"column {name!r} contains non-finite values")
@@ -85,9 +83,8 @@ class MediationDataset:
         if n <= width + 2:
             raise DataError(
                 f"need more than {width + 2} rows for {width} columns, got {n}")
-        for field, val in (("y", y), ("a", a), ("m", m), ("c", c),
-                           ("covariate_names", tuple(names))):
-            object.__setattr__(self, field, val)
+        # the instance dict takes the checked fields past the frozen __setattr__
+        vars(self).update(y=y, a=a, m=m, c=c, covariate_names=tuple(names))
 
     @property
     def n(self) -> int:
@@ -102,24 +99,23 @@ class OlsFit:
     n: int
 
 
-def _r_factor(xy: np.ndarray, names) -> np.ndarray:
-    """One Householder QR of the finite, column-major ``xy = [X | y]``; R is
-    the upper triangle of the returned n x q view (below it is not R).
+def _r_factor(xy: np.ndarray, names) -> list[list[float]]:
+    """One Householder QR of the finite, column-major ``xy = [X | y]``: the
+    columns of R as lists, ``r[j][:j + 1]`` being R[:j + 1, j] (past it is not R).
 
     Every leading block is a regression: column j on columns :j has
     coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
     |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named;
-    ||x_j|| is the hypot of R's column j, which does not overflow past 1e154.
+    ||x_j|| is math.hypot of R's column j, which scales and does not overflow.
     """
     n, q = xy.shape
-    p = q - 1
-    h = np.linalg.qr(xy, mode="raw")[0]  # q x n, R transposed: row j holds R[:j+1, j]
-    norms = np.hypot.reduce(np.where(_lower(p), h[:p, :p], 0.0), axis=1)
-    dependent = np.abs(h.diagonal()[:p]) <= max(n, p) * _EPS * norms
-    if dependent.any():
-        raise DataError("design is rank deficient; collinear columns: "
-                        + ", ".join(names[j] for j in np.flatnonzero(dependent)))
-    return h.T
+    tol = max(n, q - 1) * _EPS
+    r = np.linalg.qr(xy, mode="raw")[0][:, :q].tolist()  # raw is R transposed
+    dependent = [names[j] for j in range(q - 1)
+                 if abs(r[j][j]) <= tol * math.hypot(*r[j][:j + 1])]
+    if dependent:
+        raise DataError("design is rank deficient; collinear columns: " + ", ".join(dependent))
+    return r
 
 
 def fit_ols(design, response, column_names=None) -> OlsFit:
@@ -145,7 +141,7 @@ def fit_ols(design, response, column_names=None) -> OlsFit:
     xy[:, :p], xy[:, p] = x, y
     if not np.isfinite(xy).all():
         raise DataError("design and response must be finite")
-    r = _r_factor(xy, names)
+    r = np.array(_r_factor(xy, names)).T
     rinv = np.linalg.inv(np.triu(r[:p, :p]))
     rss_root = float(r[p, p])
     # a Python float product overflows to inf without a warning
@@ -182,12 +178,11 @@ class FitResult:
     def __post_init__(self):
         if self.model not in ("main_effects", "interaction"):
             raise ValueError(f"unknown model {self.model!r}")
-        for name in ("delta_x_hat", "delta_y_hat"):
-            if not math.isfinite(getattr(self, name)):
+        for name, v in (("delta_x_hat", self.delta_x_hat), ("delta_y_hat", self.delta_y_hat)):
+            if not math.isfinite(v):
                 raise DataError(f"{name} is not finite")
-        for name in ("se_x", "se_y"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
+        for name, v in (("se_x", self.se_x), ("se_y", self.se_y)):
+            if not 0.0 < v < math.inf:
                 raise DataError(f"{name} must be positive and finite, got {v!r}")
 
 
@@ -231,23 +226,23 @@ def product_method_stats(data: MediationDataset, model: str = "main_effects",
         if not np.isfinite(xy[:, p - 1]).all():
             raise DataError("column 'a:m' is not finite: a*m overflows")
     r = _r_factor(xy, ("intercept", *data.covariate_names, "a", "m", "a:m"))
-    r_aa, r_mm, r_yy = r.item(ia, ia), r.item(im, im), r.item(p, p)
-    beta_a = r.item(ia, im) / r_aa
+    r_aa, r_mm, r_yy = r[ia][ia], r[im][im], r[p][p]  # r[j][i] is R[i, j]
+    beta_a = r[im][ia] / r_aa
     se_beta_a = math.sqrt(n / (n - im)) * abs(r_mm / r_aa)
     if interaction:
         # delta_x = w'theta for w = e_m + a_prime*e_am is v'R[:p, y] with
         # R[:p, :p]'v = w: v is zero but on the trailing [m, a:m] block
         v_m = 1.0 / r_mm
-        v_am = (a_prime - r.item(im, p - 1) * v_m) / r.item(p - 1, p - 1)
-        dx = v_m * r.item(im, p) + v_am * r.item(p - 1, p)
+        v_am = (a_prime - r[p - 1][im] * v_m) / r[p - 1][p - 1]
+        dx = v_m * r[p][im] + v_am * r[p][p - 1]
         se_x = math.sqrt(n / (n - p)) * abs(r_yy) * math.hypot(v_m, v_am)
     else:
-        dx = r.item(im, p) / r_mm
+        dx = r[p][im] / r_mm
         se_x = math.sqrt(n / (n - p)) * abs(r_yy / r_mm)
     scale = a_prime - a_dblprime if interaction else 1.0
+    dy, se_y = beta_a * scale, abs(scale) * se_beta_a
     levels = (a_prime, a_dblprime) if interaction else ()
-    result = FitResult(dx, beta_a * scale, se_x, abs(scale) * se_beta_a, n, model, *levels)
-    return result, _pair(dx, result.delta_y_hat, se_x, result.se_y, n)
+    return FitResult(dx, dy, se_x, se_y, n, model, *levels), _pair(dx, dy, se_x, se_y, n)
 
 
 def standardize_pair(delta_x_hat: float, delta_y_hat: float, sigma, n: int,

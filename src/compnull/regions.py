@@ -159,8 +159,7 @@ class RejectionRegion2D:
       it. Its ``cells`` are a read-only sequence of one ``WeightedRect`` per
       nonzero grid cell, each built when read, and its ``outside_rule`` is None.
 
-    Equality and hashing compare ``(alpha, kind, x_edges, y_edges, probs)``,
-    so two cell lists that compile to the same grid are equal.
+    Equality and hashing compare grids (see __eq__).
     """
 
     __slots__ = ("alpha", "kind", "outside_rule", "_cells",
@@ -206,6 +205,12 @@ class RejectionRegion2D:
         return self.x_edges, self.y_edges, self.probs
 
     def __eq__(self, other):
+        """Equal ``(alpha, kind, x_edges, y_edges, probs)``: cell lists that
+        compile to one grid are equal, but this compares grids, not rejection
+        functions. ``from_grid(0.05, "custom", [-inf, 0.0, inf], [-inf, inf],
+        [[0.0], [0.0]])`` and the 1x1 grid its (empty) cells compile to both
+        reject nowhere, yet are unequal: ``RejectionRegion2D(alpha, kind,
+        r.cells) == r`` needs every inner edge of r to bound a nonzero cell."""
         if not isinstance(other, RejectionRegion2D):
             return NotImplemented
         return ((self.alpha, self.kind) == (other.alpha, other.kind)

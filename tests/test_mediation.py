@@ -15,6 +15,7 @@ from compnull.mediation import (
     FitResult,
     MediationDataset,
     OlsFit,
+    _r_factor,
     fit_ols,
     load_csv,
     product_method_stats,
@@ -86,6 +87,50 @@ def test_fit_ols_names_collinear_columns():
     with pytest.raises(DataError) as err:
         fit_ols(design, x, ["intercept", "left", "right"])
     assert "left" in str(err.value) or "right" in str(err.value)
+
+
+def _hypot_reduce_dependent(xy):
+    # the rank rule as one np.hypot.reduce over the lower triangle of
+    # QR's raw output: design column j depends on columns :j when
+    # |R[j, j]| <= max(n, p)*eps*||R[:j+1, j]||
+    n, q = xy.shape
+    p = q - 1
+    h = np.linalg.qr(xy, mode="raw")[0]
+    norms = np.hypot.reduce(np.where(np.tri(p, dtype=bool), h[:p, :p], 0.0), axis=1)
+    dependent = np.abs(h.diagonal()[:p]) <= max(n, p) * np.finfo(float).eps * norms
+    return [f"x{j}" for j in np.flatnonzero(dependent)]
+
+
+def _named_dependent(xy):
+    try:
+        _r_factor(xy, [f"x{j}" for j in range(xy.shape[1] - 1)])
+    except DataError as err:
+        return str(err).split("collinear columns: ")[1].split(", ")
+    return []
+
+
+@pytest.mark.parametrize("scales", ["1", "1e300", "1e-300", "1e+-300"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_rank_rule_matches_the_hypot_reduce_oracle(k, scales):
+    # [1, c, a, m, y] with m = a + t*noise, and for k = 3 the last covariate
+    # also its first plus t*noise: t sweeps across the max(n, p)*eps
+    # threshold, so both rules must name the same columns on each side of it
+    rng = np.random.Generator(np.random.Philox(59))
+    n = 40
+    c, a, noise, y = rng.standard_normal((n, k)), *rng.standard_normal((3, n))
+    col_scale = {"1": np.ones(k + 4), "1e300": np.full(k + 4, 1e300),
+                 "1e-300": np.full(k + 4, 1e-300),
+                 "1e+-300": 10.0 ** rng.choice([-300.0, 300.0], k + 4)}[scales]
+    seen = set()
+    for t in [0.0, *np.geomspace(1e-17, 1e-11, 73)]:
+        cols = [np.ones(n), *c.T, a, a + t * noise, y]
+        if k == 3:
+            cols[3] = cols[1] + t * noise[::-1]
+        xy = np.asfortranarray(np.column_stack(cols) * col_scale)
+        want = _hypot_reduce_dependent(xy)
+        assert _named_dependent(xy) == want, t
+        seen.add(len(want))
+    assert seen == ({0, 1, 2} if k == 3 else {0, 1})
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300])
@@ -586,6 +631,29 @@ def test_columns_past_the_squared_range_fit_without_warning(column, scale):
         data = MediationDataset(cols["y"], cols["a"], cols["m"], cols["c"])
         for model in ("main_effects", "interaction"):
             pair = product_method_stats(data, model, 1.3 * levels, 0.2 * levels)[1]
+            want = product_method_stats(base, model, 1.3, 0.2)[1]
+            assert pair.zx == pytest.approx(want.zx, rel=1e-12)
+            assert pair.zy == pytest.approx(want.zy, rel=1e-12)
+
+
+def test_columns_whose_sums_of_squares_add_past_the_float_range_fit_without_warning():
+    # each column's sum of squares is finite but their total is not, so the
+    # dataset's one finiteness test fails and the column scan must pass
+    rng = np.random.Generator(np.random.Philox(23))
+    n, scale = 40, 1e153
+    a, noise_m, noise_y = rng.standard_normal((3, n))
+    c = rng.standard_normal((n, 2))
+    m = 0.3 * a + noise_m
+    y = 0.5 * a + 0.4 * m + noise_y
+    base = MediationDataset(y, a, m, c)
+    cols = [scale * v for v in (y, a, m, c)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        squares = [float(np.vdot(v, v)) for v in cols]
+        assert all(map(math.isfinite, squares)) and sum(squares) == math.inf
+        data = MediationDataset(*cols)
+        for model in ("main_effects", "interaction"):
+            pair = product_method_stats(data, model, 1.3 * scale, 0.2 * scale)[1]
             want = product_method_stats(base, model, 1.3, 0.2)[1]
             assert pair.zx == pytest.approx(want.zx, rel=1e-12)
             assert pair.zy == pytest.approx(want.zy, rel=1e-12)

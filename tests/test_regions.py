@@ -666,6 +666,16 @@ def test_region_equality_is_on_the_grid():
     assert a != RejectionRegion2D(0.1, "custom", a.cells)
     assert a != RejectionRegion2D(0.05, "bayes", a.cells)
     assert a != "region"
+    # grids, not rejection functions: an unused inner edge makes a 2x1
+    # all-zero grid, unequal to the 1x1 one its (empty) cells compile to
+    unused = RejectionRegion2D.from_grid(0.05, "custom", [-math.inf, 0.0, math.inf],
+                                         [-math.inf, math.inf], [[0.0], [0.0]])
+    rebuilt = RejectionRegion2D(0.05, "custom", unused.cells)
+    assert len(unused.cells) == 0 and rebuilt.probs.shape == (1, 1)
+    points = np.array([-1.0, 0.0, 1.0])
+    assert not rejection_prob_at_points(unused, points, points).any()
+    assert not rejection_prob_at_points(rebuilt, points, points).any()
+    assert unused != rebuilt
 
 
 def _bands(edges):
