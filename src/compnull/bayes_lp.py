@@ -8,8 +8,10 @@ region outside B fixed to the joint-significance rule as tail bands on the
 grid. Every objective coefficient and row is a product of per-band vectors,
 stored as such. The LP is folded onto the D4 orbits of the cells and solved
 in-library by a bounded dual simplex in numpy, with a feasibility and
-optimality check on its final basis. Solving once and persisting the region
-document is the intended workflow.
+optimality check on its final basis. The simplex reads the folded rows
+through their band factors and never forms the rows-by-orbits matrix, so a
+solve's memory grows as m^2. Solving once and persisting the region document
+is the intended workflow.
 """
 
 from __future__ import annotations
@@ -41,7 +43,9 @@ DEFAULT_PRIOR_SD = 2.0
 # constraint coefficients below this are numerically zero and dropped
 _COEFF_DROP = 1e-17
 _CELL_DROP = 1e-9  # cells below this are dropped; m_r may stray this far outside [0, 1]
-_MAX_ORDER = 256  # the LP's memory grows as m^3: ~0.3 GB at m = 256
+# a solve's time grows as m^3 (the row scales read every coefficient): 0.26 s
+# at m = 256, and its memory as m^2
+_MAX_ORDER = 256
 
 
 # eq=False: ndarray fields have no truth value, so compare and hash by identity
@@ -235,6 +239,24 @@ def _orbit_sums(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_scales(fold: np.ndarray) -> np.ndarray:
+    """Largest orbit coefficient of each row of ``_orbit_sums(u, u[0])``, given
+    the folded ``fold`` of ``u``, bit for bit; 1 for an all-zero row.
+
+    Taken one band lo at a time over the orbits (lo, hi >= lo), so only a
+    rows-by-m array exists at once; each coefficient is the same two
+    products and one sum as in :func:`_orbit_sums`.
+    """
+    f0 = fold[0]
+    scales = (fold * f0).max(axis=1)  # the diagonal orbits (i, i)
+    for i in range(len(f0) - 1):
+        t = fold[:, i + 1:] * f0[i]
+        t += fold[:, i, None] * f0[i + 1:]
+        np.maximum(scales, t.max(axis=1), out=scales)
+    scales[scales == 0.0] = 1.0
+    return scales
+
+
 _MAX_ITERATIONS = 5000
 # pivots between fresh inverses of the basis
 _REFACTOR = 50
@@ -278,22 +300,68 @@ def _ratio_test(step, weight, slope):
         top *= 4
 
 
-def _basic_matrix(a: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Columns ``basis`` of [a | I]: column j < n of a, else unit vector j - n."""
+class _FoldedRows:
+    """The scaled folded type-1 rows of :func:`solve_lp`, held as band factors.
+
+    ``fold`` holds the sign-folded band masses at each kept row's null shift,
+    the first row being the shift 0, and ``scales`` each row's scale. With
+    F = fold / scales[:, None] and f0 = fold[0], row r's coefficient on orbit
+    (lo, hi) is F[r, lo]*f0[hi] + [lo != hi]*F[r, hi]*f0[lo], so every product
+    with the rows-by-orbits matrix ``a`` is taken through an m-vector and the
+    matrix itself is never formed.
+    """
+
+    def __init__(self, fold: np.ndarray, scales: np.ndarray):
+        m = fold.shape[1]
+        self.f = fold / scales[:, None]
+        self.lo, self.hi = np.triu_indices(m)
+        # f0 at each orbit's other band; the lo-side term is 0 on the diagonal
+        self.f0_hi = fold[0, self.hi]
+        self.f0_lo = np.where(self.lo != self.hi, fold[0, self.lo], 0.0)
+        self.shape = (fold.shape[0], len(self.lo))
+
+    def row(self, w: np.ndarray) -> np.ndarray:
+        """``w @ a``: g = w @ F, then g[lo]*f0[hi] + [lo != hi]*g[hi]*f0[lo]."""
+        g = w @ self.f
+        out = g[self.lo]
+        out *= self.f0_hi
+        out += g[self.hi] * self.f0_lo
+        return out
+
+    def times(self, x: np.ndarray) -> np.ndarray:
+        """``a @ x``: F @ (X @ f0), X the symmetric m x m array of x by orbit;
+        X @ f0 is summed band by band from the orbit entries."""
+        m = self.f.shape[1]
+        v = np.bincount(self.lo, x * self.f0_hi, m)
+        v += np.bincount(self.hi, x * self.f0_lo, m)
+        return self.f @ v
+
+    def columns(self, q) -> np.ndarray:
+        """``a[:, q]`` for an orbit number or an array of them."""
+        out = self.f[:, self.lo[q]] * self.f0_hi[q]
+        out += self.f[:, self.hi[q]] * self.f0_lo[q]
+        return out
+
+
+def _basic_matrix(a: _FoldedRows, basis: np.ndarray) -> np.ndarray:
+    """Columns ``basis`` of [a | I]: column j < n of a, taken from its band
+    factors, else unit vector j - n."""
     k, n = a.shape
     out = np.zeros((k, len(basis)))
     slack = basis >= n
-    out[:, ~slack] = a[:, basis[~slack]]
+    out[:, ~slack] = a.columns(basis[~slack])
     out[basis[slack] - n, np.flatnonzero(slack)] = 1.0
     return out
 
 
-def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
+def _dual_simplex(a: _FoldedRows, rhs: np.ndarray, gain: np.ndarray):
     """Maximize gain @ x subject to a @ x <= rhs and 0 <= x <= 1, gain > 0.
 
     Bounded dual simplex on [a | I], the slack columns s >= 0 unbounded
     above; the identity block is never built, since a slack column is a unit
-    vector and a nonbasic slack is always 0. Every x starts at its upper
+    vector and a nonbasic slack is always 0, and ``a`` is read only through
+    its factored products (:class:`_FoldedRows`), so no pivot costs more than
+    O(k*m + m^2) beyond the basis update. Every x starts at its upper
     bound 1 with the slacks basic: with a positive gain that basis is dual
     feasible, so no phase 1 is needed. Each step the most infeasible basic
     row leaves for its violated bound, and a bound-flipping ratio test
@@ -318,7 +386,7 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
     binv = np.eye(k)
     # rhs less the nonbasic columns at their values, so x_b = binv @ resid;
     # the all-slack basis has zero duals, so the reduced costs start at cost
-    resid = rhs - a @ value[:n]
+    resid = rhs - a.times(value[:n])
     reduced = cost.copy()
     iterations = fresh = 0
     while True:
@@ -329,10 +397,10 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
             # certificate: fresh basic values within their bounds, and each
             # reduced cost signed for its column's bound
             basic_matrix = _basic_matrix(a, basis)
-            resid = rhs - a @ value[:n]
+            resid = rhs - a.times(value[:n])
             x_b = np.linalg.solve(basic_matrix, resid)
             duals = np.linalg.solve(basic_matrix.T, cost[basis])
-            reduced = cost - np.concatenate((duals @ a, duals))
+            reduced = cost - np.concatenate((a.row(duals), duals))
             reduced[basis] = 0.0
             if (np.max(np.maximum(-x_b, x_b - upper[basis])) <= _CERT_TOL
                     and np.max(np.where(value > 0.0, reduced, -reduced)) <= _CERT_TOL):
@@ -347,7 +415,7 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
         # the leaving variable moves to its violated bound, and each reduced
         # cost moves by step * alpha_r[j] for a dual step >= 0
         sign = 1.0 if x_b[r] < 0.0 else -1.0
-        alpha_r = np.concatenate((binv[r] @ a, binv[r]))
+        alpha_r = np.concatenate((a.row(binv[r]), binv[r]))
         alpha_r *= sign
         at_upper = value > 0.0
         cand = np.flatnonzero(nonbasic & np.where(at_upper, alpha_r > _PIVOT_TOL,
@@ -362,27 +430,23 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
         flipped, q = cand[found[0]], int(cand[found[1]])
         reduced += step[found[1]] * alpha_r
         if len(flipped):
-            # flipped columns are boxed, so structural; a gather copies a
-            # column per flip, so many flips read a in place instead
-            delta = upper[flipped] - 2.0 * value[flipped]
-            if 8 * len(flipped) < n:
-                resid -= a[:, flipped] @ delta
-            else:
-                change = np.zeros(n)
-                change[flipped] = delta
-                resid -= a @ change
-            value[flipped] += delta
+            # flipped columns are boxed, so structural
+            change = np.zeros(n)
+            change[flipped] = upper[flipped] - 2.0 * value[flipped]
+            resid -= a.times(change)
+            value[flipped] += change[flipped]
         # a nonbasic slack is 0, so only structural columns move the residual
         leaving = int(basis[r])
         if q < n:
-            resid += a[:, q] * value[q]
-            column = binv @ a[:, q]
+            a_q = a.columns(q)
+            resid += a_q * value[q]
+            column = binv @ a_q
         else:
             column = binv[:, q - n].copy()
         value[q] = 0.0
         value[leaving] = 0.0 if sign > 0.0 else upper[leaving]
         if leaving < n:
-            resid -= a[:, leaving] * value[leaving]
+            resid -= a.columns(leaving) * value[leaving]
         pivot_row = binv[r] / column[r]
         binv -= column[:, None] * pivot_row
         binv[r] = pivot_row
@@ -391,9 +455,9 @@ def _dual_simplex(a: np.ndarray, rhs: np.ndarray, gain: np.ndarray):
         reduced[basis] = 0.0
         if iterations % _REFACTOR == 0:
             binv, fresh = np.linalg.inv(_basic_matrix(a, basis)), iterations
-            resid = rhs - a @ value[:n]
+            resid = rhs - a.times(value[:n])
             duals = cost[basis] @ binv
-            reduced = cost - np.concatenate((duals @ a, duals))
+            reduced = cost - np.concatenate((a.row(duals), duals))
             reduced[basis] = 0.0
 
     value[basis] = x_b
@@ -407,10 +471,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     problem are invariant under sign flips and the x<->y swap, so the orbit
     average of any optimum is again feasible and optimal. The solve
     therefore runs over m(m+1)/2 orbit variables and the 2m+1 rows at the
-    null points (d, 0) with d >= 0, one per null-point orbit; each kept
-    row's coefficients and the objective are summed over every orbit
-    straight from the band factors, and the orbit values are broadcast back
-    to all 4m^2 cells.
+    null points (d, 0) with d >= 0, one per null-point orbit, and the orbit
+    values are broadcast back to all 4m^2 cells. The objective is summed
+    over every orbit straight from the band factors; the rows are held as
+    their sign-folded band masses and scales (:class:`_FoldedRows`), so a
+    row is one m-vector and a scale, and no rows-by-orbits array is formed.
 
     Each folded row is pre-scaled so its largest coefficient is 1 (an exact
     reformulation): the raw rows are uniformly tiny, and in scaled units one
@@ -426,12 +491,11 @@ def solve_lp(problem: LpProblem) -> LpSolution:
         raise ValueError("problem does not have the band factors and null grid of build_lp")
     # null points (d, 0) with d >= 0 are shifts 2m..4m, the first of them d = 0
     at_zero = problem.band_masses[2 * m:]
-    folded = _orbit_sums(at_zero, at_zero[0])
-    scales = folded.max(axis=1)
-    scales[scales == 0.0] = 1.0
-    folded /= scales[:, None]
+    fold = at_zero[:, :m] + at_zero[:, :m - 1:-1]
+    scales = _row_scales(fold)
     x, status, iterations = _dual_simplex(
-        folded, problem.rhs[2 * m:4 * m + 1] / scales,
+        _FoldedRows(fold, scales),
+        problem.rhs[2 * m:4 * m + 1] / scales,
         _orbit_sums(problem.band_weights, problem.band_weights))
     if status != "optimal":
         return LpSolution(np.zeros(4 * m * m), math.nan, status, iterations)

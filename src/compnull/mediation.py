@@ -107,12 +107,22 @@ def _r_factor(xy: np.ndarray, names) -> list[list[float]]:
     coefficients R[:j, :j]^-1 R[:j, j] and RSS R[j, j]^2. Design columns with
     |R[j, j]| <= max(n, p)*eps*||x_j|| depend on earlier ones and are named;
     ||x_j|| is math.hypot of R's column j, which scales and does not overflow.
+    A column whose norm is near the float range can still overflow inside the
+    QR, leaving inf or NaN in R; the DataError then names the column of
+    ``xy`` with the largest norm (the last column is the response).
     """
     n, q = xy.shape
     tol = max(n, q - 1) * _EPS
     r = np.linalg.qr(xy, mode="raw")[0][:, :q].tolist()  # raw is R transposed
     dependent = [names[j] for j in range(q - 1)
                  if abs(r[j][j]) <= tol * math.hypot(*r[j][:j + 1])]
+    # an inf in a design column makes its norm inf, so the rank test names it;
+    # every reflection reaches the response column, so a NaN shows there
+    if ((dependent or not math.isfinite(math.hypot(*r[q - 1])))
+            and not all(math.isfinite(math.hypot(*col[:j + 1])) for j, col in enumerate(r))):
+        big = max(range(q), key=lambda j: math.hypot(*xy[:, j].tolist()))
+        what = f"column {names[big]!r}" if big < q - 1 else "the response"
+        raise DataError(f"{what} is too large: its norm overflows in the QR factorization")
     if dependent:
         raise DataError("design is rank deficient; collinear columns: " + ", ".join(dependent))
     return r

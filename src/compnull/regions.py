@@ -531,6 +531,17 @@ def analytic_power(region: RejectionRegion2D, delta_star) -> float:
     return float(analytic_power_batch(region, np.array([delta]))[0])
 
 
+def _run_masses(edges: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``_band_masses(edges, d)``, with the cdf paid once per run of equal shifts:
+    the head of each run takes its masses and the rows are repeated over the
+    run, so the result holds the same bits."""
+    step = d[1:] != d[:-1]
+    if step.all():
+        return _band_masses(edges, d)
+    starts = np.concatenate(([0], np.flatnonzero(step) + 1))
+    return np.repeat(_band_masses(edges, d[starts]), np.diff(starts, append=len(d)), axis=0)
+
+
 def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     """Exact rejection probability at each row of an (n, 2) array of shifts.
 
@@ -538,7 +549,8 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     at shift s is the s-th row sum of (Gx @ probs) * Gy. Shifts are taken in
     blocks of about ``_CHUNK`` band masses, so the temporaries stay in cache
     and memory does not grow with the number of shifts; each block's product
-    with Gy is formed in place. A NaN or infinite
+    with Gy is formed in place. Within a block, a run of equal shifts on an
+    axis takes its masses once (:func:`_run_masses`). A NaN or infinite
     shift raises ValueError naming the first such row.
     """
     deltas = np.asarray(deltas, dtype=float)
@@ -553,8 +565,8 @@ def analytic_power_batch(region: RejectionRegion2D, deltas) -> np.ndarray:
     out = np.empty(len(deltas))
     for lo in range(0, len(deltas), rows):
         d = deltas[lo:lo + rows]
-        g = _band_masses(x_edges, d[:, 0]) @ region.probs
-        g *= _band_masses(y_edges, d[:, 1])
+        g = _run_masses(x_edges, d[:, 0]) @ region.probs
+        g *= _run_masses(y_edges, d[:, 1])
         g.sum(axis=1, out=out[lo:lo + rows])
     return np.clip(out, 0.0, 1.0, out=out)
 

@@ -14,10 +14,13 @@ from scipy.special import ndtri
 from compnull import bayes_lp
 from compnull.bayes_lp import (
     LpSolution,
+    _basic_matrix,
     _cell_orbits,
+    _FoldedRows,
     _ladder,
     _orbit_sums,
     _ratio_test,
+    _row_scales,
     assemble_bayes_region,
     build_lp,
     candidate_objective,
@@ -412,11 +415,70 @@ def test_solve_keeps_its_pivot_path(alpha, m, pivots):
     assert solve_lp(build_lp(alpha, m)).iterations == pivots
 
 
+def _factored_and_dense_rows(alpha, m):
+    """The solve's scaled rows from their band factors, and the dense rows
+    _orbit_sums(at_zero, at_zero[0]) / scales[:, None] they stand for."""
+    problem = build_lp(alpha, m)
+    at_zero = problem.band_masses[2 * m:]
+    dense = _orbit_sums(at_zero, at_zero[0])
+    scales = dense.max(axis=1)
+    scales[scales == 0.0] = 1.0
+    fold = at_zero[:, :m] + at_zero[:, :m - 1:-1]
+    got = _row_scales(fold)
+    assert np.array_equal(got, scales)
+    return _FoldedRows(fold, got), dense / scales[:, None]
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+@pytest.mark.parametrize("m", [4, 5, 7, 65])
+def test_factored_rows_match_the_dense_matrix(alpha, m):
+    # every product the simplex takes with the rows, from the band factors,
+    # against the dense rows-by-orbits matrix it no longer forms
+    rows, dense = _factored_and_dense_rows(alpha, m)
+    k, n = dense.shape
+    assert rows.shape == (k, n)
+    rng = np.random.default_rng(m)
+
+    def close(got, want, size, tol=1e-15):
+        # relative to the summed magnitudes of each entry's terms, so that
+        # cancellation in a random-signed product does not hide an error
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= tol * size)
+
+    for _ in range(5):
+        w = rng.standard_normal(k)
+        close(rows.row(w), w @ dense, np.abs(w) @ dense)
+        x = rng.uniform(0.0, 1.0, n)
+        x[rng.uniform(size=n) < 0.5] = 0.0
+        # a sum over up to 2145 orbits, rounded in both forms (3.3e-15 seen at m = 65)
+        close(rows.times(x), dense @ x, dense @ x, tol=1e-14)
+        basis = rng.choice(n + k, size=k, replace=False)
+        want = np.hstack([dense, np.eye(k)])[:, basis]
+        close(_basic_matrix(rows, basis), want, np.max(want))
+        q = int(rng.integers(n))
+        close(rows.columns(q), dense[:, q], np.max(dense[:, q]))
+
+
+def test_solve_memory_grows_with_the_rows_times_the_orbits_not_their_matrix():
+    # the rows-by-orbits matrix at m = 128 is 257 x 8256 doubles (17 MB) and
+    # the solve once held two of them; from the band factors its peak is a
+    # few arrays of one row or one column of it, plus the k x k basis inverse
+    problem = build_lp(0.05, 128)
+    tracemalloc.start()
+    try:
+        sol = solve_lp(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.solver_status == "optimal"
+    assert peak < 8 * 2**20
+
+
 @pytest.mark.parametrize("m", [32, 64, 200])
 def test_half_level_certifies_after_a_fresh_factorization(m):
-    # at alpha = 0.5 the updated inverse drifts past the certificate (basic
-    # values out of bounds by 6.6e-11 at m = 32); the loop refactors and
-    # pivots on to a basis that certifies
+    # at alpha = 0.5 the updated inverse can drift past the certificate (at
+    # m = 200 six certificates fail before one passes); the loop refactors
+    # and pivots on to a basis that certifies
     problem = build_lp(0.5, m)
     sol = solve_lp(problem)
     assert sol.solver_status == "optimal"

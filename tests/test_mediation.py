@@ -670,6 +670,51 @@ def test_exposure_mediator_product_must_be_finite():
             product_method_stats(data, "interaction", 1.3e200, 0.2e200)
 
 
+@pytest.mark.parametrize("scale", [6e153, 7e153])
+def test_a_column_whose_norm_overflows_in_the_qr_is_named(scale):
+    # every a*m entry is finite, but the a:m column's norm is near or past the
+    # float range: at 6e153 the QR's R holds inf in the response column, on
+    # a:m's row, and at 7e153 a:m's own diagonal entry is -inf. Neither is
+    # collinearity nor a non-finite estimate; the column is named instead
+    rng = np.random.default_rng(1)
+    n = 40
+    y, a, m = rng.standard_normal((3, n))
+    message = "^column 'a:m' is too large: its norm overflows in the QR factorization$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        data = MediationDataset(y, scale * a, scale * m, np.empty((n, 0)))
+        with pytest.raises(DataError, match=message):
+            product_method_stats(data, "interaction", scale, 0.0)
+        design = np.column_stack([np.ones(n), scale * a, scale * m, (scale * a) * (scale * m)])
+        with pytest.raises(DataError, match=message):
+            fit_ols(design, y, ["intercept", "a", "m", "a:m"])
+        # a response whose norm overflows is named as the response
+        with pytest.raises(DataError, match="^the response is too large: its norm overflows"):
+            fit_ols(design[:, :2] / scale, np.full(n, 1.7e308))
+
+
+def test_a_column_whose_norm_stays_in_range_still_fits():
+    # the same data scaled by 1e153: the QR stays finite and the interaction
+    # fit returns the unscaled z pair; fit_ols refuses only the a:m variance,
+    # which is near 1/scale**4 and underflows, as it did before
+    rng = np.random.default_rng(1)
+    n, scale = 40, 1e153
+    y, a, m = rng.standard_normal((3, n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        want = product_method_stats(MediationDataset(y, a, m, np.empty((n, 0))),
+                                    "interaction")[1]
+        data = MediationDataset(y, scale * a, scale * m, np.empty((n, 0)))
+        pair = product_method_stats(data, "interaction", scale, 0.0)[1]
+        assert pair.zx == pytest.approx(want.zx, rel=1e-12)
+        assert pair.zy == pytest.approx(want.zy, rel=1e-12)
+        design = np.column_stack([np.ones(n), scale * a, scale * m, (scale * a) * (scale * m)])
+        with pytest.raises(DataError, match="^coefficient variance underflows; columns: a:m$"):
+            fit_ols(design, y, ["intercept", "a", "m", "a:m"])
+        fit = fit_ols(design[:, :3], y)
+        assert np.isfinite(fit.beta).all() and np.isfinite(fit.cov).all()
+
+
 def test_fit_output_bits_are_pinned():
     # sha256 of the float64 bits of every fit in a seeded sweep, so that a
     # change that is meant to leave the arithmetic alone moves no bit. The

@@ -353,6 +353,91 @@ def test_blocked_power_memory_does_not_grow_with_the_shifts(shipped_bayes_region
     assert peak < 4 * 2**20
 
 
+def _blocked_power_oracle(region, deltas):
+    """analytic_power_batch as it was before runs of equal shifts shared their
+    band masses: every block takes the masses of every shift."""
+    from compnull.statmath import _band_masses
+    x_edges, y_edges = region.x_edges, region.y_edges
+    rows = max(1, _CHUNK // max(x_edges.size, y_edges.size))
+    out = np.empty(len(deltas))
+    for lo in range(0, len(deltas), rows):
+        d = deltas[lo:lo + rows]
+        g = _band_masses(x_edges, d[:, 0]) @ region.probs
+        g *= _band_masses(y_edges, d[:, 1])
+        g.sum(axis=1, out=out[lo:lo + rows])
+    return np.clip(out, 0.0, 1.0, out=out)
+
+
+def _axis_scan(k, half_width=12.0, offset=0.01):
+    """Design's certification scan: the x null axis, then the y null axis."""
+    axis = np.linspace(-half_width, half_width, k) + offset
+    zero = np.zeros(k)
+    return np.vstack([np.column_stack([axis, zero]), np.column_stack([zero, axis])])
+
+
+def _run_shift_sets():
+    rng = np.random.default_rng(33)
+    line = np.linspace(-5.0, 5.0, 3001)
+    mesh = np.stack(np.meshgrid(np.linspace(-4, 4, 70), np.linspace(-3, 3, 90),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    alternating = np.zeros((2000, 2))
+    alternating[0::2, 0] = rng.uniform(-6, 6, 1000)
+    alternating[1::2, 1] = rng.uniform(-6, 6, 1000)
+    return {
+        "axis_scan": _axis_scan(1201),
+        "fixed_dx": np.column_stack([np.full_like(line, 1.5), line]),
+        "fixed_dy": np.column_stack([line, np.full_like(line, -0.7)]),
+        "ij_mesh": mesh,
+        "alternating_null_rows": alternating,
+        "random": rng.uniform(-6.0, 6.0, size=(5000, 2)),
+        "single": np.array([[0.3, 0.3]]),
+    }
+
+
+def _run_regions(shipped_bayes_region):
+    inf = math.inf
+    uneven = RejectionRegion2D.from_grid(
+        0.05, "custom", [-inf, -2.0, -0.5, 0.5, 2.0, inf], [-inf, -1.0, 1.0, inf],
+        [[1.0, 0.0, 1.0], [0.2, 0.0, 0.2], [0.0, 0.0, 0.0], [0.2, 0.0, 0.2], [1.0, 0.0, 1.0]])
+    return {"minimax": build_minimax_region(0.05), "extended": build_extended_region(0.07),
+            "js": build_js_region(0.05), "fixture": shipped_bayes_region, "uneven": uneven}
+
+
+@pytest.mark.parametrize("shifts", list(_run_shift_sets()))
+def test_runs_of_equal_shifts_keep_the_bits_of_the_blocked_loop(shifts, shipped_bayes_region):
+    deltas = _run_shift_sets()[shifts]
+    for name, region in _run_regions(shipped_bayes_region).items():
+        want = _blocked_power_oracle(region, deltas)
+        assert np.array_equal(analytic_power_batch(region, deltas), want), name
+
+
+def test_a_run_of_equal_shifts_takes_its_band_masses_once(monkeypatch):
+    # the x-axis half of the scan holds dy = 0 throughout and the y-axis half
+    # dx = 0: each axis pays one mass row per run within a block, not per shift
+    import compnull.regions as regions
+    rows = []
+
+    def counted(edges, shifts, folded=False):
+        rows.append(np.size(shifts))
+        return _band_masses(edges, shifts, folded)
+
+    _band_masses = regions._band_masses
+    region = build_minimax_region(0.05)
+    k = 1201
+    deltas = _axis_scan(k)
+    monkeypatch.setattr(regions, "_band_masses", counted)
+    power = analytic_power_batch(region, deltas)
+    block = max(1, _CHUNK // max(region.x_edges.size, region.y_edges.size))
+    heads = 0
+    for lo in range(0, 2 * k, block):
+        d = deltas[lo:lo + block]
+        heads += sum(1 + int(np.count_nonzero(c[1:] != c[:-1])) for c in d.T)
+    # about one row per shift on the axis that moves and one per block on the
+    # axis held at 0, where taking every shift would be 2 rows per shift
+    assert sum(rows) == heads < 2 * k + 2 * math.ceil(2 * k / block)
+    assert np.all(np.abs(power - 0.05) <= 1e-12)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_analytic_power_rejects_non_finite_shifts(bad):
     region = build_minimax_region(0.05)
