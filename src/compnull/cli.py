@@ -115,7 +115,11 @@ def _cmd_test3(args) -> dict:
         square = normalize_corner(cyclic_latin(k)).square
     else:
         with open(args.square) as fh:
-            square = square_from_json(fh.read())
+            text = fh.read()
+        try:
+            square = square_from_json(text)
+        except ValueError as exc:  # a malformed file is a data problem
+            raise DataError(str(exc)) from exc
     region = build_latin_region(square, args.alpha)
     return {"alpha": args.alpha, "z": [_echo(v) for v in z],
             "reject": rejects3(region, z), "order": square.k}

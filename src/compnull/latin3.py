@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_form import _folded_ladder, _unit_order
-from .regions import _check_cell_count, _paint, _sorted_unique, _statistics, _unpack
-from .statmath import Interval, _alpha, _cdf_steps, _count, _finite
+from .regions import _check_cell_count, _statistics, _unpack
+from .statmath import Interval, _alpha, _band_masses, _count, _finite
 
 __all__ = [
     "LatinSquare",
@@ -79,7 +78,7 @@ def cyclic_latin(k: int) -> LatinSquare:
 
 
 def _validated_perm(perm) -> tuple[int, int, int]:
-    p = tuple(int(v) for v in perm)
+    p = tuple(_count("perm entry", v, 1) for v in perm)
     if sorted(p) != [1, 2, 3]:
         raise ValueError(f"perm must be a permutation of (1, 2, 3), got {perm!r}")
     return p
@@ -91,17 +90,17 @@ def conjugate(a: LatinSquare, perm) -> LatinSquare:
     Each cell of ``a`` is an orthogonal-array triple (i, j, A_{i,j}); the
     conjugate is the square whose triples are those with coordinates
     rearranged so that new position m holds old position perm[m]. The
-    identity permutation returns an equal square.
+    identity permutation returns an equal square. Perm entries are integers,
+    never bools, floats or strings.
     """
     p = _validated_perm(perm)
     k = a.k
-    out = [[0] * k for _ in range(k)]
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            triple = (i, j, a[i, j])
-            r, c, s = (triple[p[0] - 1], triple[p[1] - 1], triple[p[2] - 1])
-            out[r - 1][c - 1] = s
-    return LatinSquare(k, tuple(tuple(row) for row in out))
+    rows, cols = np.indices((k, k))
+    triples = np.stack((rows.ravel(), cols.ravel(), np.ravel(a.grid) - 1))
+    r, c, s = triples[[v - 1 for v in p]]
+    out = np.empty((k, k), dtype=np.int64)
+    out[r, c] = s + 1
+    return LatinSquare(k, out.tolist())
 
 
 def is_totally_symmetric(a: LatinSquare) -> bool:
@@ -142,67 +141,42 @@ def normalize_corner(a: LatinSquare) -> CornerNormalization:
 
 
 class RejectionRegion3D:
-    """Union of pairwise-disjoint open boxes in the nonnegative |z| octant.
+    """The rejection region of a Latin square of order K at level alpha = 1/K.
 
-    Construction validates the boxes and compiles them onto one band
-    tensor: per-axis sorted band edges, each running from 0 to inf and
-    including every box endpoint, and a read-only tensor holding, for each
-    open grid cell, 1 + the index of the box containing it (0 for none).
-    Every box is a slab of whole grid cells, so lookup is one bisection per
-    axis plus one tensor read and exact power is a contraction of per-axis
-    band masses with the tensor's membership.
+    It is the union of the K^2 open boxes (c_{i-1}, c_i) x (c_{j-1}, c_j) x
+    (c_{A_ij-1}, c_{A_ij}) in |z|-space, where c is the folded ladder that all
+    three axes share. The region holds its level, its square and that ladder;
+    each box is one band cell on each axis, so lookup reads one symbol and
+    exact power is a gather on the square. Made by :func:`build_latin_region`
+    alone.
     """
 
-    __slots__ = ("alpha", "boxes", "_edges", "_inner", "_label", "_power")
+    __slots__ = ("alpha", "_square", "_ladder", "_inner", "_symbols")
 
-    def __init__(self, alpha: float, boxes):
-        alpha = _alpha(alpha)
-        norm = []
-        for x, y, z in boxes:
-            for iv in (x, y, z):
-                if not isinstance(iv, Interval):
-                    raise ValueError("each box must be a triple of Interval")
-                if iv.lo < 0.0:
-                    raise ValueError("boxes must lie in the nonnegative octant")
-            norm.append((x, y, z))
-        self.alpha, self.boxes = alpha, tuple(norm)
-        self._set_tensor(*self._compile())
-
-    def _compile(self) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        lo, hi = np.array([[(iv.lo, iv.hi) for iv in box] for box in self.boxes]
-                          ).reshape(-1, 3, 2).transpose(2, 1, 0)
-        edges = tuple(_sorted_unique(np.concatenate(([0.0, math.inf], lo[a], hi[a])))
-                      for a in range(3))
-        label, overlap = _paint(edges, lo, hi)
-        if overlap is not None:
-            _, a, b = overlap
-            raise ValueError(f"boxes overlap: {self.boxes[a]} and {self.boxes[b]}")
-        return edges, label
-
-    def _set_tensor(self, edges: tuple[np.ndarray, ...], label: np.ndarray) -> None:
-        for arr in (*edges, label):
-            arr.flags.writeable = False
-        self._edges = edges
-        self._inner = tuple(tuple(e[1:-1].tolist()) for e in edges)
-        self._label = label
-        self._power = None  # analytic_power3's operands, built on its first call
+    @property
+    def boxes(self) -> tuple[tuple[Interval, Interval, Interval], ...]:
+        """The K^2 boxes as Interval triples, row-major over the square's cells."""
+        c = self._ladder.tolist()
+        bands = [Interval(lo, hi) for lo, hi in zip(c, c[1:])]
+        return tuple((bands[i], bands[j], bands[s - 1])
+                     for i, row in enumerate(self._square.grid) for j, s in enumerate(row))
 
     def __eq__(self, other):
         if not isinstance(other, RejectionRegion3D):
             return NotImplemented
-        return self.alpha == other.alpha and self.boxes == other.boxes
+        return self.alpha == other.alpha and self._square == other._square
 
     def __hash__(self):
-        return hash((self.alpha, self.boxes))
+        return hash((self.alpha, self._square))
 
     def __repr__(self):
-        return f"RejectionRegion3D(alpha={self.alpha!r}, boxes=<{len(self.boxes)}>)"
+        return f"RejectionRegion3D(alpha={self.alpha!r}, boxes=<{self._square.k ** 2}>)"
 
 
 def _latin_order(alpha) -> tuple[float, int]:
     """``alpha`` as a level and the order K of its Latin region: alpha must be
-    1/K, and the K^3 tensor within the grid-cell limit (so K <= 203). Checked
-    before a square is built or read."""
+    1/K, and K^3 within the grid-cell limit (so K <= 203), the documented level
+    limit of ``compnull test3``. Checked before a square is built or read."""
     alpha = _alpha(alpha)
     k = _unit_order(alpha)
     if k is None:
@@ -216,76 +190,50 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
 
     c_k is the (K+k)/(2K) standard-normal quantile, the folded ladder of
     :func:`~compnull.closed_form.extended_breakpoints`, so c_0 = 0 and
-    c_K = inf. Requires alpha = 1/K for the square's order K. The square is
-    used as given; apply normalize_corner first if consistency at large
-    diagonal alternatives is wanted. Each box is one cell of the ladder's
-    band tensor, which is written directly (cell (i, j, A_ij) gets label
-    (i - 1) K + j), not compiled from the boxes. The K^3 tensor is held to
-    the grid-cell limit of :class:`RejectionRegion3D`, so K <= 203.
+    c_K = inf. Requires alpha = 1/K for the square's order K, with K <= 203.
+    The square is used as given; apply normalize_corner first if consistency
+    at large diagonal alternatives is wanted.
     """
     alpha, k = _latin_order(alpha)
     if k != a.k:
         raise ValueError(f"alpha={alpha!r} must be the reciprocal of the square's order {a.k}")
-    c = _folded_ladder(alpha, k)
-    bands = [Interval(c[i], c[i + 1]) for i in range(k)]
-    boxes = tuple((bands[i], bands[j], bands[s - 1])
-                  for i, row in enumerate(a.grid) for j, s in enumerate(row))
-    label = np.zeros((k * k, k), dtype=np.int64)
-    label[np.arange(k * k), np.ravel(a.grid) - 1] = np.arange(1, k * k + 1)
+    ladder = np.array(_folded_ladder(alpha, k))
+    symbols = np.array(a.grid) - 1
+    ladder.flags.writeable = symbols.flags.writeable = False
     region = RejectionRegion3D.__new__(RejectionRegion3D)
-    region.alpha, region.boxes = alpha, boxes
-    region._set_tensor((np.array(c),) * 3, label.reshape(k, k, k))
+    region.alpha, region._square, region._ladder = alpha, a, ladder
+    region._inner, region._symbols = tuple(ladder[1:-1].tolist()), symbols
     return region
 
 
 def rejects3(region: RejectionRegion3D, z) -> bool:
     """Open-box membership of (|z1|, |z2|, |z3|).
 
-    A coordinate on a box's edge, including |z| = 0, lies outside that box;
-    +-inf lies in the unbounded end band. NaN raises.
+    Every box is a single band cell, so a coordinate at 0 or on an inner band
+    edge lies outside; +-inf lies in the unbounded end band. NaN raises.
     """
-    # Band i is (edges[i], edges[i+1]). A coordinate on the inner edge
-    # edges[i+1] touches bands i and i+1, and lies inside a box only if one
-    # box covers every grid cell the point touches.
-    span = []
-    for t, inner in zip(map(abs, _statistics(z, 3)), region._inner):
-        if t == 0.0:
-            return False
+    inner = region._inner
+    bands = []
+    for t in map(abs, _statistics(z, 3)):
         i = bisect_left(inner, t)
-        span.append(slice(i, i + 2 if i < len(inner) and inner[i] == t else i + 1))
-    touched = region._label[tuple(span)]
-    first = touched.flat[0]
-    return bool(first > 0 and (touched == first).all())
-
-
-def _power_operands(region: RejectionRegion3D):
-    """The concatenated edges of the three axes, the axis of each edge, the slices of
-    their band masses in one difference of the concatenated cdf, and the float
-    membership tensor; built on a region's first power call and then kept (8 K^3 bytes
-    for a Latin region: 67 MB at K = 203)."""
-    if region._power is None:
-        sizes = [e.size for e in region._edges]
-        starts = np.cumsum([0] + sizes)
-        bands = tuple(slice(a, b - 1) for a, b in zip(starts, starts[1:]))
-        region._power = (np.concatenate(region._edges), np.repeat(np.arange(3), sizes), bands,
-                         (region._label > 0).astype(float))
-    return region._power
+        if t == 0.0 or (i < len(inner) and inner[i] == t):
+            return False
+        bands.append(i)
+    i, j, s = bands
+    return region._square.grid[i][j] == s + 1
 
 
 def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
     """Exact rejection probability at a mean triple.
 
-    With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is
-    the contraction of the membership tensor with g_x, g_y and g_z. All
-    three axes' masses come from one cdf pass per sign over the axes'
-    concatenated edges, with the bits of ``_band_masses`` on each axis:
-    the steps that straddle two axes are sliced away.
+    With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is the
+    sum over cells (i, j) of g_x[i] g_y[j] g_z[A_ij - 1]: the gather
+    g_z[A - 1] contracted with g_y and g_x. All three axes' masses come from
+    one ``_band_masses`` call on the shared ladder.
     """
     d = _finite("mean", _unpack(delta_star, 3, "mean"))
-    edges, axis, bands, member = _power_operands(region)
-    g = _cdf_steps(edges, np.array(d)[axis], folded=True)
-    gx, gy, gz = (g[b] for b in bands)
-    return min(1.0, max(0.0, float(member @ gz @ gy @ gx)))
+    gx, gy, gz = _band_masses(region._ladder, d, folded=True)
+    return min(1.0, max(0.0, float(gz[region._symbols] @ gy @ gx)))
 
 
 def square_to_json(a: LatinSquare) -> str:

@@ -188,10 +188,18 @@ def test_three_factor_square_file(tmp_path, capsys):
 
 
 def test_three_factor_square_with_a_non_integer_symbol_is_refused(tmp_path, capsys):
+    # a malformed square document is a data problem, exit 2
     path = tmp_path / "bad.json"
     path.write_text('{"order": 2, "grid": [[1, 2.9], [2, 1]]}')
     assert _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.5", "--square", str(path)) == (
-        1, "", "error: invalid square document: symbol must be an integer, got 2.9\n")
+        2, "", "error: invalid square document: symbol must be an integer, got 2.9\n")
+    path.write_text('{"order": 2, "grid": [[1, 2]]}')
+    assert _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.5", "--square", str(path)) == (
+        2, "", "error: invalid square document: grid must be 2x2\n")
+    # a level that does not match a well-formed square's order is a value problem, exit 1
+    path.write_text(square_to_json(cyclic_latin(2)))
+    assert _run(capsys, "test3", "--z", "1,2,3", "--alpha", "0.25", "--square", str(path)) == (
+        1, "", "error: alpha=0.25 must be the reciprocal of the square's order 2\n")
 
 
 def test_three_factor_usage_errors(capsys):

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from compnull.closed_form import extended_breakpoints
 from compnull.latin3 import (
     CornerNormalization,
     LatinSquare,
@@ -60,7 +61,7 @@ def test_cyclic_square_over_the_grid_limit_is_refused_before_it_is_built(k, cell
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 4 * 2**20
-    # the limit is on the K x K square; build_latin_region refuses K = 204 for its K^3 tensor
+    # the limit is on the K x K square; build_latin_region's level limit refuses K = 204
     assert cyclic_latin(204).k == 204
 
 
@@ -107,6 +108,17 @@ def test_conjugate_identity_and_column_symbol_swap():
         assert conjugate(conjugate(a, p), p) == a
     with pytest.raises(ValueError, match="perm"):
         conjugate(a, (1, 2, 2))
+    assert conjugate(a, (np.int64(1), np.uint8(3), 2)) == b
+
+
+def test_conjugate_refuses_non_integer_entries():
+    # each of these once gave a conjugate, its entries truncated by int()
+    a = cyclic_latin(3)
+    for perm, shown in (((1, 2, 3.7), "3.7"), ((True, 2, 3), "True"), (("1", "3", "2"), "'1'"),
+                        ((1.0, 2, 3), "1.0")):
+        with pytest.raises(ValueError) as err:
+            conjugate(a, perm)
+        assert str(err.value) == f"perm entry must be an integer, got {shown}"
 
 
 def test_total_symmetry_census():
@@ -147,7 +159,7 @@ def test_build_region_order_two():
 
 def test_level_is_checked_as_in_test3():
     # the level checks of compnull test3, in its order: alpha = 1/K, then the
-    # K^3 tensor limit; only then is K compared with the square's order
+    # level limit K^3 <= 2^23; only then is K compared with the square's order
     with pytest.raises(ValueError, match=r"^alpha=0.4 must be 1/K for an integer order K$"):
         build_latin_region(cyclic_latin(2), 0.4)
     with pytest.raises(RegionValidationError, match=r"^grid of 204 x 204 x 204 = 8489664 "):
@@ -230,19 +242,13 @@ def test_cyclic_order_three_is_not_exchangeable():
 
 
 def test_region_validation():
-    band = Interval(0.0, 1.0)
-    far = Interval(2.0, 3.0)
     with pytest.raises(ValueError, match="alpha"):
-        RejectionRegion3D(1.0, [(band, band, band)])
-    with pytest.raises(ValueError, match="Interval"):
-        RejectionRegion3D(0.5, [(band, band, (0.0, 1.0))])
-    with pytest.raises(ValueError, match="nonnegative"):
-        RejectionRegion3D(0.5, [(Interval(-1.0, 1.0), band, band)])
-    with pytest.raises(ValueError, match="overlap"):
-        RejectionRegion3D(0.5, [(band, band, band),
-                                (Interval(0.5, 1.5), band, band)])
-    ok = RejectionRegion3D(0.5, [(band, band, band), (far, band, band)])
-    assert len(ok.boxes) == 2
+        build_latin_region(cyclic_latin(2), 1.0)
+    # a square is the only way in: the class takes no boxes
+    band = Interval(0.0, 1.0)
+    with pytest.raises(TypeError):
+        RejectionRegion3D(0.5, [(band, band, band)])
+    ok = build_latin_region(cyclic_latin(2), 0.5)
     with pytest.raises(ValueError, match="NaN"):
         rejects3(ok, (float("nan"), 0.5, 0.5))
 
@@ -258,7 +264,7 @@ def test_square_json_round_trip():
         square_from_json('{"order": 2, "grid": [[1, 2], [1, 2]]}')
 
 
-# -- the box scans the band tensor replaced, kept as oracles ----------------
+# -- box scans and the K^3 contraction, kept as oracles ----------------------
 
 def _scan_rejects3(region, z):
     u = tuple(abs(float(v)) for v in z)
@@ -275,11 +281,6 @@ def _box_power(region, d):
                 break
         total += term
     return min(1.0, total)
-
-
-def _scan_overlaps(boxes):
-    return any(all(min(i1.hi, i2.hi) > max(i1.lo, i2.lo) for i1, i2 in zip(b1, b2))
-               for b1, b2 in itertools.combinations(boxes, 2))
 
 
 def _axis_edges(region):
@@ -329,24 +330,21 @@ def _assert_power_matches_boxes(region, seed):
         assert abs(analytic_power3(region, d) - _box_power(region, d)) <= 1e-15, d
 
 
-def _reference_power3(region, d):
-    """The contraction analytic_power3 did before its one-pass form: each axis's folded
-    masses from its own _band_masses call and a fresh boolean membership."""
-    gx, gy, gz = (_band_masses(e, mu, folded=True) for e, mu in zip(region._edges, d))
-    return min(1.0, max(0.0, float((region._label > 0) @ gz @ gy @ gx)))
+def _box_tensor(region):
+    """Each axis's band edges and the float membership of every grid cell, painted
+    from the boxes."""
+    edges = [np.array(e) for e in _axis_edges(region)]
+    member = np.zeros([len(e) - 1 for e in edges])
+    for box in region.boxes:
+        member[tuple(slice(*np.searchsorted(e, (iv.lo, iv.hi))) for e, iv in zip(edges, box))] = 1.0
+    return edges, member
 
 
-def _gapped_region():
-    # gaps between boxes, different edges on each axis, two boxes touching
-    # along y = 1.0 and a zero-width box
-    iv = Interval
-    return RejectionRegion3D(0.1, [
-        (iv(0.2, 0.9), iv(0.0, 1.5), iv(1.0, np.inf)),
-        (iv(1.3, 2.0), iv(0.5, 1.0), iv(0.0, 0.4)),
-        (iv(1.3, 2.0), iv(1.0, 3.0), iv(0.0, 0.4)),
-        (iv(2.5, np.inf), iv(2.2, 2.7), iv(0.7, 1.9)),
-        (iv(0.6, 0.6), iv(0.1, 0.3), iv(0.0, 5.0)),
-    ])
+def _reference_power3(edges, member, d):
+    """Each axis's folded masses from its own _band_masses call, contracted with
+    the K^3 membership tensor."""
+    gx, gy, gz = (_band_masses(e, mu, folded=True) for e, mu in zip(edges, d))
+    return min(1.0, max(0.0, float(member @ gz @ gy @ gx)))
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 20])
@@ -355,16 +353,6 @@ def test_band_tensor_matches_box_scan(k):
         region = build_latin_region(sq, 1.0 / k)
         _assert_lookup_matches_scan(region, 40 * k + seed)
         _assert_power_matches_boxes(region, 50 * k + seed)
-
-
-def test_band_tensor_matches_box_scan_on_gapped_region():
-    region = _gapped_region()
-    _assert_lookup_matches_scan(region, 61)
-    _assert_power_matches_boxes(region, 62)
-    assert rejects3(region, (0.5, 1.4, 3.0))
-    assert not rejects3(region, (0.5, 1.5, 3.0))
-    assert not rejects3(region, (1.5, 1.0, 0.2))
-    assert rejects3(region, (np.inf, 2.5, 1.0))
 
 
 def test_infinite_statistics_lie_in_end_band():
@@ -405,60 +393,7 @@ def test_triples_of_the_wrong_length_name_the_count():
     assert rejects3(region, (v for v in (0.7, 0.2, 1.5)))
 
 
-def test_grid_cap_refuses_hand_built_boxes_before_allocating():
-    # 130 disjoint diagonal boxes give each axis 0, inf and 260 edges: 261^3 = 17.8M cells
-    boxes = [(Interval(k, k + 0.5),) * 3 for k in range(1, 131)]
-    tracemalloc.start()
-    try:
-        with pytest.raises(RegionValidationError, match=r"^grid of 261 x 261 x 261 = 17779581 "
-                                                        r"cells exceeds the limit"):
-            RejectionRegion3D(0.5, boxes)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
-
-
-def test_overlap_names_both_boxes():
-    iv = Interval
-    first = (iv(3.0, 4.0), iv(0.0, 1.0), iv(0.0, 1.0))
-    a = (iv(0.0, 1.0), iv(0.2, 1.2), iv(0.0, 2.0))
-    b = (iv(0.5, 1.5), iv(0.1, 0.7), iv(0.3, 0.9))
-    with pytest.raises(ValueError, match="boxes overlap") as info:
-        RejectionRegion3D(0.5, [first, a, b])
-    assert str(info.value) == f"boxes overlap: {a} and {b}"
-
-    touching = [(iv(0.0, 1.0), iv(0.0, 1.0), iv(0.0, 1.0)),
-                (iv(1.0, 2.0), iv(0.0, 1.0), iv(0.0, 1.0)),
-                (iv(0.0, 1.0), iv(1.0, np.inf), iv(0.0, 1.0)),
-                (iv(0.5, 0.5), iv(0.0, 1.0), iv(0.0, 1.0))]
-    assert len(RejectionRegion3D(0.5, touching).boxes) == 4
-
-
-def test_overlap_check_matches_pair_scan():
-    rng = np.random.Generator(np.random.Philox(71))
-    grid = [0.0, 0.5, 1.0, 1.5, 2.0, np.inf]
-    raised = 0
-    for _ in range(300):
-        boxes = []
-        for _ in range(int(rng.integers(2, 5))):
-            box = []
-            for _ in range(3):
-                lo, hi = sorted(rng.choice(len(grid), size=2))
-                box.append(Interval(grid[lo], grid[hi]))
-            boxes.append(tuple(box))
-        if _scan_overlaps(boxes):
-            raised += 1
-            with pytest.raises(ValueError, match="boxes overlap"):
-                RejectionRegion3D(0.5, boxes)
-        else:
-            RejectionRegion3D(0.5, boxes)
-    assert 0 < raised < 300
-
-
 def test_large_order_is_similar():
-    # 10^4 boxes: the band tensor builds in O(K^2) slice writes, where a
-    # pairwise overlap scan would make ~5e7 box-pair tests
     k = 100
     region = build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
     assert len(region.boxes) == k * k
@@ -479,70 +414,49 @@ def test_order_must_be_an_integer(bad):
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 20])
-def test_written_tensor_equals_compiled(k):
-    # the box compiler is the reference for the tensor build_latin_region writes
+def test_boxes_equality_and_hash_follow_the_square(k):
+    c = extended_breakpoints(1.0 / k)
     for sq in (cyclic_latin(k), normalize_corner(cyclic_latin(k)).square):
         region = build_latin_region(sq, 1.0 / k)
-        compiled = RejectionRegion3D(1.0 / k, region.boxes)
-        assert region == compiled
-        assert region.boxes == compiled.boxes
-        assert all(isinstance(iv, Interval) for box in region.boxes for iv in box)
-        for written, ref in zip(region._edges + (region._label,),
-                                compiled._edges + (compiled._label,)):
-            assert written.dtype == ref.dtype and np.array_equal(written, ref)
-            assert not written.flags.writeable
-        assert region._inner == compiled._inner
-
-
-def _uneven_regions():
-    # hand-built regions whose three axes have different edge counts
-    iv = Interval
-    yield _gapped_region()
-    yield RejectionRegion3D(0.2, [(iv(0.5, 1.0), iv(0.0, np.inf), iv(0.3, 0.6))])
-    yield RejectionRegion3D(0.2, [
-        (iv(0.0, 0.1), iv(0.0, 2.0), iv(0.0, np.inf)),
-        (iv(0.1, 0.2), iv(0.5, 0.75), iv(0.0, 1.0)),
-        (iv(0.2, 0.3), iv(0.0, 0.5), iv(1.0, 1.5)),
-        (iv(0.3, 3.0), iv(2.0, 2.5), iv(0.0, 0.25)),
-    ])
+        want = tuple((Interval(c[i - 1], c[i]), Interval(c[j - 1], c[j]),
+                      Interval(c[sq[i, j] - 1], c[sq[i, j]]))
+                     for i in range(1, k + 1) for j in range(1, k + 1))
+        assert region.boxes == want
+        assert all(type(iv.lo) is float for box in region.boxes for iv in box)
+        again = build_latin_region(LatinSquare(k, sq.grid), 1.0 / k)
+        assert region == again and hash(region) == hash(again)
+        assert repr(region) == f"RejectionRegion3D(alpha={1.0 / k!r}, boxes=<{k * k}>)"
+    flipped = LatinSquare(k, cyclic_latin(k).grid[::-1])
+    assert build_latin_region(cyclic_latin(k), 1.0 / k) != build_latin_region(flipped, 1.0 / k)
 
 
 def test_power_bits_match_per_axis_reference():
-    regions = [build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
-               for k in (2, 3, 5, 20)]
-    regions += _uneven_regions()
-    assert all(len({e.size for e in r._edges}) > 1 for r in regions[4:])
     rng = np.random.Generator(np.random.Philox(3030))
     shifts = rng.normal(scale=2.5, size=(60, 3))
     shifts[:12] = 0.0
     shifts[:12, :2] = rng.uniform(-4.0, 4.0, size=(12, 2))
     shifts[12:16] = [[40.0, -40.0, 0.5], [-1e-300, 0.0, 2.0], [8.0, 8.0, 8.0], [-0.0, 1.0, 1.0]]
-    for region in regions:
-        for d in shifts:
-            got = analytic_power3(region, d)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == np.float64(_reference_power3(region, d)).tobytes()
+    for k in (2, 3, 5, 20):
+        for sq in (cyclic_latin(k), normalize_corner(cyclic_latin(k)).square):
+            region = build_latin_region(sq, 1.0 / k)
+            edges, member = _box_tensor(region)
+            for d in shifts:
+                got = analytic_power3(region, d)
+                assert type(got) is float
+                want = _reference_power3(edges, member, d)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
-def test_power_keeps_its_membership_and_lookups_do_not_build_it():
-    k = 60
-    tensor = 8 * k ** 3  # bytes of one K^3 float tensor
+def test_order_203_region_stays_small():
+    # one K^3 float tensor alone would be 8 * 203^3 bytes = 63.8 MiB
     tracemalloc.start()
     try:
-        region = build_latin_region(normalize_corner(cyclic_latin(k)).square, 1.0 / k)
-        built = tracemalloc.get_traced_memory()[1]  # the int64 label tensor and the boxes
+        region = build_latin_region(normalize_corner(cyclic_latin(203)).square, 1 / 203)
         assert rejects3(region, (1.0, 2.0, 3.0)) in (True, False)
-        tracemalloc.reset_peak()
-        first = analytic_power3(region, (0.5, 1.0, 1.5))
-        first_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        again = analytic_power3(region, (0.5, 1.0, 1.5))
-        later = analytic_power3(region, (2.0, 0.0, 1.0))
-        peak = tracemalloc.get_traced_memory()[1] - before
+        null = analytic_power3(region, (0.5, 0.0, 1.5))
+        alternative = analytic_power3(region, (2.0, 3.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert built < 1.5 * tensor  # no float membership beside the label tensor
-    assert first_peak >= tensor  # the first power call builds it once
-    assert peak < tensor / 16  # later calls reuse it
-    assert again == first and later == 1.0 / k
+    assert peak < 8 * 2**20
+    assert abs(null - 1 / 203) <= 1e-12 and 1 / 203 < alternative < 1.0

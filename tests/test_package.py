@@ -97,16 +97,15 @@ def test_design_path_leaves_numpy_ma_unloaded(package_env, shipped_bayes_paths):
     # use, so the LP, the region compilers and the CLI's LP solve avoid it
     code = f"""
 import contextlib, io, sys
-from compnull import (Interval, RejectionRegion3D, assemble_bayes_region, build_lp,
-                      deserialize, serialize, solve_lp)
+from compnull import (analytic_power3, assemble_bayes_region, build_latin_region, build_lp,
+                      cyclic_latin, deserialize, serialize, solve_lp)
 from compnull.cli import cli_dispatch
 problem = build_lp(0.05, 12)
 region = assemble_bayes_region(problem, solve_lp(problem))
 assert deserialize(serialize(region)) == region
 with open({str(shipped_bayes_paths[1])!r}) as f:
     assert deserialize(f.read()).kind == "bayes"
-band = Interval(1.0, 2.0)
-RejectionRegion3D(0.05, [(band, band, band), (Interval(0.0, 1.0), band, band)])
+analytic_power3(build_latin_region(cyclic_latin(20), 0.05), (1.0, 2.0, 3.0))
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli_dispatch(["bayes", "solve", "--alpha", "0.05", "--m", "12"]) == 0
 print("numpy.ma" in sys.modules)

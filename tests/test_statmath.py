@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from compnull import (Interval, RejectionRegion2D, RejectionRegion3D, SimSpec,
+from compnull import (Interval, RejectionRegion2D, SimSpec,
                       build_extended_region, build_js_region, build_latin_region, build_lp,
                       build_minimax_region, cyclic_latin, extended_breakpoints,
                       folded_interval_prob, gaussian_interval_prob, js_test,
@@ -206,7 +206,6 @@ def test_every_level_check_gives_one_message():
         origin_type1,
         lambda a: js_test((1.0, 1.0), a),
         lambda a: sobel_test(0.1, 0.2, 1.0, 1.0, 10, a),
-        lambda a: RejectionRegion3D(a, []),
         lambda a: build_latin_region(cyclic_latin(2), a),
         lambda a: build_lp(a, 4),
         lambda a: SimSpec(("js",), ((0.0, 0.0),), 10, 10, 0, a),
