@@ -50,11 +50,16 @@ def _band_count(alpha: float, k: int | None) -> int | float:
     return math.floor(inv) + 1 if inv < math.inf else inv
 
 
-def _folded_ladder(alpha: float, k: int | None) -> list[float]:
-    """:func:`extended_breakpoints` at a checked alpha of unit order k; the
-    mirrored 2n x 2n grid is held to the cell limit before any quantile."""
+def _ladder_bands(alpha: float, k: int | None) -> int | float:
+    """:func:`_band_count`, refused if its mirrored 2n x 2n grid is over the cell limit."""
     n = _band_count(alpha, k)
-    _check_cell_count((2 * n, 2 * n))
+    _check_cell_count(2 * n, 2 * n)
+    return n
+
+
+def _folded_ladder(alpha: float, k: int | None) -> list[float]:
+    """:func:`extended_breakpoints` at alpha of unit order k, size-checked before any quantile."""
+    n = _ladder_bands(alpha, k)
     if k is not None:
         return [0.0] + [std_normal_quantile((k + j) / (2 * k)) for j in range(1, k + 1)]
     return [0.0] + [_two_sided_cutoff((n - 1 - j) * alpha) for j in range(n - 1)] + [math.inf]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import _folded_ladder, _unit_order
+from .closed_form import _folded_ladder, _ladder_bands, _unit_order
 from .regions import _check_cell_count, _statistics, _unpack
 from .statmath import Interval, _alpha, _band_masses, _count, _finite
 
@@ -72,7 +72,7 @@ def cyclic_latin(k: int) -> LatinSquare:
     """The cyclic square A_{i,j} = ((i+j-2) mod K) + 1; a K x K square over
     the grid-cell limit is refused before it is built."""
     k = _count("order", k, 1)
-    _check_cell_count((k, k))
+    _check_cell_count(k, k)
     i = np.arange(k)
     return LatinSquare(k, ((i[:, None] + i) % k + 1).tolist())
 
@@ -174,14 +174,12 @@ class RejectionRegion3D:
 
 
 def _latin_order(alpha) -> tuple[float, int]:
-    """``alpha`` as a level and the order K of its Latin region: alpha must be
-    1/K, and K^3 within the grid-cell limit (so K <= 203), the documented level
-    limit of ``compnull test3``. Checked before a square is built or read."""
+    """``alpha`` as a level and the order K of its Latin region: 1/K, with K <= 1448."""
     alpha = _alpha(alpha)
     k = _unit_order(alpha)
     if k is None:
         raise ValueError(f"alpha={alpha!r} must be 1/K for an integer order K")
-    _check_cell_count((k, k, k))
+    _ladder_bands(alpha, k)
     return alpha, k
 
 
@@ -190,7 +188,7 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
 
     c_k is the (K+k)/(2K) standard-normal quantile, the folded ladder of
     :func:`~compnull.closed_form.extended_breakpoints`, so c_0 = 0 and
-    c_K = inf. Requires alpha = 1/K for the square's order K, with K <= 203.
+    c_K = inf. Requires alpha = 1/K for the square's order K, with K <= 1448.
     The square is used as given; apply normalize_corner first if consistency
     at large diagonal alternatives is wanted.
     """

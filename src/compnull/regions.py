@@ -46,8 +46,7 @@ REGION_KINDS = frozenset({"minimax", "extended", "joint_significance", "bayes", 
 _MAX_BUCKETS = 4096
 # values per pass of rejection_prob_at_points and analytic_power_batch
 _CHUNK = 1 << 15
-# the one limit on grid size, checked before any grid is allocated: 2-D
-# regions up to 2896^2 cells (minimax K <= 1448), Latin tensors up to 203^3
+# the one limit on grid size, checked before any grid is allocated: 2896^2 cells, K <= 1448
 _MAX_GRID_CELLS = 1 << 23
 # a cell rejecting with at least this probability counts as a sure rejection
 _DEGENERATE = 1.0 - 1e-9
@@ -183,7 +182,7 @@ class RejectionRegion2D:
         x_edges = _checked_edges(x_edges, "x_edges")
         y_edges = _checked_edges(y_edges, "y_edges")
         shape = (len(x_edges) - 1, len(y_edges) - 1)
-        _check_cell_count(shape)
+        _check_cell_count(*shape)
         # + 0.0 copies and turns -0.0 into 0.0
         probs = np.asarray(probs, dtype=float) + 0.0
         if probs.shape != shape:
@@ -262,25 +261,38 @@ class RejectionRegion2D:
         rule = self.outside_rule
         x_extra = y_extra = (-math.inf, math.inf)
         if rule is not None:
-            t = rule.threshold
-            box = rule.box
+            t, box = rule.threshold, rule.box
             if box is None and self._cells:
                 box = (xlo.min(), xhi.max(), ylo.min(), yhi.max())
             x_extra += (-t, t) + (box[:2] if box is not None else ())
             y_extra += (-t, t) + (box[2:] if box is not None else ())
         x_edges = _sorted_unique(np.concatenate((xlo, xhi, x_extra)))
         y_edges = _sorted_unique(np.concatenate((ylo, yhi, y_extra)))
-        label, overlap = _paint((x_edges, y_edges), np.array([xlo, ylo]), np.array([xhi, yhi]))
-        if overlap is not None:
-            (gi, gj), a, b = overlap
-            raise RegionValidationError(
-                f"overlapping cells: cells[{a}] and cells[{b}] share the open rectangle "
-                f"({float(x_edges[gi])!r}, {float(x_edges[gi + 1])!r}) x "
-                f"({float(y_edges[gj])!r}, {float(y_edges[gj + 1])!r})")
-        cell_p = np.concatenate(([0.0], p))[label]
-
+        _check_cell_count(len(x_edges) - 1, len(y_edges) - 1)
+        # each bound is an edge, so cell k covers the grid cells [i0, i1) x [j0, j1); +-1 and
+        # +-(k + 1) at its corners, summed along both axes, count and label the cells on each
+        i0, i1 = np.searchsorted(x_edges, xlo), np.searchsorted(x_edges, xhi)
+        j0, j1 = np.searchsorted(y_edges, ylo), np.searchsorted(y_edges, yhi)
+        count = np.zeros((len(x_edges), len(y_edges)), dtype=np.int64)
+        label = np.zeros_like(count)
+        labels = np.arange(1, len(p) + 1)
+        for i, j, sign in ((i0, j0, 1), (i1, j0, -1), (i0, j1, -1), (i1, j1, 1)):
+            np.add.at(count, (i, j), sign)
+            np.add.at(label, (i, j), sign * labels)
+        for sums in (count, label):
+            np.cumsum(sums, axis=0, out=sums)
+            np.cumsum(sums, axis=1, out=sums)
+        if count.max() > 1:
+            gi, gj = np.argwhere(count > 1)[0]
+            a, b = np.flatnonzero((i0 <= gi) & (gi < i1) & (j0 <= gj) & (gj < j1))[:2]
+            (xa, xb), (ya, yb) = x_edges[gi:gi + 2].tolist(), y_edges[gj:gj + 2].tolist()
+            raise RegionValidationError(f"overlapping cells: cells[{a}] and cells[{b}] share the "
+                                        f"open rectangle ({xa!r}, {xb!r}) x ({ya!r}, {yb!r})")
+        del count  # freed before probs is gathered, so the two are never held together
+        probs = np.concatenate(([0.0], p))[label[:-1, :-1]]
         fires = _js_outside(x_edges, y_edges, t, box) if rule is not None else False
-        return x_edges, y_edges, np.where(cell_p > 0.0, cell_p, fires)
+        np.copyto(probs, fires, where=probs <= 0.0)  # a cell with p > 0 takes precedence
+        return x_edges, y_edges, probs
 
 
 class _CellView(Sequence):
@@ -337,41 +349,11 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _paint(edges, lo, hi):
-    """Paint boxes onto a grid: their label tensor and the first overlap.
-
-    ``lo``/``hi`` are (axes, boxes) arrays of box bounds, each an edge in
-    ``edges``, so box k is a slab of whole cells; difference arrays (+-1 at
-    slab corners, a cumsum per axis) paint its label k + 1 and coverage
-    counts exactly. Returns the labels (0 off every box) and None, or
-    ``(cell, a, b)``: the first cell two boxes share and the first two on it.
-    """
-    _check_cell_count([len(e) - 1 for e in edges])
-    i0, i1 = (np.array([np.searchsorted(e, v) for e, v in zip(edges, b)]) for b in (lo, hi))
-    labels = np.arange(1, i0.shape[1] + 1)
-    count = np.zeros([len(e) for e in edges], dtype=np.int64)
-    label = np.zeros_like(count)
-    for corner in itertools.product((0, 1), repeat=len(edges)):
-        index = tuple(i1[a] if c else i0[a] for a, c in enumerate(corner))
-        sign = (-1) ** sum(corner)
-        np.add.at(count, index, sign)
-        np.add.at(label, index, sign * labels)
-    inner = (slice(-1),) * len(edges)
-    for axis in range(len(edges)):
-        count, label = count.cumsum(axis=axis), label.cumsum(axis=axis)
-    count, label = count[inner], label[inner]
-    if count.max(initial=0) <= 1:
-        return label, None
-    cell = np.argwhere(count > 1)[0]
-    a, b = np.nonzero(np.all((i0 <= cell[:, None]) & (cell[:, None] < i1), axis=0))[0][:2]
-    return label, (cell, a, b)
-
-
-def _check_cell_count(shape) -> None:
-    """Refuse a grid of more than _MAX_GRID_CELLS cells before it is allocated."""
-    if math.prod(shape) > _MAX_GRID_CELLS:
-        raise RegionValidationError(f"grid of {' x '.join(map(str, shape))} = "
-                                    f"{math.prod(shape)} cells exceeds the limit of {_MAX_GRID_CELLS}")
+def _check_cell_count(nx, ny) -> None:
+    """Refuse an nx x ny grid of more than _MAX_GRID_CELLS cells before it is allocated."""
+    if nx * ny > _MAX_GRID_CELLS:
+        raise RegionValidationError(
+            f"grid of {nx} x {ny} = {nx * ny} cells exceeds the limit of {_MAX_GRID_CELLS}")
 
 
 def _checked_edges(edges, name: str) -> np.ndarray:
@@ -669,7 +651,7 @@ def _read_v2(doc: dict) -> RejectionRegion2D:
         if not 0.0 <= v <= 1.0:
             raise RegionValidationError(f"values[{k}]: grid value must lie in [0, 1], got {v!r}")
     shape = (max(len(x_edges) - 1, 0), max(len(y_edges) - 1, 0))
-    _check_cell_count(shape)
+    _check_cell_count(*shape)
     index = _dec_runs(doc["runs"], len(values), shape[0] * shape[1])
     probs = np.array(values)[index].reshape(shape)
     try:

@@ -268,16 +268,18 @@ def test_oversized_region_document_exits_two(tmp_path, capsys):
 
 
 def test_three_factor_refuses_orders_above_the_limit(tmp_path, capsys):
-    # K = 204 is refused by the grid-cell limit before any square is built or
-    # read, so a missing square file is never opened
-    alpha = 1.0 / 204
-    want = "error: grid of 204 x 204 x 204 = 8489664 cells exceeds the limit of 8388608\n"
+    # K = 1449 is refused by the folded ladder's order limit, as for the 2-D
+    # grids, before any square is built or read, so a missing square file is
+    # never opened
+    alpha = 1.0 / 1449
+    want = "error: grid of 2898 x 2898 = 8398404 cells exceeds the limit of 8388608\n"
     for square in ("cyclic", str(tmp_path / "missing.json")):
         code, out, err = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(alpha),
                               "--square", square)
         assert (code, out, err) == (2, "", want)
-    code, out, _ = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(1.0 / 203))
-    assert code == 0 and json.loads(out)["order"] == 203
+    for k in (204, 1448):
+        code, out, _ = _run(capsys, "test3", "--z", "1,2,3", "--alpha", repr(1.0 / k))
+        assert code == 0 and json.loads(out)["order"] == k
 
 
 @pytest.mark.parametrize("alpha", ["0.4", "0.3", "1e-320"])

@@ -61,7 +61,7 @@ def test_cyclic_square_over_the_grid_limit_is_refused_before_it_is_built(k, cell
     finally:
         tracemalloc.stop()
     assert elapsed < 1.0 and peak < 4 * 2**20
-    # the limit is on the K x K square; build_latin_region's level limit refuses K = 204
+    # the limit is on the K x K square alone, not on the level limit of build_latin_region
     assert cyclic_latin(204).k == 204
 
 
@@ -159,11 +159,12 @@ def test_build_region_order_two():
 
 def test_level_is_checked_as_in_test3():
     # the level checks of compnull test3, in its order: alpha = 1/K, then the
-    # level limit K^3 <= 2^23; only then is K compared with the square's order
+    # folded ladder's order limit (2K)^2 <= 2^23; only then is K compared with
+    # the square's order
     with pytest.raises(ValueError, match=r"^alpha=0.4 must be 1/K for an integer order K$"):
         build_latin_region(cyclic_latin(2), 0.4)
-    with pytest.raises(RegionValidationError, match=r"^grid of 204 x 204 x 204 = 8489664 "):
-        build_latin_region(cyclic_latin(2), 1 / 204)
+    with pytest.raises(RegionValidationError, match=r"^grid of 2898 x 2898 = 8398404 "):
+        build_latin_region(cyclic_latin(2), 1 / 1449)
     with pytest.raises(ValueError, match=r"^alpha=0.3333333333333333 must be the reciprocal "
                                          r"of the square's order 2$"):
         build_latin_region(cyclic_latin(2), 1 / 3)

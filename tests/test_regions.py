@@ -18,7 +18,8 @@ from compnull import (Interval, OutsideRule, RegionFormatError, RegionValidation
                       minimax_pvalue, rejection_prob_at_point, rejection_prob_at_points,
                       serialize)
 from compnull.bayes_lp import build_lp
-from compnull.latin3 import build_latin_region, cyclic_latin
+from compnull.latin3 import (analytic_power3, build_latin_region, cyclic_latin, normalize_corner,
+                             rejects3)
 from compnull.regions import _CHUNK
 from compnull.regions import TestStatisticPair as StatisticPair  # not a test class
 from compnull.simulate import SimSpec, simulate_power
@@ -62,6 +63,100 @@ def test_region_rejects_overlapping_cells():
     # cells that only share an edge, and zero-width cells, have disjoint interiors
     RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1), _rect(1, 2, 0, 1), _rect(0, 1, 1, 2)])
     RejectionRegion2D(0.05, "custom", [_rect(0, 1, 0, 1), _rect(0.5, 0.5, 0, 1)])
+
+
+# cell bounds drawn from few values, so that cells share edges, overlap and
+# have zero width; 0 is drawn as 0.0 or -0.0
+_BOUNDS = (-math.inf, -3.0, -1.5, 0.0, 0.25, 1.0, 2.0, math.inf)
+
+
+def _random_bounds(rng, size, wide=False):
+    """Sorted bounds; ``wide`` pairs span 0, so such cells share the grid cells near 0."""
+    if wide:
+        values = [_BOUNDS[rng.integers(4)], _BOUNDS[rng.integers(4, len(_BOUNDS))]]
+    else:
+        values = [_BOUNDS[i] for i in sorted(rng.integers(len(_BOUNDS), size=size))]
+    return [-v if v == 0.0 and rng.random() < 0.5 else v for v in values]
+
+
+def _random_cell_list(rng, disjoint):
+    """Random cells and outside rule; with ``disjoint``, cells that overlap
+    an earlier one are dropped, else half the cells are wide."""
+    cells = []
+    for _ in range(rng.integers(0, 7)):
+        wide = not disjoint and rng.random() < 0.5
+        (xlo, xhi), (ylo, yhi) = _random_bounds(rng, 2, wide), _random_bounds(rng, 2, wide)
+        p = (0.0, 1.0, round(float(rng.uniform(0.01, 0.99)), 3))[rng.integers(3)]
+        if disjoint and any(max(xlo, c.x.lo) < min(xhi, c.x.hi)
+                            and max(ylo, c.y.lo) < min(yhi, c.y.hi) for c in cells):
+            continue
+        cells.append(_rect(xlo, xhi, ylo, yhi, p))
+    kind = rng.integers(3)
+    if kind == 0:
+        return cells, None
+    t = (0.0, 0.5, 1.0, 1.7, 2.0)[rng.integers(5)]
+    box = _random_bounds(rng, 2) + _random_bounds(rng, 2) if kind == 2 else None
+    return cells, OutsideRule(t, box)
+
+
+def _random_cell_lists():
+    rng = np.random.default_rng(2035)
+    return [_random_cell_list(rng, disjoint=k % 2 == 0) for k in range(400)]
+
+
+def _midpoint(lo, hi):
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    return hi - 1.0 if math.isinf(lo) else lo + 1.0 if math.isinf(hi) else lo / 2 + hi / 2
+
+
+def _compile_oracle(cells, rule):
+    """Grid edges and probs of the cells and rule, from each grid cell's
+    midpoint against every cell and the rule, or the overlap error's text; and
+    the most cells that share a grid cell."""
+    xs = [v for c in cells for v in (c.x.lo, c.x.hi)]
+    ys = [v for c in cells for v in (c.y.lo, c.y.hi)]
+    box = None
+    if rule is not None:
+        box = rule.box if rule.box or not cells else (min(xs), max(xs), min(ys), max(ys))
+        xs += [-rule.threshold, rule.threshold, *(box[:2] if box else ())]
+        ys += [-rule.threshold, rule.threshold, *(box[2:] if box else ())]
+    x_edges, y_edges = (sorted({v + 0.0 for v in [-math.inf, math.inf, *vs]}) for vs in (xs, ys))
+    probs = np.zeros((len(x_edges) - 1, len(y_edges) - 1))
+    error, shared = None, 1
+    for i, (xlo, xhi) in enumerate(zip(x_edges, x_edges[1:])):
+        for j, (ylo, yhi) in enumerate(zip(y_edges, y_edges[1:])):
+            mx, my = _midpoint(xlo, xhi), _midpoint(ylo, yhi)
+            on = [k for k, c in enumerate(cells) if c.x.contains(mx) and c.y.contains(my)]
+            shared = max(shared, len(on))
+            if len(on) > 1:
+                error = error or (f"overlapping cells: cells[{on[0]}] and cells[{on[1]}] share "
+                                  f"the open rectangle ({xlo!r}, {xhi!r}) x ({ylo!r}, {yhi!r})")
+            elif on and cells[on[0]].p > 0.0:
+                probs[i, j] = cells[on[0]].p
+            elif rule is not None and min(abs(mx), abs(my)) > rule.threshold:
+                inside = box and box[0] <= mx <= box[1] and box[2] <= my <= box[3]
+                probs[i, j] = 0.0 if inside else 1.0
+    return error or (x_edges, y_edges, probs), shared
+
+
+def test_cell_compiler_matches_a_per_cell_oracle():
+    shared = []
+    for cells, rule in _random_cell_lists():
+        want, count = _compile_oracle(cells, rule)
+        shared.append(count)
+        if count > 1:
+            with pytest.raises(RegionValidationError) as err:
+                RejectionRegion2D(0.05, "custom", cells, rule)
+            assert str(err.value) == want
+            continue
+        region = RejectionRegion2D(0.05, "custom", cells, rule)
+        x_edges, y_edges, probs = want
+        assert list(map(repr, region.x_edges.tolist())) == list(map(repr, x_edges))
+        assert list(map(repr, region.y_edges.tolist())) == list(map(repr, y_edges))
+        assert region.probs.tobytes() == probs.tobytes()
+    # lists that compile, and lists where 2, 3 and 4 cells share a grid cell
+    assert shared.count(1) >= 200 and {2, 3, 4} <= set(shared)
 
 
 def test_region_rejects_bad_alpha_and_kind():
@@ -649,6 +744,15 @@ _EDGES_2899 = np.concatenate(([-math.inf], np.arange(2897.0), [math.inf]))
 _OVER_CAP = "2898 x 2898 = 8398404 cells exceeds"
 
 
+@pytest.fixture
+def build(request):
+    """The parametrized build; an order K stands for the Latin build at alpha = 1/K
+    on the cyclic square of order K, which is made here, outside the trace."""
+    if isinstance(request.param, int):
+        return functools.partial(build_latin_region, cyclic_latin(request.param), 1 / request.param)
+    return request.param
+
+
 @pytest.mark.parametrize("build, match, error", [
     pytest.param(lambda: build_minimax_region(1 / 1449), _OVER_CAP, RegionValidationError,
                  id="minimax-K1449"),
@@ -656,8 +760,7 @@ _OVER_CAP = "2898 x 2898 = 8398404 cells exceeds"
                  RegionValidationError, id="extended-1e-4"),
     pytest.param(lambda: build_extended_region(1e-320), "inf x inf = inf cells",
                  RegionValidationError, id="extended-1e-320"),
-    pytest.param(functools.partial(build_latin_region, cyclic_latin(204), 1 / 204),
-                 "204 x 204 x 204 = 8489664 cells", RegionValidationError, id="latin-K204"),
+    pytest.param(1449, _OVER_CAP, RegionValidationError, id="latin-K1449"),
     # a broadcast view takes no memory, so only a copy of probs would show
     pytest.param(lambda: RejectionRegion2D.from_grid(
         0.05, "custom", _EDGES_2899, _EDGES_2899, np.broadcast_to(0.0, (2898, 2898))),
@@ -666,7 +769,7 @@ _OVER_CAP = "2898 x 2898 = 8398404 cells exceeds"
                  "20000 x 20000", RegionValidationError, id="simulate_power-extended-1e-4"),
     pytest.param(lambda: build_lp(0.05, 257), r"^order m=257 exceeds the limit of 256$",
                  ValueError, id="build_lp-m257"),
-])
+], indirect=["build"])
 def test_constructors_refuse_the_first_size_over_the_limit(build, match, error):
     assert _refused_peak(build, match, error) < 4 * 2**20
 
@@ -678,8 +781,10 @@ def test_grid_cap_admits_the_largest_grids():
     assert deserialize(serialize(region)) == region
     # off unit fractions the grid has 2 floor(1/alpha) + 2 bands a side
     assert build_extended_region(1 / 1447.5).probs.shape == (2896, 2896)
-    # 203^3 = 8365427 labels; 204^3 is over the cap
-    assert len(build_latin_region(cyclic_latin(203), 1 / 203).boxes) == 203 ** 2
+    # Latin regions share the folded ladder's order limit; the square is the costly part
+    region = build_latin_region(normalize_corner(cyclic_latin(1448)).square, 1 / 1448)
+    assert rejects3(region, (math.inf, math.inf, math.inf))
+    assert analytic_power3(region, (0.0, 1.0, 2.0)) == pytest.approx(1 / 1448, abs=1e-12)
 
 
 # -- region-v2: the grid as the document ---------------------------------------
