@@ -40,32 +40,44 @@ class LatinSquare:
     """Order-K square of symbols 1..K; every row and column is a permutation."""
 
     k: int
-    grid: tuple[tuple[int, ...], ...]
+    grid: np.ndarray  # read-only K x K int64, a copy of the one given
 
     def __post_init__(self):
         k = _count("order", self.k, 1)
         object.__setattr__(self, "k", k)
-        rows = tuple(map(tuple, self.grid))
-        if len(rows) != k or any(len(row) != k for row in rows):
+        a = self.grid
+        if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+            rows = tuple(map(tuple, a))
+            if len(rows) != k or any(len(row) != k for row in rows):
+                raise ValueError(f"grid must be {k}x{k}")
+            # _count's rule on each kind of symbol: bools, floats and strings are refused
+            refused = {t for t in set(map(type, itertools.chain.from_iterable(rows)))
+                       if t is bool or not issubclass(t, (int, np.integer))}
+            if refused:
+                _count("symbol", next(v for row in rows for v in row if type(v) in refused), 1)
+            a = np.array(rows)
+            if a.dtype.kind not in "iu":  # symbols past int64: they fail the check as objects
+                a = np.array(rows, dtype=object)
+        elif a.shape != (k, k):
             raise ValueError(f"grid must be {k}x{k}")
-        # _count's rule on each kind of symbol: bools, floats and strings are refused
-        refused = {t for t in set(map(type, itertools.chain.from_iterable(rows)))
-                   if t is bool or not issubclass(t, (int, np.integer))}
-        if refused:
-            _count("symbol", next(v for row in rows for v in row if type(v) in refused), 1)
-        a = np.array(rows)
-        if a.dtype.kind not in "iu":  # symbols past int64: they fail the check as objects
-            a = np.array(rows, dtype=object)
         for name, lines in (("row", a), ("column", a.T)):
             bad = np.flatnonzero((np.sort(lines, axis=1) != np.arange(1, k + 1)).any(axis=1))
             if bad.size:
                 raise ValueError(f"{name} {bad[0] + 1} is not a permutation of 1..{k}")
-        object.__setattr__(self, "grid", tuple(map(tuple, a.astype(np.int64, copy=False).tolist())))
+        object.__setattr__(self, "grid", a.astype(np.int64))  # a copy, never the caller's
+        self.grid.flags.writeable = False
+
+    def __eq__(self, other):  # equal grids have equal orders
+        return (np.array_equal(self.grid, other.grid) if isinstance(other, LatinSquare)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.k, self.grid.tobytes()))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         """1-based entry access: square[i, j] = A_{i,j}."""
         i, j = ij
-        return self.grid[i - 1][j - 1]
+        return self.grid.item(i - 1, j - 1)
 
 
 def cyclic_latin(k: int) -> LatinSquare:
@@ -74,7 +86,7 @@ def cyclic_latin(k: int) -> LatinSquare:
     k = _count("order", k, 1)
     _check_cell_count(k, k)
     i = np.arange(k)
-    return LatinSquare(k, ((i[:, None] + i) % k + 1).tolist())
+    return LatinSquare(k, (i[:, None] + i) % k + 1)
 
 
 def _validated_perm(perm) -> tuple[int, int, int]:
@@ -94,13 +106,11 @@ def conjugate(a: LatinSquare, perm) -> LatinSquare:
     never bools, floats or strings.
     """
     p = _validated_perm(perm)
-    k = a.k
-    rows, cols = np.indices((k, k))
-    triples = np.stack((rows.ravel(), cols.ravel(), np.ravel(a.grid) - 1))
+    triples = np.stack((*np.indices((a.k, a.k)), a.grid - 1))
     r, c, s = triples[[v - 1 for v in p]]
-    out = np.empty((k, k), dtype=np.int64)
+    out = np.empty_like(a.grid)
     out[r, c] = s + 1
-    return LatinSquare(k, out.tolist())
+    return LatinSquare(a.k, out)
 
 
 def is_totally_symmetric(a: LatinSquare) -> bool:
@@ -135,9 +145,8 @@ def normalize_corner(a: LatinSquare) -> CornerNormalization:
         return CornerNormalization(a, identity, identity, identity)
     swap = list(identity)
     swap[corner - 1], swap[k - 1] = k, corner
-    relabel = [0, *swap].__getitem__
-    grid = tuple(tuple(map(relabel, row)) for row in a.grid)
-    return CornerNormalization(LatinSquare(k, grid), identity, identity, tuple(swap))
+    square = LatinSquare(k, np.array([0, *swap])[a.grid])
+    return CornerNormalization(square, identity, identity, tuple(swap))
 
 
 class RejectionRegion3D:
@@ -151,7 +160,7 @@ class RejectionRegion3D:
     alone.
     """
 
-    __slots__ = ("alpha", "_square", "_ladder", "_inner", "_symbols")
+    __slots__ = ("alpha", "_square", "_ladder", "_inner")
 
     @property
     def boxes(self) -> tuple[tuple[Interval, Interval, Interval], ...]:
@@ -159,7 +168,7 @@ class RejectionRegion3D:
         c = self._ladder.tolist()
         bands = [Interval(lo, hi) for lo, hi in zip(c, c[1:])]
         return tuple((bands[i], bands[j], bands[s - 1])
-                     for i, row in enumerate(self._square.grid) for j, s in enumerate(row))
+                     for i, row in enumerate(self._square.grid.tolist()) for j, s in enumerate(row))
 
     def __eq__(self, other):
         if not isinstance(other, RejectionRegion3D):
@@ -196,11 +205,10 @@ def build_latin_region(a: LatinSquare, alpha: float) -> RejectionRegion3D:
     if k != a.k:
         raise ValueError(f"alpha={alpha!r} must be the reciprocal of the square's order {a.k}")
     ladder = np.array(_folded_ladder(alpha, k))
-    symbols = np.array(a.grid) - 1
-    ladder.flags.writeable = symbols.flags.writeable = False
+    ladder.flags.writeable = False
     region = RejectionRegion3D.__new__(RejectionRegion3D)
     region.alpha, region._square, region._ladder = alpha, a, ladder
-    region._inner, region._symbols = tuple(ladder[1:-1].tolist()), symbols
+    region._inner = tuple(ladder[1:-1].tolist())
     return region
 
 
@@ -218,25 +226,25 @@ def rejects3(region: RejectionRegion3D, z) -> bool:
             return False
         bands.append(i)
     i, j, s = bands
-    return region._square.grid[i][j] == s + 1
+    return region._square.grid.item(i, j) == s + 1
 
 
 def analytic_power3(region: RejectionRegion3D, delta_star) -> float:
     """Exact rejection probability at a mean triple.
 
     With g_a[i] the folded N(mu_a, 1) mass of band i on axis a, power is the
-    sum over cells (i, j) of g_x[i] g_y[j] g_z[A_ij - 1]: the gather
-    g_z[A - 1] contracted with g_y and g_x. All three axes' masses come from
-    one ``_band_masses`` call on the shared ladder.
+    sum over cells (i, j) of g_x[i] g_y[j] g_z[A_ij - 1]: g_z with a 0 put in
+    front, gathered on the square, contracted with g_y and g_x. All three
+    axes' masses come from one ``_band_masses`` call on the shared ladder.
     """
     d = _finite("mean", _unpack(delta_star, 3, "mean"))
     gx, gy, gz = _band_masses(region._ladder, d, folded=True)
-    return min(1.0, max(0.0, float(gz[region._symbols] @ gy @ gx)))
+    return min(1.0, max(0.0, float(np.concatenate(([0.0], gz))[region._square.grid] @ gy @ gx)))
 
 
 def square_to_json(a: LatinSquare) -> str:
     """Row-major integer-array document for a square."""
-    return json.dumps({"order": a.k, "grid": [list(row) for row in a.grid]})
+    return json.dumps({"order": a.k, "grid": a.grid.tolist()})
 
 
 def square_from_json(text: str) -> LatinSquare:
@@ -247,6 +255,6 @@ def square_from_json(text: str) -> LatinSquare:
     if not isinstance(doc, dict) or "order" not in doc or "grid" not in doc:
         raise ValueError("square document must have 'order' and 'grid' fields")
     try:
-        return LatinSquare(doc["order"], tuple(tuple(row) for row in doc["grid"]))
+        return LatinSquare(doc["order"], doc["grid"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"invalid square document: {exc}") from None

@@ -1,5 +1,6 @@
 """Three-factor regions built from Latin squares."""
 
+import hashlib
 import itertools
 import json
 import time
@@ -39,8 +40,8 @@ SWAPPED_2 = LatinSquare(2, ((2, 1), (1, 2)))
 
 
 def test_cyclic_squares():
-    assert cyclic_latin(2).grid == ((1, 2), (2, 1))
-    assert cyclic_latin(3).grid == ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+    assert cyclic_latin(2).grid.tolist() == [[1, 2], [2, 1]]
+    assert cyclic_latin(3).grid.tolist() == [[1, 2, 3], [2, 3, 1], [3, 1, 2]]
     big = cyclic_latin(20)
     assert big[1, 1] == 1 and big[20, 20] == 19
     assert big[7, 12] == (7 + 12 - 2) % 20 + 1
@@ -76,6 +77,18 @@ def test_square_validation():
         LatinSquare(0, ())
     a = cyclic_latin(3)
     assert a[1, 1] == 1 and a[2, 3] == 1 and a[3, 2] == 1
+    # an integer array is copied: the caller's array stays theirs, the square's is read-only
+    mine = np.array([[1, 2], [2, 1]])
+    sq = LatinSquare(2, mine)
+    before = hash(sq)
+    mine[:] = [[2, 1], [1, 2]]
+    assert sq == cyclic_latin(2) and hash(sq) == before and sq.grid.dtype == np.int64
+    with pytest.raises(ValueError, match="read-only"):
+        sq.grid[0, 0] = 2
+    for shape in ((2, 3), (3, 3), (4,), (2, 2, 1)):
+        with pytest.raises(ValueError) as err:
+            LatinSquare(2, np.ones(shape, dtype=np.int64))
+        assert str(err.value) == "grid must be 2x2"
 
 
 def test_non_integer_symbols_are_refused():
@@ -88,9 +101,20 @@ def test_non_integer_symbols_are_refused():
     with pytest.raises(ValueError) as err:
         square_from_json('{"order": 2, "grid": [[1, 2.9], [2, 1]]}')
     assert str(err.value) == "invalid square document: symbol must be an integer, got 2.9"
-    # numpy integers are symbols; the grid holds them as ints
+    # numpy integers are symbols; the square reads them back as ints
     square = LatinSquare(2, ((np.uint8(1), np.int64(2)), (2, np.uint64(1))))
-    assert square == cyclic_latin(2) and type(square.grid[1][1]) is int
+    assert square == cyclic_latin(2) and type(square[2, 2]) is int
+    # arrays follow the same rule: bool and float arrays are refused, unsigned ones taken
+    for grid, shown in ((np.array([[True, False], [False, True]]), "np.True_"),
+                        (np.array([[1.0, 2.0], [2.0, 1.0]]), "np.float64(1.0)")):
+        with pytest.raises(ValueError) as err:
+            LatinSquare(2, grid)
+        assert str(err.value) == f"symbol must be an integer, got {shown}"
+    for dtype in (np.uint8, np.uint64):
+        square = LatinSquare(2, np.array([[1, 2], [2, 1]], dtype=dtype))
+        assert square == cyclic_latin(2) and square.grid.dtype == np.int64
+    with pytest.raises(ValueError, match="row 2 is not a permutation of 1..2"):
+        LatinSquare(2, np.array([[1, 2], [2, 2**64 - 1]], dtype=np.uint64))
     # a symbol past int64 is out of range, not an overflow
     with pytest.raises(ValueError, match="row 2 is not a permutation of 1..2"):
         LatinSquare(2, ((1, 2), (2, 10**30)))
@@ -137,7 +161,7 @@ def test_normalize_corner():
 
     fixed = normalize_corner(cyclic_latin(3))
     assert isinstance(fixed, CornerNormalization)
-    assert fixed.square.grid == ((1, 3, 2), (3, 2, 1), (2, 1, 3))
+    assert fixed.square.grid.tolist() == [[1, 3, 2], [3, 2, 1], [2, 1, 3]]
     assert fixed.square[3, 3] == 3
     assert fixed.row_perm == (1, 2, 3)
     assert fixed.col_perm == (1, 2, 3)
@@ -257,6 +281,13 @@ def test_region_validation():
 def test_square_json_round_trip():
     a = normalize_corner(cyclic_latin(5)).square
     assert square_from_json(square_to_json(a)) == a
+    # the sha256 of these documents as written when the grid was a tuple of tuples
+    digest = hashlib.sha256()
+    for k in (1, 2, 3, 20, 203):
+        c = cyclic_latin(k)
+        for sq in (c, normalize_corner(c).square, conjugate(c, (2, 3, 1))):
+            digest.update(square_to_json(sq).encode() + b"\n")
+    assert digest.hexdigest() == "8ddaad939468cacee30b2632d439426614f7cf2ab90bb7294f94b3d6fb295ab4"
     with pytest.raises(ValueError, match="invalid square document"):
         square_from_json("{not json")
     with pytest.raises(ValueError, match="'order' and 'grid'"):
@@ -461,3 +492,21 @@ def test_order_203_region_stays_small():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert abs(null - 1 / 203) <= 1e-12 and 1 / 203 < alternative < 1.0
+
+
+def test_order_1448_region_stays_small():
+    # a square held as tuples of ints peaked at 185.7 MiB on this path; the array is 16 MiB
+    k = 1448
+    tracemalloc.start()
+    try:
+        square = normalize_corner(cyclic_latin(k)).square
+        region = build_latin_region(square, 1 / k)
+        assert rejects3(region, (np.inf, np.inf, np.inf))
+        null = analytic_power3(region, (0.5, 0.0, 1.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    assert abs(null - 1 / k) <= 1e-12
+    again = square_from_json(square_to_json(square))
+    assert again == square and hash(again) == hash(square)
